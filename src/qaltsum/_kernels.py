@@ -6,7 +6,6 @@ in pure Python in _kernels_py.  polycore routes each call: the compiled
 lane is attempted when it was built and the estimated work is in its
 sweet spot, and it rejects itself (returns None) whenever a value leaves
 the 64-bit window.  QALTSUM_PURE=1 forces the pure lane regardless.
-benchmarks/bench_kernels.py compares the two.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Verification sweeps expand the given parameter ranges in lexicographic
 order, run every case (optionally across worker processes), and emit the
 reports as pretty text, JSON or CSV on stdout.  Report content for a
 fixed configuration is deterministic regardless of parallelism; only the
-elapsed_ms fields vary.  Exit codes: 0 all checks hold (or are not
-applicable), 1 at least one check failed (counterexample on stderr),
-2 usage or configuration error.
+elapsed_ms fields (the wall time of each case) vary.  Exit codes: 0 all
+checks hold (or are not applicable), 1 at least one check failed
+(counterexample on stderr), 2 usage or configuration error, 3 internal
+error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import product
 
 from . import cyclo, qcomb, verify
 from .polycore import IntPoly, InvalidArgument
 from .sums import SumSpec
-from .verify import InfeasibleScale, VerificationReport
+from .verify import VerificationReport
 
-__all__ = ["RunConfig", "emit_report", "main", "parse_report_json", "run", "run_sweep"]
+__all__ = ["emit_report", "main", "parse_report_json", "run", "run_sweep"]
 
 REPORT_FIELDS = (
     "claim_id",
@@ -47,23 +47,6 @@ def default_jobs() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
-
-
-@dataclass
-class RunConfig:
-    """A fully-resolved verification run."""
-
-    command: str
-    cases: list[tuple[str, dict]]
-    output: str = "pretty"
-    jobs: int = 1
-    exponent_budget: int = verify.DEFAULT_EXPONENT_BUDGET
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise InvalidArgument("parallelism must be >= 1")
-        if self.output not in ("pretty", "json", "csv"):
-            raise InvalidArgument(f"unknown output format {self.output!r}")
 
 
 def parse_range(text: str) -> list[int]:
@@ -167,17 +150,6 @@ def build_cases(args: argparse.Namespace) -> list[tuple[str, dict]]:
 # -- execution ---------------------------------------------------------------------
 
 
-def _sweep_worker(item: tuple[str, dict]) -> list[VerificationReport]:
-    claim_id, params = item
-    try:
-        return verify.run_case(claim_id, params)
-    except InfeasibleScale as exc:
-        # over-budget cases are reported, not checked; they must not sink
-        # the rest of the sweep (the per-prime variant always runs)
-        case = verify.TheoremCase(claim_id, params, None, f"not evaluated: {exc}")
-        return [VerificationReport(case, None, None, 0.0)]
-
-
 def run_sweep(cases: list[tuple[str, dict]], jobs: int = 1) -> list[VerificationReport]:
     """Run cases in order; reports are merged by case order, not completion.
 
@@ -187,8 +159,8 @@ def run_sweep(cases: list[tuple[str, dict]], jobs: int = 1) -> list[Verification
     """
     reports: list[VerificationReport] = []
     if jobs <= 1 or len(cases) <= 1:
-        for case in cases:
-            batch = _sweep_worker(case)
+        for claim_id, params in cases:
+            batch = verify.run_case(claim_id, params)
             reports.extend(batch)
             if any(rep.holds is False for rep in batch):
                 break
@@ -197,7 +169,7 @@ def run_sweep(cases: list[tuple[str, dict]], jobs: int = 1) -> list[Verification
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for lo in range(0, len(cases), chunk):
             failed = False
-            for batch in pool.map(_sweep_worker, cases[lo : lo + chunk]):
+            for batch in pool.map(verify.run_case, *zip(*cases[lo : lo + chunk])):
                 reports.extend(batch)
                 failed = failed or any(rep.holds is False for rep in batch)
             if failed:
@@ -444,24 +416,20 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "inspect":
             return _run_inspect(args)
-        config = RunConfig(
-            command=args.claim_verb,
-            cases=build_cases(args),
-            output=args.output,
-            jobs=args.jobs if args.jobs is not None else default_jobs(),
-            exponent_budget=getattr(args, "exponent_budget", verify.DEFAULT_EXPONENT_BUDGET),
-        )
-        if not config.cases:
+        cases = build_cases(args)
+        jobs = args.jobs if args.jobs is not None else default_jobs()
+        if jobs < 1:
+            raise InvalidArgument("parallelism must be >= 1")
+        if not cases:
             raise InvalidArgument("the requested sweep is empty")
+        reports = run_sweep(cases, jobs)
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        reports = run_sweep(config.cases, config.jobs)
-    except (InfeasibleScale, InvalidArgument) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(emit_report(reports, config.output))
+    except Exception as exc:  # code 1 means a falsified claim; Ctrl-C still interrupts
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    sys.stdout.write(emit_report(reports, args.output))
     failures = [rep for rep in reports if rep.holds is False]
     if failures:
         dump_counterexample(failures[0], sys.stderr)

@@ -25,7 +25,6 @@ True
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -75,7 +74,7 @@ class NotDivisible(ArithmeticError):
 
 # Result degree at or below which the pure-Python schoolbook path is
 # used for dense products; larger ones go through Kronecker substitution.
-SCHOOLBOOK_CUTOFF = int(os.environ.get("QALTSUM_SCHOOLBOOK_CUTOFF", "64"))
+SCHOOLBOOK_CUTOFF = 64
 
 # A factor with at most this many nonzero terms is multiplied by sparse
 # accumulation regardless of degree.

@@ -1,12 +1,15 @@
 """Claim-level drivers: build the expected modulus, check, report.
 
 Each driver materializes one verifiable claim instance -- an identity, a
-congruence in Z or Z[q], or a valuation equality -- as a TheoremCase,
-performs the exact check, and wraps the outcome in a VerificationReport.
-A report with holds=False means the implementation is broken (every
-asserted claim is a proven statement), so batch runners must surface it
-as a counterexample and stop; holds=None marks a case whose side
-condition is not met (not applicable), which is a normal outcome.
+congruence in Z or Z[q], or a valuation equality -- as a TheoremCase and
+performs the exact check, giving an outcome (case, holds, witness).  One
+runner, _timed, turns outcomes into VerificationReports and times them:
+a report's elapsed covers everything computed for it, from the dividend
+and the modulus to the check.  A report with holds=False means the
+implementation is broken (every asserted claim is a proven statement),
+so batch runners must surface it as a counterexample and stop;
+holds=None marks a case whose side condition is not met (not
+applicable), which is a normal outcome.
 
 Claim identifiers:
 
@@ -28,7 +31,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import cyclo, qcomb, sums
 from .polycore import CongruenceWitness, IntPoly, InvalidArgument, NotDivisible, divexact
@@ -128,11 +131,36 @@ def _divides(dividend, modulus) -> bool:
     return True
 
 
-def _congruence_report(claim_id, params, dividend, modulus, note="") -> VerificationReport:
+Outcome = tuple[TheoremCase, Optional[bool], Witness]
+
+
+def _timed(outcomes: Iterator[Outcome]) -> list[VerificationReport]:
+    """Report each outcome with the time taken to produce it.
+
+    The only place a report is built or timed.  outcomes is consumed
+    lazily, so a report's elapsed runs from the end of the previous
+    report (or from the call) to the moment its outcome is ready: it
+    includes every value computed for it, a value several reports share
+    is charged to the first of them, and the reports of one call add up
+    to the call's wall time.
+    """
+    reports = []
     start = time.perf_counter()
+    for case, holds, witness in outcomes:
+        now = time.perf_counter()
+        reports.append(VerificationReport(case, holds, witness, now - start))
+        start = now
+    return reports
+
+
+def _once(build, *args) -> Iterator[Outcome]:
+    """The single outcome of build(*args), computed when asked for."""
+    yield build(*args)
+
+
+def _congruence(claim_id, params, dividend, modulus, note="") -> Outcome:
     witness = check_congruence(dividend, modulus)
-    case = TheoremCase(claim_id, params, witness.modulus, note)
-    return VerificationReport(case, witness.holds, witness, time.perf_counter() - start)
+    return TheoremCase(claim_id, params, witness.modulus, note), witness.holds, witness
 
 
 # -- named identities and congruences ------------------------------------------
@@ -144,42 +172,41 @@ def verify_identity(claim: str, **params) -> VerificationReport:
     eq1/eq2 take n; calkin takes n and r; gjz/gjzq take ns (composition);
     the cj2 family takes n, r, s, t.
     """
-    start = time.perf_counter()
+    return _timed(_once(_identity, claim, params))[0]
+
+
+def _identity(claim: str, params: dict) -> Outcome:
     if claim == "eq1":
         n = params["n"]
         lhs = sums.alt_power_sum(n, 2)
         rhs = (-1) ** n * binom(2 * n, n)
         case = TheoremCase(claim, {"n": n}, None, f"sum={lhs}, closed_form={rhs}")
-        return VerificationReport(case, lhs == rhs, None, time.perf_counter() - start)
+        return case, lhs == rhs, None
     if claim == "eq2":
         n = params["n"]
         lhs = sums.alt_power_sum(n, 3)
         rhs = (-1) ** n * binom(2 * n, n) * binom(3 * n, n)
         case = TheoremCase(claim, {"n": n}, None, f"sum={lhs}, closed_form={rhs}")
-        return VerificationReport(case, lhs == rhs, None, time.perf_counter() - start)
+        return case, lhs == rhs, None
     if claim == "calkin":
         n, r = params["n"], params["r"]
-        return _congruence_report(
-            claim, {"n": n, "r": r}, sums.alt_power_sum(n, r), binom(2 * n, n)
-        )
+        return _congruence(claim, {"n": n, "r": r}, sums.alt_power_sum(n, r), binom(2 * n, n))
     if claim == "gjz":
         ns = tuple(params["ns"])
         dividend = sums.gjz_sum(ns, "integer")
         modulus = binom(ns[0] + ns[-1], ns[0])
-        return _congruence_report(claim, {"ns": list(ns)}, dividend, modulus)
+        return _congruence(claim, {"ns": list(ns)}, dividend, modulus)
     if claim == "gjzq":
-        return _verify_gjzq(tuple(params["ns"]))
-    if claim in ("cj2c1", "cj2c2", "cj2c3", "cj2c1q", "cj2c2q", "cj2c3q"):
-        return _verify_conj2(claim, params["n"], params["r"], params["s"], params["t"])
+        return _gjzq(tuple(params["ns"]))
+    if claim in _CONJ2:
+        return _conj2(claim, params["n"], params["r"], params["s"], params["t"])
     raise InvalidArgument(f"unknown identity claim {claim!r}")
 
 
-def _verify_gjzq(ns: tuple[int, ...]) -> VerificationReport:
-    start = time.perf_counter()
+def _gjzq(ns: tuple[int, ...]) -> Outcome:
     dividend = sums.gjz_sum(ns, "q")
     n1 = ns[0]
     modulus = qbinom(n1 + ns[-1], n1)
-    witness = check_congruence(dividend, modulus)
     # The modulus subscript is printed ambiguously (last part vs an
     # undefined index r); assert the last-part reading and record, for
     # every component i, whether qb(n1 + n_i, n1) also divides.
@@ -188,8 +215,7 @@ def _verify_gjzq(ns: tuple[int, ...]) -> VerificationReport:
         "modulus subscript ambiguity: asserted last-part variant; "
         f"component subscripts whose modulus divides: {variants}"
     )
-    case = TheoremCase("gjzq", {"ns": list(ns)}, modulus, note)
-    return VerificationReport(case, witness.holds, witness, time.perf_counter() - start)
+    return _congruence("gjzq", {"ns": list(ns)}, dividend, modulus, note)
 
 
 _CONJ2 = {
@@ -216,16 +242,14 @@ def _conj2_modulus(claim: str, n: int) -> IntPoly:
     return qbinom(8 * n, 3 * n)
 
 
-def _verify_conj2(claim: str, n: int, r: int, s: int, t: int) -> VerificationReport:
+def _conj2(claim: str, n: int, r: int, s: int, t: int) -> Outcome:
     params = {"n": n, "r": r, "s": s, "t": t}
     if claim == "cj2c3" and (r, s, t) == (1, 1, 1):
-        case = TheoremCase(
-            claim, params, None, "not applicable: the claim excludes (r, s, t) = (1, 1, 1)"
-        )
-        return VerificationReport(case, None, None, 0.0)
+        note = "not applicable: the claim excludes (r, s, t) = (1, 1, 1)"
+        return TheoremCase(claim, params, None, note), None, None
     family, mode = _CONJ2[claim]
     dividend = sums.triple_sum(family, n, r, s, t, mode)
-    return _congruence_report(claim, params, dividend, _conj2_modulus(claim, n))
+    return _congruence(claim, params, dividend, _conj2_modulus(claim, n))
 
 
 # -- valuation-equality driver ---------------------------------------------------
@@ -240,21 +264,6 @@ def _prime_divisors_central(n: int) -> list[tuple[int, int]]:
             if gamma >= 1:
                 out.append((p, gamma))
     return out
-
-
-def _thm1_report(n, variant, p, r, gamma, total) -> VerificationReport:
-    start = time.perf_counter()
-    computed = nu_p_int(total, p)
-    expected = ValuationRecord(p, gamma)
-    case = TheoremCase(
-        "thm1",
-        {"n": n, "variant": variant, "p": p, "r": r},
-        IntPoly(p**gamma),
-        f"nu_{p}(sum)={computed.value}, expected gamma={gamma}",
-    )
-    return VerificationReport(
-        case, computed.value == gamma, (computed, expected), time.perf_counter() - start
-    )
 
 
 def verify_thm1(
@@ -272,29 +281,41 @@ def verify_thm1(
     r > 2 with r == 2 (mod phi(C(2n, n)) * C(2n, n)); raises
     InfeasibleScale when that exponent exceeds the budget.
     """
+    return _timed(_thm1(n, variant, exponent_budget))
+
+
+def _thm1(n, variant="per_prime", exponent_budget=DEFAULT_EXPONENT_BUDGET) -> Iterator[Outcome]:
     if n < 1:
         raise InvalidArgument(f"verify_thm1 requires n >= 1, got {n}")
     if variant not in ("per_prime", "full_modulus"):
         raise InvalidArgument(f"unknown variant {variant!r}")
     central = binom(2 * n, n)
     primes = _prime_divisors_central(n)
-    reports = []
     if variant == "per_prime":
-        for p, gamma in primes:
-            unit_order = p**gamma * (p - 1)  # phi(p^(gamma+1))
-            for r in (2 + unit_order, 2 + 2 * unit_order):
-                reports.append(_thm1_report(n, variant, p, r, gamma, sums.alt_power_sum(n, r)))
-        return reports
-    modulus = euler_phi(central) * central
-    r = 2 + modulus
-    if r > exponent_budget:
-        raise InfeasibleScale(
-            f"full_modulus exponent {r} exceeds the budget {exponent_budget} (n={n})"
+        checks = [
+            (p, gamma, 2 + k * p**gamma * (p - 1))  # phi(p^(gamma+1)) = p^gamma (p - 1)
+            for p, gamma in primes
+            for k in (1, 2)
+        ]
+    else:
+        r = 2 + euler_phi(central) * central
+        if r > exponent_budget:
+            raise InfeasibleScale(
+                f"full_modulus exponent {r} exceeds the budget {exponent_budget} (n={n})"
+            )
+        checks = [(p, gamma, r) for p, gamma in primes]
+    total_r = None
+    for p, gamma, r in checks:
+        if r != total_r:  # full_modulus checks one sum at every prime
+            total, total_r = sums.alt_power_sum(n, r), r
+        computed = nu_p_int(total, p)
+        case = TheoremCase(
+            "thm1",
+            {"n": n, "variant": variant, "p": p, "r": r},
+            IntPoly(p**gamma),
+            f"nu_{p}(sum)={computed.value}, expected gamma={gamma}",
         )
-    total = sums.alt_power_sum(n, r)
-    for p, gamma in primes:
-        reports.append(_thm1_report(n, variant, p, r, gamma, total))
-    return reports
+        yield case, computed.value == gamma, (computed, ValuationRecord(p, gamma))
 
 
 # -- sharpened q-moduli for the triple sums ---------------------------------------
@@ -319,30 +340,29 @@ def verify_thm2(n: int, r: int, s: int, t: int, claim: str) -> VerificationRepor
     q^{2^a} is checked too and recorded in the note, never asserted.
     t2c3 with no guard satisfied is reported as not applicable.
     """
+    return _timed(_once(_thm2, n, r, s, t, claim))[0]
+
+
+def _thm2(n: int, r: int, s: int, t: int, claim: str) -> Outcome:
     if min(n, r, s, t) < 1:
         raise InvalidArgument(f"requires n, r, s, t >= 1, got ({n}, {r}, {s}, {t})")
     params = {"n": n, "r": r, "s": s, "t": t}
     alpha = nu_p_int(n, 2).value
-    start = time.perf_counter()
     if claim == "t2c1":
         dividend = sums.triple_sum("six_four_two", n, r, s, t, "q")
         modulus = _two_factor(alpha) * qbinom(6 * n, n)
-        witness = check_congruence(dividend, modulus)
-        case = TheoremCase(claim, params, modulus, f"alpha={alpha}")
-        return VerificationReport(case, witness.holds, witness, time.perf_counter() - start)
+        return _congruence(claim, params, dividend, modulus, f"alpha={alpha}")
     if claim == "t2c2":
         beta = nu_p_int(n, 3).value
         dividend = sums.triple_sum("six_four_two", n, r, s, t, "q")
         modulus = _two_factor(alpha) * cyclo.q_int(3, step=3**beta) * qbinom(6 * n, 3 * n)
-        witness = check_congruence(dividend, modulus)
         printed = _two_factor(alpha) * cyclo.q_int(3, step=2**alpha) * qbinom(6 * n, 3 * n)
         printed_ok = _divides(dividend, printed)
         note = (
             f"alpha={alpha}, beta={beta}; printed-form modulus with [3] at "
             f"q^(2^alpha) {'also divides' if printed_ok else 'does NOT divide'}"
         )
-        case = TheoremCase(claim, params, modulus, note)
-        return VerificationReport(case, witness.holds, witness, time.perf_counter() - start)
+        return _congruence(claim, params, dividend, modulus, note)
     if claim == "t2c3":
         window = 2 ** (alpha + 2)
         if t >= 2:
@@ -352,14 +372,12 @@ def verify_thm2(n: int, r: int, s: int, t: int, claim: str) -> VerificationRepor
         elif r >= 2 and n % window == 2**alpha:
             step, branch = alpha + 2, "r >= 2 with n = 2^a mod 2^(a+2)"
         else:
-            case = TheoremCase(claim, params, None, "not applicable: no branch guard matched")
-            return VerificationReport(case, None, None, time.perf_counter() - start)
+            note = "not applicable: no branch guard matched"
+            return TheoremCase(claim, params, None, note), None, None
         dividend = sums.triple_sum("eight_four_two", n, r, s, t, "q")
         modulus = _two_factor(step) * qbinom(8 * n, 3 * n)
-        witness = check_congruence(dividend, modulus)
         note = f"alpha={alpha}; branch: {branch}; two-factor at q^(2^{step})"
-        case = TheoremCase(claim, params, modulus, note)
-        return VerificationReport(case, witness.holds, witness, time.perf_counter() - start)
+        return _congruence(claim, params, dividend, modulus, note)
     raise InvalidArgument(f"unknown claim {claim!r}")
 
 
@@ -386,14 +404,16 @@ def verify_lemmas(n: int, p: int, r: int) -> list[VerificationReport]:
     lemma24: each pattern-restricted q sum is divisible by the matching
              product of prime-power cyclotomics.
     """
+    return _timed(_lemmas(n, p, r))
+
+
+def _lemmas(n: int, p: int, r: int) -> Iterator[Outcome]:
     if n < 1 or r < 1:
         raise InvalidArgument(f"requires n, r >= 1, got n={n}, r={r}")
     if not cyclo.is_prime(p):
         raise InvalidArgument(f"{p} is not prime")
     gamma = nu_p_binom(2 * n, n, p).value
-    reports = []
 
-    start = time.perf_counter()
     coprime = sums.alt_power_sum_filtered(n, 2, p, "p_ndivides")
     nu = nu_p_int(coprime, p)
     case = TheoremCase(
@@ -402,12 +422,8 @@ def verify_lemmas(n: int, p: int, r: int) -> list[VerificationReport]:
         IntPoly(p**gamma),
         f"exponent fixed at 2; nu_{p}={nu.value}, gamma={gamma}",
     )
-    reports.append(
-        VerificationReport(case, nu.value == gamma, (nu, ValuationRecord(p, gamma)),
-                           time.perf_counter() - start)
-    )
+    yield case, nu.value == gamma, (nu, ValuationRecord(p, gamma))
 
-    start = time.perf_counter()
     divisible_part = sums.alt_power_sum_filtered(n, r, p, "p_divides")
     nu = nu_p_int(divisible_part, p)
     bound = r - 1 + gamma
@@ -417,15 +433,11 @@ def verify_lemmas(n: int, p: int, r: int) -> list[VerificationReport]:
         IntPoly(p**bound),
         f"nu_{p}={nu.value} >= {bound}",
     )
-    reports.append(
-        VerificationReport(case, nu.value >= bound, (nu, ValuationRecord(p, bound)),
-                           time.perf_counter() - start)
-    )
+    yield case, nu.value >= bound, (nu, ValuationRecord(p, bound))
 
     h = _pattern_height(n, p)
     for size in range(1, h + 1):
         for subset in combinations(range(1, h + 1), size):
-            start = time.perf_counter()
             value = sums.pattern_sum(n, r, p, subset, "integer")
             nu = nu_p_int(value, p)
             bound = (r - 1) * len(subset) + gamma
@@ -435,10 +447,7 @@ def verify_lemmas(n: int, p: int, r: int) -> list[VerificationReport]:
                 IntPoly(p**bound),
                 f"nu_{p}={nu.value} >= {bound}",
             )
-            reports.append(
-                VerificationReport(case, nu.value >= bound, (nu, ValuationRecord(p, bound)),
-                                   time.perf_counter() - start)
-            )
+            yield case, nu.value >= bound, (nu, ValuationRecord(p, bound))
 
             dividend = sums.pattern_sum(n, r, p, subset, "q")
             modulus = IntPoly(1)
@@ -447,12 +456,9 @@ def verify_lemmas(n: int, p: int, r: int) -> list[VerificationReport]:
             for b in range(1, h + 1):
                 if b not in subset and qcomb._carry_at(2 * n, n, p**b):
                     modulus = modulus * cyclo.prime_power_form(p, b)
-            reports.append(
-                _congruence_report(
-                    "lemma24", {"n": n, "p": p, "r": r, "I": list(subset)}, dividend, modulus
-                )
+            yield _congruence(
+                "lemma24", {"n": n, "p": p, "r": r, "I": list(subset)}, dividend, modulus
             )
-    return reports
 
 
 # -- gcd-window evidence ------------------------------------------------------------
@@ -476,7 +482,10 @@ def gcd_window(n: int, m: int, w: int) -> tuple[int, bool]:
 
 
 def verify_gcd_window(n: int, m: int, w: int) -> VerificationReport:
-    start = time.perf_counter()
+    return _timed(_once(_gcd_window, n, m, w))[0]
+
+
+def _gcd_window(n: int, m: int, w: int) -> Outcome:
     g, divides = gcd_window(n, m, w)
     central = binom(2 * n, n)
     case = TheoremCase(
@@ -485,11 +494,14 @@ def verify_gcd_window(n: int, m: int, w: int) -> VerificationReport:
         IntPoly(central),
         f"evidence, not proof (finite window r={m}..{m + w - 1}); gcd={g}",
     )
-    return VerificationReport(case, divides, None, time.perf_counter() - start)
+    return case, divides, None
 
 
 def verify_qlucas(d: int, x1: int, x2: int, y1: int, y2: int) -> VerificationReport:
-    start = time.perf_counter()
+    return _timed(_once(_qlucas, d, x1, x2, y1, y2))[0]
+
+
+def _qlucas(d: int, x1: int, x2: int, y1: int, y2: int) -> Outcome:
     holds = qcomb.qlucas_check(d, x1, x2, y1, y2)
     case = TheoremCase(
         "qlucas",
@@ -497,29 +509,39 @@ def verify_qlucas(d: int, x1: int, x2: int, y1: int, y2: int) -> VerificationRep
         cyclo.cyclotomic(d),
         "",
     )
-    return VerificationReport(case, holds, None, time.perf_counter() - start)
+    return case, holds, None
 
 
 # -- dispatch ------------------------------------------------------------------------
 
-_IDENTITY_CLAIMS = frozenset(
-    {"eq1", "eq2", "calkin", "gjz", "gjzq", "cj2c1", "cj2c2", "cj2c3",
-     "cj2c1q", "cj2c2q", "cj2c3q"}
-)
+_IDENTITY_CLAIMS = frozenset(_CONJ2) | {"eq1", "eq2", "calkin", "gjz", "gjzq"}
 
 
 def run_case(claim_id: str, params: dict) -> list[VerificationReport]:
-    """Run one claim instance by id; always returns a list of reports."""
-    if claim_id in _IDENTITY_CLAIMS:
-        return [verify_identity(claim_id, **params)]
-    if claim_id == "thm1":
-        return verify_thm1(**params)
-    if claim_id in ("t2c1", "t2c2", "t2c3"):
-        return [verify_thm2(claim=claim_id, **params)]
-    if claim_id == "lemmas":
-        return verify_lemmas(**params)
-    if claim_id == "conj1_window":
-        return [verify_gcd_window(**params)]
-    if claim_id == "qlucas":
-        return [verify_qlucas(**params)]
-    raise InvalidArgument(f"unknown claim id {claim_id!r}")
+    """Run one claim instance by id; always returns a list of reports.
+
+    A case whose exponent exceeds its budget is reported as not
+    evaluated (holds None) instead of raising InfeasibleScale, so that
+    it does not sink the rest of a sweep.
+    """
+    return _timed(_case(claim_id, params))
+
+
+def _case(claim_id: str, params: dict) -> Iterator[Outcome]:
+    try:
+        if claim_id in _IDENTITY_CLAIMS:
+            yield _identity(claim_id, params)
+        elif claim_id == "thm1":
+            yield from _thm1(**params)
+        elif claim_id in ("t2c1", "t2c2", "t2c3"):
+            yield _thm2(claim=claim_id, **params)
+        elif claim_id == "lemmas":
+            yield from _lemmas(**params)
+        elif claim_id == "conj1_window":
+            yield _gcd_window(**params)
+        elif claim_id == "qlucas":
+            yield _qlucas(**params)
+        else:
+            raise InvalidArgument(f"unknown claim id {claim_id!r}")
+    except InfeasibleScale as exc:
+        yield TheoremCase(claim_id, params, None, f"not evaluated: {exc}"), None, None

@@ -107,6 +107,32 @@ class TestExitCodes:
         assert "[2]" in err  # the remainder polynomial
         assert "[1, 1]" in err
 
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        def broken_run_case(claim_id, params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "run_case", broken_run_case)
+        code = run(["verify", "calkin", "--n", "1..2", "--r", "1", "--jobs", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_internal_error_in_inspect_exit_three(self, capsys, monkeypatch):
+        def broken_dset(n, k):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli.qcomb, "dset", broken_dset)
+        assert run(["inspect", "dset", "6", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_two(self, capsys, jobs):
+        assert run(["verify", "calkin", "--n", "1", "--r", "1", "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+
 
 class TestEmitReport:
     def _passing(self):

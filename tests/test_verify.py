@@ -1,5 +1,7 @@
 """Theorem-level drivers: moduli, branch selection, witnesses, reports."""
 
+import time
+
 import pytest
 
 from qaltsum import verify
@@ -272,6 +274,14 @@ class TestRunCaseAndRecords:
         assert rec["holds"] is True
         assert rec["quotient_degree"] == 0
 
+    def test_over_budget_case_reported_not_evaluated(self):
+        reps = run_case("thm1", {"n": 4, "variant": "full_modulus", "exponent_budget": 10})
+        assert len(reps) == 1
+        assert reps[0].holds is None and reps[0].case.expected_modulus is None
+        assert reps[0].case.derivation_note == (
+            "not evaluated: full_modulus exponent 1682 exceeds the budget 10 (n=4)"
+        )
+
     def test_record_not_applicable(self):
         rep = run_case("t2c3", {"n": 1, "r": 1, "s": 1, "t": 1})[0]
         rec = rep.record()
@@ -280,3 +290,45 @@ class TestRunCaseAndRecords:
     def test_qlucas_report(self):
         rep = verify_qlucas(3, 1, 2, 0, 2)
         assert rep.holds and rep.case.expected_modulus == IntPoly("1 + q + q^2")
+
+
+class TestElapsedCoversWholeCase:
+    """A report's elapsed includes building its dividend, not only the check."""
+
+    DELAY = 0.05
+
+    @pytest.fixture
+    def slow(self, monkeypatch):
+        def patch(name):
+            original = getattr(verify.sums, name)
+
+            def delayed(*args, **kwargs):
+                time.sleep(self.DELAY)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(verify.sums, name, delayed)
+
+        return patch
+
+    def test_calkin_and_thm1_per_prime(self, slow):
+        slow("alt_power_sum")
+        assert run_case("calkin", {"n": 3, "r": 4})[0].elapsed >= self.DELAY
+        reports = run_case("thm1", {"n": 2, "variant": "per_prime"})
+        assert len(reports) == 4
+        assert all(rep.elapsed >= self.DELAY for rep in reports)
+
+    def test_lemma24(self, slow):
+        slow("pattern_sum")
+        reports = [rep for rep in run_case("lemmas", {"n": 1, "p": 2, "r": 1})
+                   if rep.case.claim_id == "lemma24"]
+        assert len(reports) == 3
+        assert all(rep.elapsed >= self.DELAY for rep in reports)
+
+    def test_shared_sum_charged_once_and_reports_add_up(self, slow):
+        slow("alt_power_sum")
+        start = time.perf_counter()
+        reports = run_case("thm1", {"n": 2, "variant": "full_modulus"})
+        wall = time.perf_counter() - start
+        assert len(reports) == 2
+        assert reports[0].elapsed >= self.DELAY
+        assert self.DELAY <= sum(rep.elapsed for rep in reports) <= wall
