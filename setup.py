@@ -1,52 +1,9 @@
-"""Build script: compiles the optional arithmetic accelerator.
-
-The package is fully functional without the extension; a failed build
-only disables the compiled kernel lane (see qaltsum._kernels).
+"""Build script: compiles the optional arithmetic accelerator from the
+tracked, Cython-generated src/qaltsum/_speedups.c.  The extension is
+optional: without a working C compiler the build warns and the package
+keeps its pure-Python kernel lane (see qaltsum._kernels).
 """
 
-import sys
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class OptionalBuildExt(build_ext):
-    """build_ext that degrades to the pure-Python lane instead of failing."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # missing compiler, broken toolchain, ...
-            self._skip(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._skip(exc)
-
-    @staticmethod
-    def _skip(exc):
-        print(
-            f"warning: building qaltsum._speedups failed ({exc}); "
-            "falling back to the pure-Python kernels",
-            file=sys.stderr,
-        )
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print(
-            "warning: Cython not available; skipping qaltsum._speedups",
-            file=sys.stderr,
-        )
-        return []
-    return cythonize(
-        [Extension("qaltsum._speedups", ["src/qaltsum/_speedups.pyx"])],
-        language_level="3",
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("qaltsum._speedups", ["src/qaltsum/_speedups.c"], optional=True)])

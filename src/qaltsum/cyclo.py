@@ -1,10 +1,10 @@
 """Cyclotomic polynomials, q-integers and factored cyclotomic products.
 
-The d-th cyclotomic polynomial Phi_d is built by exact division: take
-q^d - 1 and divide out Phi_e for every proper divisor e of d.  Results
-are memoized; the cache tolerates concurrent readers, and two threads
-racing to fill the same entry simply duplicate an idempotent
-computation.
+Phi_d = prod_{e | d} (q^e - 1)^mu(d/e) (Arnold & Monagan, Math. Comp. 80,
+2011): the factors with mu = 1 and those with mu = -1 are multiplied up by
+polycore's q^m - 1 step, and one exact division of the two proves the
+result.  Results are memoized; two threads racing to fill the same cache
+entry simply duplicate an idempotent computation.
 
 For prime powers there is also the direct construction
 Phi_{p^a} = 1 + q^{p^(a-1)} + ... + q^{(p-1) p^(a-1)}, i.e. the
@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .polycore import ONE, IntPoly, InvalidArgument, divexact, monomial
+from .polycore import ONE, IntPoly, InvalidArgument, divexact, divexact_qm1, mul_qm1
 
 __all__ = [
     "CycloFactorization",
@@ -58,10 +58,7 @@ def q_int(n: int, step: int = 1) -> IntPoly:
     """
     if n < 1 or step < 1:
         raise InvalidArgument(f"q_int requires n >= 1 and step >= 1, got n={n}, step={step}")
-    coeffs = [0] * ((n - 1) * step + 1)
-    for i in range(n):
-        coeffs[i * step] = 1
-    return IntPoly(coeffs)
+    return IntPoly(divexact_qm1(mul_qm1([1], n * step), step))
 
 
 @functools.cache
@@ -75,24 +72,13 @@ def cyclotomic(d: int) -> IntPoly:
     """
     if d < 1:
         raise InvalidArgument(f"cyclotomic index must be positive, got {d}")
-    if d == 1:
-        return IntPoly((-1, 1))
-    poly = monomial(d) - 1
-    for e in _proper_divisors(d):
-        poly = divexact(poly, cyclotomic(e))
-    return poly
-
-
-def _proper_divisors(d: int) -> list[int]:
-    small, large = [], []
-    i = 1
-    while i * i <= d:
-        if d % i == 0:
-            small.append(i)
-            if i != d // i and i != 1:
-                large.append(d // i)
-        i += 1
-    return small + large[::-1]
+    factors = [(d, 1)]  # (e, mu(d/e)) for every e with d/e squarefree
+    for p in range(2, d + 1):
+        if d % p == 0 and is_prime(p):
+            factors += [(e // p, -mu) for e, mu in factors]
+    num = functools.reduce(mul_qm1, [e for e, mu in factors if mu > 0], [1])
+    den = functools.reduce(mul_qm1, [e for e, mu in factors if mu < 0], [1])
+    return divexact(IntPoly(num), IntPoly(den))
 
 
 def prime_power_form(p: int, alpha: int) -> IntPoly:

@@ -25,8 +25,10 @@ True
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Union
 
 from . import _kernels
@@ -42,6 +44,8 @@ __all__ = [
     "Q",
     "monomial",
     "divexact",
+    "divexact_qm1",
+    "mul_qm1",
 ]
 
 
@@ -305,6 +309,33 @@ def monomial(exp: int, coeff: int = 1) -> IntPoly:
     if exp < 0:
         raise InvalidArgument("monomial exponent must be nonnegative")
     return IntPoly((0,) * exp + (coeff,))
+
+
+# -- the q^m - 1 steps: q-integers, q-binomials and cyclotomic polynomials are
+# products and exact quotients of factors q^m - 1, built by these two steps.
+
+
+def mul_qm1(coeffs, m: int) -> list[int]:
+    """coeffs * (q^m - 1) for m >= 1: shift by m and subtract."""
+    if not coeffs:
+        return []
+    return list(map(operator.sub, [0] * m + list(coeffs), list(coeffs) + [0] * m))
+
+
+def divexact_qm1(coeffs, m: int) -> list[int]:
+    """Exact quotient coeffs / (q^m - 1) for m >= 1; raises NotDivisible.
+
+    Q[j] = P[j+m] + Q[j+m] is a suffix sum along each residue class mod m;
+    the division is exact iff the remainder P[i] + Q[i], i < m, vanishes.
+    """
+    n = len(coeffs) - m
+    quot = [0] * max(n, 0)
+    for r in range(min(m, n)):
+        quot[r::m] = list(accumulate(coeffs[r + m :: m][::-1]))[::-1]
+    rem = [c + (quot[i] if i < n else 0) for i, c in enumerate(coeffs[:m])]
+    if any(rem):
+        raise NotDivisible(IntPoly(coeffs), monomial(m) - 1, remainder=IntPoly(rem))
+    return quot
 
 
 # -- multiplication strategy ------------------------------------------------

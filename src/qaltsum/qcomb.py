@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator, Union
 
 from . import cyclo
 from .cyclo import CycloFactorization, is_prime
-from .polycore import ONE, ZERO, IntPoly, InvalidArgument, NotDivisible, divexact, monomial
+from .polycore import ZERO, IntPoly, InvalidArgument, NotDivisible, divexact_qm1, mul_qm1
 
 __all__ = [
     "DSet",
@@ -114,15 +116,15 @@ def qbinom(n: int, k: int) -> IntPoly:
 
 @functools.lru_cache(maxsize=None)
 def _qbinom_product(n: int, k: int) -> IntPoly:
-    result = ONE
+    coeffs = [1]
     try:
         for j in range(1, k + 1):
-            result = divexact(result * (monomial(n + 1 - j) - 1), monomial(j) - 1)
+            coeffs = divexact_qm1(mul_qm1(coeffs, n + 1 - j), j)
     except NotDivisible as exc:  # the product formula always divides exactly
         raise RuntimeError(
             f"internal invariant violated: q-binomial({n},{k}) step was inexact"
         ) from exc
-    return result
+    return IntPoly(coeffs)
 
 
 def qbinom_factored(n: int, k: int) -> CycloFactorization:
@@ -138,10 +140,10 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 
 # -- q-Lucas reduction ---------------------------------------------------------
 #
-# qlucas_check compares residues modulo Phi_d.  The left side is reduced
-# through the q-Pascal recurrence applied directly to residues (q^d == 1
-# mod Phi_d keeps every step tiny); the right side reduces an actual
-# product-formula q-binomial, so the two sides never share a code path.
+# qlucas_check compares residues modulo Phi_d.  The left side reads q-Pascal
+# rows kept modulo Phi_d, built in a loop with q^k applied as a shift by
+# k mod d (q^d == 1 mod Phi_d) and _reduce_mod; the right side reduces an
+# actual product-formula q-binomial, so the two never share a code path.
 
 
 def _reduce_mod(coeffs: tuple[int, ...], mod: tuple[int, ...]) -> tuple[int, ...]:
@@ -162,49 +164,29 @@ def _reduce_mod(coeffs: tuple[int, ...], mod: tuple[int, ...]) -> tuple[int, ...
     return tuple(out[:n])
 
 
-def _mul_mod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _reduce_mod(tuple(out), mod)
-
-
-@functools.lru_cache(maxsize=None)
-def _phi_coeffs(d: int) -> tuple[int, ...]:
-    return cyclo.cyclotomic(d).coeffs
-
-
-@functools.lru_cache(maxsize=None)
-def _qpow_mod(e: int, d: int) -> tuple[int, ...]:
-    """q**e reduced modulo Phi_d, for 0 <= e < d."""
-    return _reduce_mod((0,) * e + (1,), _phi_coeffs(d))
+# d -> q-Pascal rows 0..n modulo Phi_d, extended under the lock so that
+# concurrent callers never append the same row twice.
+_ROWS: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+_ROWS_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=None)
 def _qbinom_mod(n: int, k: int, d: int) -> tuple[int, ...]:
-    """Residue of the q-binomial (n, k) modulo Phi_d via q-Pascal."""
+    """Residue of the q-binomial (n, k) modulo Phi_d, from q-Pascal rows."""
     if k < 0 or k > n:
         return ()
-    if k == 0:
-        return (1,)
-    upper = _qbinom_mod(n - 1, k - 1, d)
-    lower = _qbinom_mod(n - 1, k, d)
-    if lower:
-        lower = _mul_mod(_qpow_mod(k % d, d), lower, _phi_coeffs(d))
-    if not upper:
-        return lower
-    if not lower:
-        return upper
-    out = list(upper) + [0] * max(0, len(lower) - len(upper))
-    for i, c in enumerate(lower):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    mod = cyclo.cyclotomic(d).coeffs
+    with _ROWS_LOCK:
+        rows = _ROWS.setdefault(d, [((1,),)])
+        while len(rows) <= n:
+            prev = rows[-1]
+            row = [(1,)]
+            for j in range(1, len(prev)):
+                lower = (0,) * (j % d) + prev[j]
+                both = [a + b for a, b in zip_longest(prev[j - 1], lower, fillvalue=0)]
+                row.append(_reduce_mod(both, mod))
+            rows.append(tuple(row) + ((1,),))
+    return rows[n][k]
 
 
 def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:
@@ -220,7 +202,7 @@ def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:
     if x1 < 0 or y1 < 0:
         raise InvalidArgument("quotient parts must be nonnegative")
     lhs = _qbinom_mod(x1 * d + x2, y1 * d + y2, d)
-    rhs = _reduce_mod((binom(x1, y1) * qbinom(x2, y2)).coeffs, _phi_coeffs(d))
+    rhs = _reduce_mod((binom(x1, y1) * qbinom(x2, y2)).coeffs, cyclo.cyclotomic(d).coeffs)
     return lhs == rhs
 
 

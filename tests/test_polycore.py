@@ -14,7 +14,9 @@ from qaltsum.polycore import (
     ZeroPolynomial,
     _mul_kronecker,
     divexact,
+    divexact_qm1,
     monomial,
+    mul_qm1,
 )
 
 from oracles import conv
@@ -84,6 +86,53 @@ class TestDivexact:
     def test_nonmonic_exact(self):
         a = IntPoly("[3, 0, -3]") * IntPoly("[2, 2]")
         assert divexact(a, IntPoly("[2, 2]")) == IntPoly("[3, 0, -3]")
+
+
+canonical_lists = st.lists(st.integers(-(10**6), 10**6), max_size=40).map(
+    lambda cs: list(IntPoly(cs).coeffs)
+)
+step_m = st.integers(1, 8)
+
+
+def _qm1(m):
+    return [-1] + [0] * (m - 1) + [1]
+
+
+class TestQm1Steps:
+    """The q^m - 1 step pair against the defining convolution."""
+
+    @given(canonical_lists, step_m)
+    def test_mul_matches_convolution(self, cs, m):
+        assert mul_qm1(cs, m) == conv(cs, _qm1(m))
+
+    @given(canonical_lists, step_m)
+    def test_mul_then_divide_returns_original(self, cs, m):
+        assert divexact_qm1(mul_qm1(cs, m), m) == cs
+        assert divexact_qm1(conv(cs, _qm1(m)), m) == cs
+
+    @given(canonical_lists.filter(bool), step_m, st.integers(0, 10**6),
+           st.integers(-5, 5).filter(bool))
+    def test_perturbed_multiple_is_inexact(self, cs, m, where, delta):
+        prod = conv(cs, _qm1(m))
+        i = where % len(prod)
+        prod[i] += delta
+        with pytest.raises(NotDivisible) as exc:
+            divexact_qm1(prod, m)
+        # q^i == q^(i mod m) modulo q^m - 1, so the remainder is delta q^(i mod m)
+        assert exc.value.remainder == monomial(i % m, delta)
+        assert exc.value.divisor == IntPoly(_qm1(m))
+
+    @given(st.data(), step_m)
+    def test_nonzero_list_below_degree_m_is_inexact(self, data, m):
+        cs = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=m).filter(any))
+        with pytest.raises(NotDivisible) as exc:
+            divexact_qm1(cs, m)
+        assert exc.value.remainder == IntPoly(cs)
+
+    def test_zero_and_examples(self):
+        assert mul_qm1([], 3) == [] and divexact_qm1([], 3) == []
+        assert divexact_qm1([-1, 0, 0, 0, 1], 2) == [1, 0, 1]
+        assert mul_qm1((1, 1), 1) == [-1, 0, 1]
 
 
 class TestEvalAndContent:

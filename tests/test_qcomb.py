@@ -1,11 +1,16 @@
 """Carry sets, (q-)binomials, q-Lucas reduction, valuations, totient."""
 
+import concurrent.futures
 import math
+import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaltsum import qcomb
 from qaltsum.cyclo import CycloFactorization, cyclotomic, expand
 from qaltsum.polycore import ONE, ZERO, IntPoly, InvalidArgument, divexact
 from qaltsum.qcomb import (
@@ -181,6 +186,48 @@ class TestQLucas:
             for x2 in range(d)
             for y2 in range(d)
         )
+
+
+class TestQPascalRowsModPhi:
+    def test_deep_row_does_not_recurse(self):
+        # 600 rows modulo Phi_2: one recursion per row would pass the
+        # interpreter's recursion limit
+        assert qlucas_check(2, 600, 0, 300, 0)
+
+    def test_residues_match_product_formula(self):
+        for d in range(1, 13):
+            mod = cyclotomic(d).coeffs
+            for n in range(41):
+                for k in range(n + 1):
+                    want = qcomb._reduce_mod(qbinom(n, k).coeffs, mod)
+                    assert qcomb._qbinom_mod(n, k, d) == want, (n, k, d)
+
+    def test_concurrent_callers_append_each_row_once(self, monkeypatch):
+        monkeypatch.setattr(qcomb, "_ROWS", {})
+        qcomb._qbinom_mod.cache_clear()
+        reduce_mod = qcomb._reduce_mod
+
+        def yielding_reduce_mod(coeffs, mod):
+            time.sleep(0)  # invite a thread switch inside the row loop
+            return reduce_mod(coeffs, mod)
+
+        monkeypatch.setattr(qcomb, "_reduce_mod", yielding_reduce_mod)
+        d, top = 7, 60
+        ns = list(range(top)) * 4
+        random.Random(0).shuffle(ns)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                calls = pool.map(lambda n: (n, qcomb._qbinom_mod(n, n // 2, d)), ns, timeout=120)
+                got = list(calls)
+        finally:
+            sys.setswitchinterval(interval)
+            qcomb._qbinom_mod.cache_clear()
+        assert [len(row) for row in qcomb._ROWS[d]] == list(range(1, top + 1))
+        mod = cyclotomic(d).coeffs
+        for n, residue in got:
+            assert residue == reduce_mod(qbinom(n, n // 2).coeffs, mod), n
 
 
 def _divides(a, b):
