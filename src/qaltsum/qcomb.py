@@ -98,9 +98,12 @@ def binom(n: int, k: int) -> int:
 def qbinom(n: int, k: int) -> IntPoly:
     """Gaussian binomial coefficient as an exact polynomial.
 
-    Built from the product formula prod_{j=1..k} (q^(n+1-j) - 1)/(q^j - 1)
-    with each division performed immediately, so intermediate degrees
-    never exceed the final degree k(n-k).
+    Built from the product formula prod_{j=1..m} (q^(n+1-j) - 1)/(q^j - 1)
+    with m = min(k, n-k), by the symmetry qb(n, k) = qb(n, n-k), and each
+    division performed immediately.  Step j leaves qb(n, j), of degree
+    j(n-j), and its multiplication reaches degree j(n+1-j), so no
+    intermediate degree exceeds k(n-k) + m.  qb(n, k) and qb(n, n-k) are
+    the same cached object.
 
     >>> str(qbinom(4, 2))
     '1 + q + 2*q^2 + q^3 + q^4'
@@ -111,7 +114,7 @@ def qbinom(n: int, k: int) -> IntPoly:
         raise InvalidArgument(f"qbinom requires n >= 0, got {n}")
     if k < 0 or k > n:
         return ZERO
-    return _qbinom_product(n, k)
+    return _qbinom_product(n, min(k, n - k))
 
 
 @functools.lru_cache(maxsize=None)

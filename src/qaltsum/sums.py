@@ -9,6 +9,16 @@ evaluating the q polynomial), which keeps huge exponents r ~ 10^4
 feasible; the q and integer modes agree under evaluation at q = 1, and
 the test suite pins that.
 
+Every q-mode sum is evaluated packed, by one helper (_packed_sum): each
+q-binomial factor f is replaced by the integer f(2^w), each term by the
+product of those integers shifted by w*C(k,2), and the signed total is
+unpacked into coefficients once.  The slot width w comes from the q = 1
+bound: every q-binomial coefficient is >= 0 (checked on each factor), so
+no coefficient of a term exceeds the term's value at q = 1, and no
+coefficient of the sum exceeds sum_k prod binom(N, K)^e, the integer-mode
+sum of the absolute terms.  One sign bit on top of that bound keeps
+every coefficient inside its balanced slot.
+
 Families:
 
   power       sum_{k=0..2n} (-1)^k C(2n,k)^r
@@ -23,10 +33,10 @@ Families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, Union
+from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .cyclo import is_prime
-from .polycore import ZERO, IntPoly, InvalidArgument
+from .polycore import ZERO, IntPoly, InvalidArgument, _pack, _slot_bits, _unpack
 from .qcomb import _carry_at, binom, qbinom
 
 __all__ = [
@@ -53,6 +63,60 @@ def _weight(k: int) -> int:
 def _check_mode(mode: str) -> None:
     if mode not in ("integer", "q"):
         raise InvalidArgument(f"mode must be 'integer' or 'q', got {mode!r}")
+
+
+def _packed_sum(terms: Iterable[tuple[int, list[tuple[IntPoly, int]]]]) -> IntPoly:
+    """sum over (k, factors) of (-1)^k q^C(k,2) prod f^e, evaluated packed.
+
+    factors is a list of (f, e) with f a q-binomial.  The nonnegativity
+    that the slot width rests on (see the module docstring) is checked on
+    every distinct factor.  A term with a zero factor contributes nothing,
+    and terms with the same factors, such as k and -k in the triple sums,
+    share one packed product.
+    """
+    terms = [(k, fs) for k, fs in terms if all(f for f, _ in fs)]
+    if not terms:
+        return ZERO
+    at_one: dict[int, int] = {}
+    bound = 0
+    for _, fs in terms:
+        value = 1
+        for f, e in fs:
+            if id(f) not in at_one:
+                if min(f.coeffs) < 0:
+                    raise RuntimeError(
+                        f"internal invariant violated: packed q-sum factor {f} "
+                        "has a negative coefficient"
+                    )
+                at_one[id(f)] = sum(f.coeffs)
+            value *= at_one[id(f)] ** e
+        bound += value
+    bits = _slot_bits(bound.bit_length() + 1)
+    nbytes = bits >> 3
+    packed: dict[int, int] = {}
+    products: dict[tuple[tuple[int, int], ...], int] = {}
+    total = 0
+    n = 0
+    for k, fs in terms:
+        key = tuple((id(f), e) for f, e in fs)
+        value = products.get(key)
+        if value is None:
+            value = 1
+            for f, e in fs:
+                if id(f) not in packed:
+                    packed[id(f)] = _pack(f.coeffs, bits, nbytes)
+                value *= packed[id(f)] ** e
+            products[key] = value
+        shift = _weight(k)
+        n = max(n, shift + sum(e * (len(f.coeffs) - 1) for f, e in fs) + 1)
+        if k % 2:
+            total -= value << (bits * shift)
+        else:
+            total += value << (bits * shift)
+    out = _unpack(total, bits, nbytes, n)
+    if out is None:
+        raise AssertionError("Kronecker decode imbalance")
+    return IntPoly(out)
 
 
 def alt_power_sum(n: int, r: int) -> int:
@@ -126,11 +190,7 @@ def pattern_sum(
     ]
     if mode == "integer":
         return sum(_sign(k) * binom(2 * n, k) ** r for k in ks)
-    acc = ZERO
-    for k in ks:
-        term = (qbinom(2 * n, k) ** r).shifted(_weight(k))
-        acc = acc + (term if _sign(k) > 0 else -term)
-    return acc
+    return _packed_sum((k, [(qbinom(2 * n, k), r)]) for k in ks)
 
 
 def gjz_sum(ns: Sequence[int], mode: Mode = "integer") -> Union[int, IntPoly]:
@@ -162,18 +222,10 @@ def gjz_sum(ns: Sequence[int], mode: Mode = "integer") -> Union[int, IntPoly]:
                     break
             total += _sign(k) * term
         return total
-    acc = ZERO
-    for k in range(-n1, n1 + 1):
-        term = qbinom(ns[0] + ns[1 % h], ns[0] + k)
-        for i in range(1, h):
-            if not term:
-                break
-            term = term * qbinom(ns[i] + ns[(i + 1) % h], ns[i] + k)
-        if not term:
-            continue
-        term = term.shifted(_weight(k))
-        acc = acc + (term if _sign(k) > 0 else -term)
-    return acc
+    return _packed_sum(
+        (k, [(qbinom(ns[i] + ns[(i + 1) % h], ns[i] + k), 1) for i in range(h)])
+        for k in range(-n1, n1 + 1)
+    )
 
 
 _TRIPLE_WIDTH = {"six_four_two": 6, "eight_four_two": 8}
@@ -211,15 +263,12 @@ def triple_sum(
             * binom(2 * n, n + k) ** t
             for k in range(-n, n + 1)
         )
-    acc = ZERO
-    for k in range(-n, n + 1):
-        term = (
-            qbinom(A, A // 2 + k) ** r
-            * qbinom(4 * n, 2 * n + k) ** s
-            * qbinom(2 * n, n + k) ** t
-        ).shifted(_weight(k))
-        acc = acc + (term if _sign(k) > 0 else -term)
-    return acc
+    return _packed_sum(
+        (k, [(qbinom(A, A // 2 + k), r),
+             (qbinom(4 * n, 2 * n + k), s),
+             (qbinom(2 * n, n + k), t)])
+        for k in range(-n, n + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -81,3 +81,47 @@ def alt_sum_brute(n, r):
 def phi_brute(n):
     """Euler's totient by counting coprime residues."""
     return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
+
+
+def q_alt_sum(terms):
+    """sum of (-1)^k q^(k(k-1)/2) prod f^e over (k, [(f, e), ...]), term by term.
+
+    Factors are coefficient lists; each term is expanded by repeated
+    convolution and added into the running total.
+    """
+    total = []
+    for k, factors in terms:
+        term = [1]
+        for f, e in factors:
+            for _ in range(e):
+                term = conv(term, f)
+        sign = -1 if k % 2 else 1
+        total = poly_add(total, [0] * (k * (k - 1) // 2) + [sign * c for c in term])
+    return total
+
+
+def triple_sum_q(width, n, r, s, t):
+    """sum_{k=-n..n} (-1)^k q^C(k,2) qb(A, A/2+k)^r qb(4n, 2n+k)^s qb(2n, n+k)^t, A = width*n."""
+    A = width * n
+    return q_alt_sum(
+        (k, [(qbinom_qpascal(A, A // 2 + k), r), (qbinom_qpascal(4 * n, 2 * n + k), s),
+             (qbinom_qpascal(2 * n, n + k), t)])
+        for k in range(-n, n + 1)
+    )
+
+
+def gjz_sum_q(ns):
+    """sum_{k=-n1..n1} (-1)^k q^C(k,2) prod_i qb(n_i + n_{i+1}, n_i + k), cyclically."""
+    h = len(ns)
+    return q_alt_sum(
+        (k, [(qbinom_qpascal(ns[i] + ns[(i + 1) % h], ns[i] + k), 1) for i in range(h)])
+        for k in range(-ns[0], ns[0] + 1)
+    )
+
+
+def pattern_sum_q(n, r, p, I):
+    """The q power sum over the k whose base-p addition k + (2n-k) carries at every p^a, a in I."""
+    N = 2 * n
+    ks = [k for k in range(N + 1)
+          if all(N // p**a > k // p**a + (N - k) // p**a for a in I)]
+    return q_alt_sum((k, [(qbinom_qpascal(N, k), r)]) for k in ks)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaltsum import _kernels, _kernels_py
+from qaltsum import _kernels, _kernels_py, polycore
 from qaltsum.polycore import (
     ONE,
     ZERO,
@@ -12,7 +12,10 @@ from qaltsum.polycore import (
     IntPoly,
     NotDivisible,
     ZeroPolynomial,
+    _divexact_kronecker,
     _mul_kronecker,
+    _pack,
+    _unpack,
     divexact,
     divexact_qm1,
     monomial,
@@ -133,6 +136,130 @@ class TestQm1Steps:
         assert mul_qm1([], 3) == [] and divexact_qm1([], 3) == []
         assert divexact_qm1([-1, 0, 0, 0, 1], 2) == [1, 0, 1]
         assert mul_qm1((1, 1), 1) == [-1, 0, 1]
+
+
+# Divisors with more than polycore._SPARSE_TERMS nonzero terms take the
+# Kronecker division path.
+dense_lists = st.lists(st.integers(-(10**6), 10**6).filter(bool), min_size=7, max_size=30)
+quotient_lists = st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=40).filter(
+    lambda cs: cs[-1] != 0
+)
+
+
+def _power(f, e):
+    out = [1]
+    for _ in range(e):
+        out = conv(out, f)
+    return out
+
+
+def _steps_witness(a, b):
+    """(remainder, step) of the long division that decides a / b."""
+    quot, rem, step = _kernels_py.divexact_steps(a, b)
+    return IntPoly(rem), (step if quot is None else None)
+
+
+class TestKroneckerDivision:
+    """Exact division by one big-integer divmod, proved or handed back."""
+
+    @given(dense_lists, quotient_lists)
+    def test_exact_quotient_matches_oracle(self, b, q):
+        a = conv(b, q)
+        assert _divexact_kronecker(a, b) in (None, q)
+        assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
+        assert _kernels_py.divexact_steps(a, b) == (q, [], -1)
+
+    @given(dense_lists, quotient_lists, st.integers(0, 10**6),
+           st.integers(-(10**3), 10**3).filter(bool))
+    def test_inexact_dividend_keeps_the_long_division_witness(self, b, q, where, delta):
+        a = conv(b, q)
+        a[where % len(a)] += delta  # b has degree >= 6, so it cannot divide delta q^i
+        a = list(IntPoly(a).coeffs)
+        assert _divexact_kronecker(a, b) is None
+        with pytest.raises(NotDivisible) as exc:
+            divexact(IntPoly(a), IntPoly(b))
+        if len(a) < len(b):
+            assert (exc.value.remainder, exc.value.step) == (IntPoly(a), None)
+        else:
+            assert (exc.value.remainder, exc.value.step) == _steps_witness(a, b)
+
+    @pytest.mark.parametrize("e,n,path", [
+        (7, 3, "bound"), (8, 3, "bound"),
+        (7, 10, "multiply-back"), (8, 8, "multiply-back"),
+        (7, 15, "fallback"), (7, 100, "fallback"), (8, 40, "fallback"),
+    ])
+    def test_each_path_returns_the_true_quotient(self, monkeypatch, e, n, path):
+        # (1 - q)^e divides (1 - q^(n+1))^e with quotient (1 + ... + q^n)^e,
+        # whose coefficients outgrow the slots chosen from a and b as n grows.
+        b = _power([1, -1], e)
+        q = _power([1] * (n + 1), e)
+        a = conv(b, q)
+        products = []
+        mul = polycore._mul_coeffs
+        monkeypatch.setattr(polycore, "_mul_coeffs", lambda x, y: products.append(1) or mul(x, y))
+        got = _divexact_kronecker(a, b)
+        monkeypatch.undo()
+        assert got == (None if path == "fallback" else q)
+        assert len(products) == (0 if path == "bound" else 1)
+        assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
+
+    @given(st.integers(7, 9), st.integers(1, 60),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(lambda g: g[-1]))
+    def test_outgrown_quotients_fall_back_without_raising(self, e, n, g):
+        b = conv(g, _power([1, -1], e))
+        q = _power([1] * (n + 1), e)
+        a = conv(b, q)
+        assert _divexact_kronecker(a, b) in (None, q)
+        assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
+
+    @pytest.mark.parametrize("b", [
+        [1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6],  # six nonzero terms: sparse
+        [1] + [0] * 998 + [-1] + [0] * 999 + [1] + [0] * 499 + [1, -1, 1, 1],  # long, 7 terms
+        [3**400, -(5**300), 7**200, 1, 2, 3, 4, 5],  # slots of hundreds of bits
+    ])
+    def test_long_division_is_kept_where_it_is_faster(self, b):
+        q = [1, -2, 3, 0, 5] * 20
+        a = conv(b, q)
+        assert _divexact_kronecker(a, b) is None
+        assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
+
+
+def _slot_values(bits):
+    half = 1 << (bits - 1)
+    return st.integers(-half, half - 1)
+
+
+class TestPacking:
+    """Borrow-free pack and biased unpack at the edges of a slot."""
+
+    @pytest.mark.parametrize("bits", [8, 16, 64, 136])
+    def test_round_trip_at_slot_edges(self, bits):
+        half = 1 << (bits - 1)
+        nbytes = bits >> 3
+        for cs in (
+            [half - 1, -(half - 1), -half, 0, 0, 5, -half],
+            [-1, -half, -(half - 1), -7],
+            [3, 0, 0, 0, -3],
+            [0, 0, half - 1],
+            [-half],
+        ):
+            value = _pack(cs, bits, nbytes)
+            assert value == sum(c << (bits * i) for i, c in enumerate(cs))
+            assert _unpack(value, bits, nbytes, len(cs)) == cs
+
+    @given(st.sampled_from([8, 16, 24, 72]).flatmap(
+        lambda bits: st.tuples(st.just(bits), st.lists(_slot_values(bits), min_size=1,
+                                                         max_size=30))))
+    def test_round_trip(self, bits_and_coeffs):
+        bits, cs = bits_and_coeffs
+        assert _unpack(_pack(cs, bits, bits >> 3), bits, bits >> 3, len(cs)) == cs
+
+    def test_values_without_a_balanced_form_decode_to_none(self):
+        assert _unpack(1 << 7, 8, 1, 1) is None
+        assert _unpack(-(1 << 7) - 1, 8, 1, 1) is None
+        assert _unpack(1 << 16, 8, 1, 2) is None
+        assert _unpack(-(1 << 7), 8, 1, 1) == [-(1 << 7)]
+        assert _unpack((1 << 7) - 1 + (3 << 8), 8, 1, 2) == [127, 3]
 
 
 class TestEvalAndContent:

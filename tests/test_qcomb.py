@@ -115,6 +115,14 @@ class TestQBinom:
             for k in range(n + 1):
                 assert qbinom(n, k) == qbinom(n, n - k)
 
+    def test_mirror_indices_share_one_build(self):
+        # qb(n, k) is built as qb(n, n - k) when k > n/2: 5 steps, not 55
+        qcomb._qbinom_product.cache_clear()
+        first = qbinom(60, 55)
+        assert qbinom(60, 5) is first
+        assert qcomb._qbinom_product.cache_info().misses == 1
+        assert list(first.coeffs) == qbinom_qpascal(60, 5)
+
     def test_q_pascal_recurrence(self):
         for n in range(1, 41):
             for k in range(n + 1):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qaltsum import sums
 from qaltsum.polycore import ZERO, IntPoly, InvalidArgument
 from qaltsum.qcomb import binom, qbinom
 from qaltsum.sums import (
@@ -13,7 +14,7 @@ from qaltsum.sums import (
     triple_sum,
 )
 
-from oracles import alt_sum_brute, conv
+from oracles import alt_sum_brute, conv, gjz_sum_q, pattern_sum_q, triple_sum_q
 
 
 class TestAltPowerSum:
@@ -202,6 +203,48 @@ class TestTripleSum:
             triple_sum("five_four_two", 1, 1, 1, 1)
         with pytest.raises(InvalidArgument):
             triple_sum("six_four_two", 0, 1, 1, 1)
+
+
+class TestPackedQSums:
+    """The packed evaluator against a term-by-term reference on coefficient lists."""
+
+    def test_triple_matches_reference(self):
+        for family, width in (("six_four_two", 6), ("eight_four_two", 8)):
+            for n in (1, 2, 3):
+                for rst in [(1, 1, 1), (2, 1, 1), (1, 3, 2), (3, 3, 3)]:
+                    got = triple_sum(family, n, *rst, "q")
+                    assert list(got.coeffs) == triple_sum_q(width, n, *rst), (family, n, rst)
+
+    def test_gjz_matches_reference(self):
+        # parts smaller than n1 make some factors zero for the extreme k
+        for ns in [(1,), (3,), (1, 1), (2, 1), (1, 3), (3, 1, 2), (2, 2, 2), (4, 1, 3, 2)]:
+            assert list(gjz_sum(ns, "q").coeffs) == gjz_sum_q(ns), ns
+
+    def test_pattern_matches_reference(self):
+        for n in range(1, 9):
+            for r in (1, 2, 3):
+                for p in (2, 3, 5):
+                    for I in ((1,), (2,), (1, 2)):
+                        got = pattern_sum(n, r, p, I, "q")
+                        assert list(got.coeffs) == pattern_sum_q(n, r, p, I), (n, r, p, I)
+
+    def test_refuses_a_factor_with_a_negative_coefficient(self, monkeypatch):
+        # the q = 1 bound on the slot width holds only for nonnegative factors
+        monkeypatch.setattr(sums, "qbinom", lambda n, k: IntPoly([1, -1, 1]))
+        for compute in (
+            lambda: triple_sum("six_four_two", 1, 1, 1, 1, "q"),
+            lambda: gjz_sum((1, 1), "q"),
+            lambda: pattern_sum(2, 2, 2, [1], "q"),
+        ):
+            with pytest.raises(RuntimeError, match="negative coefficient"):
+                compute()
+
+    def test_shared_products_and_cancellation(self):
+        # +-k share one packed product; a sum whose terms cancel is ZERO
+        assert sums._packed_sum([]) == ZERO
+        f = qbinom(4, 2)
+        assert sums._packed_sum([(0, [(f, 2)]), (2, [(f, 2)])]) == (f**2) + (f**2).shifted(1)
+        assert sums._packed_sum([(1, [(f, 1)]), (0, [(f, 1)])]) == ZERO
 
 
 class TestSumSpec:
