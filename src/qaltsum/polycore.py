@@ -110,8 +110,8 @@ _DIV_KERNEL_WORK = 1 << 22
 # Kronecker division runs only where it is expected to beat long division.
 # Per quotient coefficient with w-bit slots, its divmod costs about
 # len(b) * w^2 bit products and long division about nnz(b) * (w + 256)
-# bit operations; one of the latter was measured at 174 of the former
-# (CPython 3.11, x86-64).
+# bit operations, and one such operation was measured to cost as much as
+# 174 bit products (CPython 3.11, x86-64).
 _KRONECKER_DIV_RATIO = 174
 
 
