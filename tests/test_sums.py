@@ -246,6 +246,13 @@ class TestPackedQSums:
         assert sums._packed_sum([(0, [(f, 2)]), (2, [(f, 2)])]) == (f**2) + (f**2).shifted(1)
         assert sums._packed_sum([(1, [(f, 1)]), (0, [(f, 1)])]) == ZERO
 
+    def test_coefficients_at_the_bound_fit_their_slots(self):
+        # 200 equal monomial terms: one coefficient equals the q = 1 bound,
+        # which needs the sign bit on top of its 8 bits
+        one = qbinom(5, 0)
+        assert sums._packed_sum([(0, [(one, 1)])] * 200) == IntPoly(200)
+        assert sums._packed_sum([(1, [(one, 3)])] * 255) == IntPoly(-255)
+
 
 class TestSumSpec:
     def test_power(self):
