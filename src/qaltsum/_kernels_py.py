@@ -1,8 +1,8 @@
-"""Pure-Python arithmetic kernels.
+"""Pure-Python arithmetic kernels: dense convolution and long division.
 
-These mirror the contract of the compiled kernels in _speedups.pyx and
-are the reference implementation; the dispatcher in _kernels selects
-between the two lanes at import time.
+polycore uses them for small dense products (mul_schoolbook) and for
+every exact division that Kronecker division does not prove
+(divexact_steps), which also supplies the witness of a failed division.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .polycore import ONE, IntPoly, InvalidArgument, divexact, divexact_qm1, mul_qm1
+from .polycore import IntPoly, InvalidArgument, divexact, divexact_qm1, mul_qm1, packed_sum
 
 __all__ = [
     "CycloFactorization",
@@ -129,10 +129,12 @@ class CycloFactorization:
 def expand(f: CycloFactorization) -> IntPoly:
     """Exact expanded product of a cyclotomic factorization.
 
+    One packed product (polycore.packed_sum) of the cached Phi_d^m; its
+    slot width comes from the l1 norms, so the negative coefficients of
+    the Phi_d need no special care.
+
     >>> str(expand(CycloFactorization({2: 1, 3: 1})))
     '1 + 2*q + 2*q^2 + q^3'
     """
-    result = ONE
-    for d in sorted(f.factors):
-        result = result * cyclotomic(d) ** f.factors[d]
-    return result
+    factors = [(cyclotomic(d).coeffs, m) for d, m in sorted(f.factors.items())]
+    return IntPoly(packed_sum([(1, 0, factors)]))

@@ -8,17 +8,25 @@ every operation returns a fresh IntPoly, so instances can be shared
 freely between threads.
 
 Multiplication picks a strategy per call: a sparse accumulation when one
-operand has very few terms, a schoolbook kernel (compiled when available,
-see _kernels) for small dense products, and Kronecker substitution for
-everything else.  Kronecker substitution packs the coefficients into one
-huge integer per operand and lets the interpreter's native big-integer
-multiplication do the work, which keeps degree-10^4 products with
-thousand-bit coefficients cheap without any custom fast arithmetic.
-A coefficient c goes into a slot of w bits as a balanced digit,
--2^(w-1) <= c < 2^(w-1): the nonnegative and the negative coefficients
-are packed as two unsigned integers and subtracted, and unpacking adds
-2^(w-1) to every slot and reads unsigned slots, so neither direction
-runs a borrow chain.
+operand has very few terms, a schoolbook loop for small dense products,
+and Kronecker substitution for everything else.  Kronecker substitution
+packs the coefficients into one huge integer per operand and lets the
+interpreter's native big-integer multiplication do the work, which keeps
+degree-10^4 products with thousand-bit coefficients cheap without any
+custom fast arithmetic.  A coefficient c goes into a slot of w bits as a
+balanced digit, -2^(w-1) <= c < 2^(w-1): the nonnegative and the
+negative coefficients are packed as two unsigned integers and
+subtracted, and unpacking adds 2^(w-1) to every slot and reads unsigned
+slots, so neither direction runs a borrow chain.
+
+A whole signed sum of products, sum sign * q^shift * prod f^e, is
+evaluated the same way by packed_sum (Harvey, J. Symbolic Comput. 44,
+2009): every factor is packed once, every term is a product of packed
+integers, and the total is unpacked once.  The slot width comes from the
+l1 norms, since no coefficient of a product exceeds the product of the
+factors' l1 norms in absolute value, whatever their signs.  Expanding a
+cyclotomic factorization and the q-mode alternating sums both go through
+it, and the packing format is private to this module.
 
 Exact division by a dense divisor works the same way (Kronecker
 division), wherever a cost estimate says it beats long division: one
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Iterable, Union
 
-from . import _kernels
+from ._kernels_py import divexact_steps, mul_schoolbook
 
 __all__ = [
     "IntPoly",
@@ -63,6 +71,7 @@ __all__ = [
     "divexact",
     "divexact_qm1",
     "mul_qm1",
+    "packed_sum",
 ]
 
 
@@ -95,17 +104,14 @@ class NotDivisible(ArithmeticError):
 
 # Result degree at or below which the pure-Python schoolbook path is
 # used for dense products; larger ones go through Kronecker substitution.
-SCHOOLBOOK_CUTOFF = 64
+# Measured crossover (CPython 3.11, x86-64): 8x8 products take 10 us by
+# schoolbook and 20 us by Kronecker, 16x16 ones 32 us and 29 us, 32x32
+# ones 112 us and 47 us (8-bit coefficients; wider ones favour Kronecker).
+SCHOOLBOOK_CUTOFF = 24
 
 # A factor with at most this many nonzero terms is multiplied by sparse
 # accumulation regardless of degree.
 _SPARSE_TERMS = 6
-
-# Work ceilings (inner-loop iteration counts) below which the compiled
-# kernel is attempted first; it rejects itself cheaply when coefficients
-# exceed the 64-bit window.
-_MUL_KERNEL_WORK = 1 << 20
-_DIV_KERNEL_WORK = 1 << 22
 
 # Kronecker division runs only where it is expected to beat long division.
 # Per quotient coefficient with w-bit slots, its divmod costs about
@@ -378,14 +384,10 @@ def _mul_coeffs(a, b):
     bnnz = len(b) - b.count(0)
     if annz > bnnz:  # sparser operand first: it drives the outer loops
         a, b, annz, bnnz = b, a, bnnz, annz
-    if _kernels.HAVE_COMPILED and annz * len(b) <= _MUL_KERNEL_WORK:
-        out = _kernels.try_mul_int64(a, b)
-        if out is not None:
-            return out
     if annz <= _SPARSE_TERMS:
         return _mul_sparse(b, a)
     if len(a) + len(b) - 2 <= SCHOOLBOOK_CUTOFF:
-        return _kernels.mul_schoolbook(a, b)
+        return mul_schoolbook(a, b)
     return _mul_kronecker(a, b)
 
 
@@ -462,17 +464,75 @@ def _unpack(value, bits, nbytes, n):
     return [from_bytes(buf[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
 
 
+def packed_sum(terms) -> list[int]:
+    """Coefficients of sum sign * q^shift * prod f^e over terms, evaluated packed.
+
+    terms is an iterable of (sign, shift, factors): sign is 1 or -1,
+    shift >= 0, and factors is a list of (coeffs, e) with e >= 0.  No
+    coefficient of the sum exceeds B = sum over terms of prod l1(f)^e in
+    absolute value, so slots of bits(B) + 1 bits hold every one of them
+    as a balanced digit.  A term with a zero factor contributes nothing,
+    and terms whose factors are the same coefficient objects with the
+    same exponents share one packed product.  The result has no trailing
+    zero.
+
+    >>> packed_sum([(1, 0, [([1, 1], 2)]), (-1, 1, [([1, -1], 1)])])
+    [1, 1, 2]
+    """
+    terms = [(sign, shift, [(f, e) for f, e in fs if e]) for sign, shift, fs in terms]
+    terms = [term for term in terms if all(f for f, _ in term[2])]
+    if not terms:
+        return []
+    norms: dict[int, int] = {}
+    bound = 0
+    for _, _, fs in terms:
+        value = 1
+        for f, e in fs:
+            norm = norms.get(id(f))
+            if norm is None:
+                norm = norms[id(f)] = sum(map(abs, f))
+            value *= norm**e
+        bound += value
+    bits = _slot_bits(bound.bit_length() + 1)
+    nbytes = bits >> 3
+    packed: dict[int, int] = {}
+    products: dict[tuple[tuple[int, int], ...], int] = {}
+    total = 0
+    n = 0
+    for sign, shift, fs in terms:
+        key = tuple((id(f), e) for f, e in fs)
+        value = products.get(key)
+        if value is None:
+            value = 1
+            for f, e in fs:
+                p = packed.get(id(f))
+                if p is None:
+                    p = packed[id(f)] = _pack(f, bits, nbytes)
+                value *= p**e
+            products[key] = value
+        n = max(n, shift + sum(e * (len(f) - 1) for f, e in fs) + 1)
+        if sign < 0:
+            total -= value << (bits * shift)
+        else:
+            total += value << (bits * shift)
+    out = _unpack(total, bits, nbytes, n)
+    if out is None:
+        raise AssertionError("Kronecker decode imbalance")
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 # -- exact division ----------------------------------------------------------
 
 
 def divexact(a, b) -> IntPoly:
     """Exact quotient a / b in Z[q]; raises NotDivisible otherwise.
 
-    After the compiled lane, if it is built and takes the call, a dense
-    divisor may be tried by Kronecker division (_divexact_kronecker);
-    plain long division decides every other case and supplies the failure
-    witness.  b need not be monic, but then every leading-coefficient
-    division has to be exact on its own.
+    A dense divisor may be tried by Kronecker division
+    (_divexact_kronecker); plain long division decides every other case
+    and supplies the failure witness.  b need not be monic, but then every
+    leading-coefficient division has to be exact on its own.
 
     >>> divexact(IntPoly("[-1, 0, 0, 0, 1]"), IntPoly("[-1, 1]"))
     IntPoly('1 + q + q^2 + q^3')
@@ -485,18 +545,10 @@ def divexact(a, b) -> IntPoly:
         return ZERO
     if len(a.coeffs) < len(b.coeffs):
         raise NotDivisible(a, b, remainder=a)
-    result = None
-    if (
-        _kernels.HAVE_COMPILED
-        and (len(a.coeffs) - len(b.coeffs) + 1) * len(b.coeffs) <= _DIV_KERNEL_WORK
-    ):
-        result = _kernels.try_divexact_int64(a.coeffs, b.coeffs)
-    if result is None:
-        quot = _divexact_kronecker(a.coeffs, b.coeffs)
-        if quot is not None:
-            return IntPoly(quot)
-        result = _kernels.divexact_steps(a.coeffs, b.coeffs)
-    quot, rem, step = result
+    quot = _divexact_kronecker(a.coeffs, b.coeffs)
+    if quot is not None:
+        return IntPoly(quot)
+    quot, rem, step = divexact_steps(a.coeffs, b.coeffs)
     if quot is None:
         raise NotDivisible(a, b, remainder=IntPoly(rem), step=step)
     if rem:

@@ -9,15 +9,15 @@ evaluating the q polynomial), which keeps huge exponents r ~ 10^4
 feasible; the q and integer modes agree under evaluation at q = 1, and
 the test suite pins that.
 
-Every q-mode sum is evaluated packed, by one helper (_packed_sum): each
-q-binomial factor f is replaced by the integer f(2^w), each term by the
-product of those integers shifted by w*C(k,2), and the signed total is
-unpacked into coefficients once.  The slot width w comes from the q = 1
-bound: every q-binomial coefficient is >= 0 (checked on each factor), so
-no coefficient of a term exceeds the term's value at q = 1, and no
-coefficient of the sum exceeds sum_k prod binom(N, K)^e, the integer-mode
-sum of the absolute terms.  One sign bit on top of that bound keeps
-every coefficient inside its balanced slot.
+Every q-mode sum is evaluated packed, as one call of polycore.packed_sum:
+each q-binomial factor f is replaced by the integer f(2^w), each term by
+the product of those integers shifted by w*C(k,2), and the signed total
+is unpacked into coefficients once.  The slot width w comes from the l1
+bound: no coefficient of the sum exceeds sum_k prod l1(f)^e, and for a
+q-binomial, whose coefficients are nonnegative, l1(f) = f(1) =
+binom(N, K), so the bound is the integer-mode sum of the absolute terms.
+One sign bit on top of that bound keeps every coefficient inside its
+balanced slot.
 
 Families:
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .cyclo import is_prime
-from .polycore import ZERO, IntPoly, InvalidArgument, _pack, _slot_bits, _unpack
+from .polycore import IntPoly, InvalidArgument, packed_sum
 from .qcomb import _carry_at, binom, qbinom
 
 __all__ = [
@@ -68,55 +68,13 @@ def _check_mode(mode: str) -> None:
 def _packed_sum(terms: Iterable[tuple[int, list[tuple[IntPoly, int]]]]) -> IntPoly:
     """sum over (k, factors) of (-1)^k q^C(k,2) prod f^e, evaluated packed.
 
-    factors is a list of (f, e) with f a q-binomial.  The nonnegativity
-    that the slot width rests on (see the module docstring) is checked on
-    every distinct factor.  A term with a zero factor contributes nothing,
-    and terms with the same factors, such as k and -k in the triple sums,
-    share one packed product.
+    factors is a list of (f, e) with f an IntPoly.  Terms with the same
+    factors, such as k and -k in the triple sums, share one packed
+    product, because qbinom returns one cached object per value.
     """
-    terms = [(k, fs) for k, fs in terms if all(f for f, _ in fs)]
-    if not terms:
-        return ZERO
-    at_one: dict[int, int] = {}
-    bound = 0
-    for _, fs in terms:
-        value = 1
-        for f, e in fs:
-            if id(f) not in at_one:
-                if min(f.coeffs) < 0:
-                    raise RuntimeError(
-                        f"internal invariant violated: packed q-sum factor {f} "
-                        "has a negative coefficient"
-                    )
-                at_one[id(f)] = sum(f.coeffs)
-            value *= at_one[id(f)] ** e
-        bound += value
-    bits = _slot_bits(bound.bit_length() + 1)
-    nbytes = bits >> 3
-    packed: dict[int, int] = {}
-    products: dict[tuple[tuple[int, int], ...], int] = {}
-    total = 0
-    n = 0
-    for k, fs in terms:
-        key = tuple((id(f), e) for f, e in fs)
-        value = products.get(key)
-        if value is None:
-            value = 1
-            for f, e in fs:
-                if id(f) not in packed:
-                    packed[id(f)] = _pack(f.coeffs, bits, nbytes)
-                value *= packed[id(f)] ** e
-            products[key] = value
-        shift = _weight(k)
-        n = max(n, shift + sum(e * (len(f.coeffs) - 1) for f, e in fs) + 1)
-        if k % 2:
-            total -= value << (bits * shift)
-        else:
-            total += value << (bits * shift)
-    out = _unpack(total, bits, nbytes, n)
-    if out is None:
-        raise AssertionError("Kronecker decode imbalance")
-    return IntPoly(out)
+    return IntPoly(packed_sum(
+        (_sign(k), _weight(k), [(f.coeffs, e) for f, e in fs]) for k, fs in terms
+    ))
 
 
 def alt_power_sum(n: int, r: int) -> int:

@@ -4,6 +4,8 @@ import concurrent.futures
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaltsum.cyclo import (
     CycloFactorization,
@@ -15,6 +17,9 @@ from qaltsum.cyclo import (
 )
 from qaltsum.polycore import ONE, IntPoly, InvalidArgument, monomial
 from qaltsum.qcomb import euler_phi, qbinom
+
+from oracles import conv
+
 
 class TestQInt:
     def test_examples(self):
@@ -130,6 +135,16 @@ class TestFactorization:
             factors = {d: rng.randint(1, 3) for d in rng.sample(range(1, 40), 4)}
             f = CycloFactorization(factors)
             assert expand(f).degree == sum(m * euler_phi(d) for d, m in factors.items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.integers(1, 110), st.integers(1, 3), max_size=3))
+    def test_expand_matches_chained_convolution(self, factors):
+        # Phi_105 and others above it have coefficients outside {-1, 0, 1}
+        want = [1]
+        for d, m in factors.items():
+            for _ in range(m):
+                want = conv(want, list(cyclotomic(d).coeffs))
+        assert list(expand(CycloFactorization(factors)).coeffs) == want
 
     def test_rejects_bad_entries(self):
         with pytest.raises(InvalidArgument):

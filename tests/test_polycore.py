@@ -1,10 +1,10 @@
-"""Ring arithmetic, exact division, text forms, kernel lane agreement."""
+"""Ring arithmetic, exact division, packed products, text forms."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaltsum import _kernels, _kernels_py, polycore
+from qaltsum import _kernels_py, polycore
 from qaltsum.polycore import (
     ONE,
     ZERO,
@@ -20,9 +20,10 @@ from qaltsum.polycore import (
     divexact_qm1,
     monomial,
     mul_qm1,
+    packed_sum,
 )
 
-from oracles import conv
+from oracles import conv, poly_add
 
 coeffs_st = st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=65)
 polys = coeffs_st.map(IntPoly)
@@ -262,6 +263,60 @@ class TestPacking:
         assert _unpack((1 << 7) - 1 + (3 << 8), 8, 1, 2) == [127, 3]
 
 
+def _chained(terms):
+    """The reference for packed_sum: chained convolution and addition."""
+    total = []
+    for sign, shift, factors in terms:
+        term = [sign]
+        for f, e in factors:
+            for _ in range(e):
+                term = conv(term, list(f))
+        total = poly_add(total, [0] * shift + term)
+    return total
+
+
+signed_factors = st.lists(st.integers(-(10**4), 10**4), max_size=8)
+packed_terms = st.lists(
+    st.tuples(st.sampled_from([1, -1]), st.integers(0, 10),
+              st.lists(st.tuples(signed_factors, st.integers(0, 3)), max_size=4)),
+    max_size=6,
+)
+
+
+class TestPackedSum:
+    """The one packed evaluator against chained convolution."""
+
+    @given(packed_terms)
+    def test_matches_chained_convolution(self, terms):
+        assert packed_sum(terms) == _chained(terms)
+
+    @given(packed_terms)
+    def test_shared_factor_objects(self, terms):
+        # the same coefficient objects in several terms are packed once
+        shared = [f for _, _, fs in terms for f, _ in fs][:2] or [[1]]
+        terms = [(sign, shift, [(shared[i % len(shared)], e) for i, (_, e) in enumerate(fs)])
+                 for sign, shift, fs in terms]
+        assert packed_sum(terms) == _chained(terms)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_coefficient_at_the_l1_bound_fits_its_slot(self, sign):
+        # the three terms all land on q^4 with one sign, so that coefficient
+        # is sign * (25 + 35 + 140), exactly the bound; 200 needs 8 bits,
+        # and the sign bit on top of them
+        terms = [
+            (sign, 0, [([0, 0, 5], 2)]),
+            (sign, 2, [([0, -5], 1), ([0, -7], 1)]),
+            (-sign, 4, [([-2], 2), ([-5], 1), ([7], 1), ([3, 1], 0)]),
+        ]
+        assert packed_sum(terms) == [0, 0, 0, 0, sign * 200] == _chained(terms)
+
+    def test_zero_factors_and_empty_sums(self):
+        assert packed_sum([]) == []
+        assert packed_sum([(1, 3, [([], 2), ([1, 1], 1)])]) == []
+        assert packed_sum([(1, 2, [([], 0)])]) == [0, 0, 1]  # 0^0 = 1
+        assert packed_sum([(1, 0, [([1, 1], 1)]), (-1, 0, [([1, 1], 1)])]) == []
+
+
 class TestEvalAndContent:
     def test_eval_examples(self):
         assert IntPoly("1 + q + q^2").evaluate(1) == 3
@@ -394,7 +449,7 @@ class TestRingAxioms:
 
 
 class TestKernelLanes:
-    """The two multiplication/division lanes must agree bit-exactly."""
+    """The multiplication paths agree bit-exactly with the defining convolution."""
 
     @given(coeffs_st, coeffs_st)
     def test_kronecker_matches_schoolbook(self, a, b):
@@ -406,52 +461,11 @@ class TestKernelLanes:
             len(a) + len(b) - 1 - len(expected)
         )
 
-    @given(coeffs_st, coeffs_st)
-    def test_compiled_mul_matches_pure(self, a, b):
-        if not _kernels.HAVE_COMPILED:
-            pytest.skip("compiled lane not built")
-        a, b = IntPoly(a).coeffs, IntPoly(b).coeffs
-        if not a or not b:
-            return
-        got = _kernels.try_mul_int64(a, b)
-        assert got is not None  # coefficients are well inside the window
-        assert got == _kernels_py.mul_schoolbook(a, b)
-
-    def test_compiled_mul_rejects_large_coefficients(self):
-        if not _kernels.HAVE_COMPILED:
-            pytest.skip("compiled lane not built")
-        big = (2**70, 1)
-        assert _kernels.try_mul_int64(big, (1, 1)) is None
-        # the generic path still gets it right
-        assert (IntPoly(big) * IntPoly((1, 1))).coeffs == (2**70, 2**70 + 1, 1)
-
-    @given(coeffs_st.filter(lambda c: IntPoly(c)), coeffs_st.filter(lambda c: IntPoly(c)))
-    def test_compiled_divexact_matches_pure(self, a, b):
-        if not _kernels.HAVE_COMPILED:
-            pytest.skip("compiled lane not built")
-        pa, pb = IntPoly(a), IntPoly(b)
-        prod = (pa * pb).coeffs
-        if len(prod) < len(pb.coeffs):
-            return
-        got = _kernels.try_divexact_int64(prod, pb.coeffs)
-        if got is None:  # legitimately out of the 64-bit window
-            return
-        assert got == _kernels_py.divexact_steps(prod, pb.coeffs)
-        assert got[0] == list(pa.coeffs) or IntPoly(got[0]) == pa
-
-    def test_compiled_divexact_remainder_agreement(self):
-        if not _kernels.HAVE_COMPILED:
-            pytest.skip("compiled lane not built")
-        a, b = (1, 0, 1), (1, 1)  # 1 + q^2 over 1 + q: remainder 2
-        assert _kernels.try_divexact_int64(a, b) == _kernels_py.divexact_steps(a, b)
-        a, b = (0, 5), (0, 2)  # inexact leading-coefficient division
-        assert _kernels.try_divexact_int64(a, b) == _kernels_py.divexact_steps(a, b)
-        assert _kernels.try_divexact_int64(a, b)[0] is None
-
     def test_mul_big_coefficients_kronecker_regime(self):
         a = IntPoly([3**80, -(2**90), 1])
         b = IntPoly([-(5**40), 7**33])
         assert (a * b).coeffs == tuple(conv(list(a.coeffs), list(b.coeffs)))
+        assert (IntPoly((2**70, 1)) * IntPoly((1, 1))).coeffs == (2**70, 2**70 + 1, 1)
 
 
 class TestCongruenceWitness:

@@ -14,7 +14,7 @@ from qaltsum.sums import (
     triple_sum,
 )
 
-from oracles import alt_sum_brute, conv, gjz_sum_q, pattern_sum_q, triple_sum_q
+from oracles import alt_sum_brute, conv, gjz_sum_q, pattern_sum_q, q_alt_sum, triple_sum_q
 
 
 class TestAltPowerSum:
@@ -228,16 +228,17 @@ class TestPackedQSums:
                         got = pattern_sum(n, r, p, I, "q")
                         assert list(got.coeffs) == pattern_sum_q(n, r, p, I), (n, r, p, I)
 
-    def test_refuses_a_factor_with_a_negative_coefficient(self, monkeypatch):
-        # the q = 1 bound on the slot width holds only for nonnegative factors
-        monkeypatch.setattr(sums, "qbinom", lambda n, k: IntPoly([1, -1, 1]))
-        for compute in (
-            lambda: triple_sum("six_four_two", 1, 1, 1, 1, "q"),
-            lambda: gjz_sum((1, 1), "q"),
-            lambda: pattern_sum(2, 2, 2, [1], "q"),
-        ):
-            with pytest.raises(RuntimeError, match="negative coefficient"):
-                compute()
+    def test_factors_with_negative_coefficients_match_reference(self, monkeypatch):
+        # the slot width comes from l1 norms, so it holds for any signs
+        f = [1, -1, 1]
+        monkeypatch.setattr(sums, "qbinom", lambda n, k: IntPoly(f))
+        assert list(triple_sum("six_four_two", 1, 2, 3, 1, "q").coeffs) == q_alt_sum(
+            (k, [(f, 2), (f, 3), (f, 1)]) for k in range(-1, 2))
+        assert list(gjz_sum((2, 1), "q").coeffs) == q_alt_sum(
+            (k, [(f, 1), (f, 1)]) for k in range(-2, 3))
+        ks = [k for k in range(5) if 4 // 2 > k // 2 + (4 - k) // 2]  # carry at 2
+        assert list(pattern_sum(2, 3, 2, [1], "q").coeffs) == q_alt_sum(
+            (k, [(f, 3)]) for k in ks)
 
     def test_shared_products_and_cancellation(self):
         # +-k share one packed product; a sum whose terms cancel is ZERO
