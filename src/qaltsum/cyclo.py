@@ -129,9 +129,8 @@ class CycloFactorization:
 def expand(f: CycloFactorization) -> IntPoly:
     """Exact expanded product of a cyclotomic factorization.
 
-    One packed product (polycore.packed_sum) of the cached Phi_d^m; its
-    slot width comes from the l1 norms, so the negative coefficients of
-    the Phi_d need no special care.
+    One call of polycore.packed_sum on the cached Phi_d^m, which keeps
+    the slots narrow although the Phi_d have negative coefficients.
 
     >>> str(expand(CycloFactorization({2: 1, 3: 1})))
     '1 + 2*q + 2*q^2 + q^3'

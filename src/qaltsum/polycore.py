@@ -21,12 +21,15 @@ slots, so neither direction runs a borrow chain.
 
 A whole signed sum of products, sum sign * q^shift * prod f^e, is
 evaluated the same way by packed_sum (Harvey, J. Symbolic Comput. 44,
-2009): every factor is packed once, every term is a product of packed
-integers, and the total is unpacked once.  The slot width comes from the
-l1 norms, since no coefficient of a product exceeds the product of the
-factors' l1 norms in absolute value, whatever their signs.  Expanding a
-cyclotomic factorization and the q-mode alternating sums both go through
-it, and the packing format is private to this module.
+2009): every term is packed, and the total is unpacked once.  The slot
+width comes from the l1 norms of the terms, since no coefficient of the
+sum exceeds their total.  For nonnegative factors the l1 norm of a
+product is the product of their norms, so such terms are multiplied as
+packed integers at that width; a term with a signed factor is multiplied
+out first, by a product tree whose slots follow the size of the actual
+coefficients.  Expanding a cyclotomic factorization and the q-mode
+alternating sums both go through packed_sum, and the packing format is
+private to this module.
 
 Exact division by a dense divisor works the same way (Kronecker
 division), wherever a cost estimate says it beats long division: one
@@ -52,8 +55,10 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from math import prod
 from typing import Iterable, Union
 
 from ._kernels_py import divexact_steps, mul_schoolbook
@@ -104,14 +109,20 @@ class NotDivisible(ArithmeticError):
 
 # Result degree at or below which the pure-Python schoolbook path is
 # used for dense products; larger ones go through Kronecker substitution.
-# Measured crossover (CPython 3.11, x86-64): 8x8 products take 10 us by
-# schoolbook and 20 us by Kronecker, 16x16 ones 32 us and 29 us, 32x32
-# ones 112 us and 47 us (8-bit coefficients; wider ones favour Kronecker).
+# Measured crossover (CPython 3.11, x86-64, 8-bit coefficients): 8x8
+# products take 7.5 us by schoolbook and 9.5 us by Kronecker, 12x12 ones
+# 12.8 us and 15.2 us, 16x16 ones 17.2 us and 14.7 us, 32x32 ones 63 us
+# and 25 us; wider coefficients move the crossover down a little.
 SCHOOLBOOK_CUTOFF = 24
 
 # A factor with at most this many nonzero terms is multiplied by sparse
 # accumulation regardless of degree.
 _SPARSE_TERMS = 6
+
+# memoryview formats of the signed machine integers, by slot bytes; the
+# slots of a little-endian byte string are native integers only on a
+# little-endian host.
+_SIGNED_SLOT = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 # Kronecker division runs only where it is expected to beat long division.
 # Per quotient coefficient with w-bit slots, its divmod costs about
@@ -454,11 +465,18 @@ def _unpack(value, bits, nbytes, n):
     Adding 2**(bits-1) to every slot (the bias 0x80...80) turns the
     balanced digits in [-2**(bits-1), 2**(bits-1)) into unsigned ones; the
     value is representable exactly when the biased value fits in n slots.
+    Flipping the top bit of every biased slot back leaves each digit in
+    two's complement, which a memoryview reads at native speed when the
+    slot is a machine integer.
     """
-    half = 1 << (bits - 1)
-    biased = value + int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    biased = value + bias
     if biased < 0 or biased >> (bits * n):
         return None
+    if nbytes in _SIGNED_SLOT:
+        return memoryview((biased ^ bias).to_bytes(n * nbytes, "little")).cast(
+            _SIGNED_SLOT[nbytes]).tolist()
+    half = 1 << (bits - 1)
     buf = biased.to_bytes(n * nbytes, "little")
     from_bytes = int.from_bytes
     return [from_bytes(buf[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
@@ -469,12 +487,17 @@ def packed_sum(terms) -> list[int]:
 
     terms is an iterable of (sign, shift, factors): sign is 1 or -1,
     shift >= 0, and factors is a list of (coeffs, e) with e >= 0.  No
-    coefficient of the sum exceeds B = sum over terms of prod l1(f)^e in
+    coefficient of the sum exceeds B = sum over terms of l1(prod f^e) in
     absolute value, so slots of bits(B) + 1 bits hold every one of them
-    as a balanced digit.  A term with a zero factor contributes nothing,
-    and terms whose factors are the same coefficient objects with the
-    same exponents share one packed product.  The result has no trailing
-    zero.
+    as a balanced digit.  When a term's factors are nonnegative,
+    l1(prod f^e) = prod l1(f)^e, and the term is multiplied packed at
+    that width.  Signed factors can cancel far below that product of
+    norms (expanding qbinom(100, 50) from its cyclotomic factors, it has
+    268 bits and the coefficients 88), so such a term is multiplied out
+    first, by _mul_tree, and the exact l1 of its product enters B.  A
+    term with a zero factor contributes nothing, and terms whose factors
+    are the same coefficient objects with the same exponents share one
+    product.  The result has no trailing zero.
 
     >>> packed_sum([(1, 0, [([1, 1], 2)]), (-1, 1, [([1, -1], 1)])])
     [1, 1, 2]
@@ -483,33 +506,42 @@ def packed_sum(terms) -> list[int]:
     terms = [term for term in terms if all(f for f, _ in term[2])]
     if not terms:
         return []
-    norms: dict[int, int] = {}
+    norms: dict[int, Union[int, None]] = {}  # l1(f), or None for a signed f
+    products: dict[tuple[tuple[int, int], ...], tuple[Union[list[int], None], int]] = {}
     bound = 0
     for _, _, fs in terms:
-        value = 1
-        for f, e in fs:
-            norm = norms.get(id(f))
-            if norm is None:
-                norm = norms[id(f)] = sum(map(abs, f))
-            value *= norm**e
-        bound += value
+        key = tuple((id(f), e) for f, e in fs)
+        if key not in products:
+            for f, _ in fs:
+                if id(f) not in norms:
+                    norms[id(f)] = sum(f) if min(f) >= 0 else None
+            if all(norms[id(f)] is not None for f, _ in fs):
+                products[key] = (None, prod(norms[id(f)] ** e for f, e in fs))
+            else:
+                coeffs = _mul_tree([f for f, e in fs for _ in range(e)])
+                products[key] = (coeffs, sum(map(abs, coeffs)))
+        bound += products[key][1]
     bits = _slot_bits(bound.bit_length() + 1)
     nbytes = bits >> 3
     packed: dict[int, int] = {}
-    products: dict[tuple[tuple[int, int], ...], int] = {}
+    values: dict[tuple[tuple[int, int], ...], int] = {}
     total = 0
     n = 0
     for sign, shift, fs in terms:
         key = tuple((id(f), e) for f, e in fs)
-        value = products.get(key)
+        value = values.get(key)
         if value is None:
-            value = 1
-            for f, e in fs:
-                p = packed.get(id(f))
-                if p is None:
-                    p = packed[id(f)] = _pack(f, bits, nbytes)
-                value *= p**e
-            products[key] = value
+            coeffs = products[key][0]
+            if coeffs is not None:
+                value = _pack(coeffs, bits, nbytes)
+            else:
+                value = 1
+                for f, e in fs:
+                    p = packed.get(id(f))
+                    if p is None:
+                        p = packed[id(f)] = _pack(f, bits, nbytes)
+                    value *= p**e
+            values[key] = value
         n = max(n, shift + sum(e * (len(f) - 1) for f, e in fs) + 1)
         if sign < 0:
             total -= value << (bits * shift)
@@ -521,6 +553,27 @@ def packed_sum(terms) -> list[int]:
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _mul_tree(factors):
+    """The product of one or more coefficient lists, with slots kept narrow.
+
+    While the product of the factors' l1 norms fits a 64-bit slot, the
+    factors are multiplied packed at that width, where its looseness
+    costs little and unpacking runs at native speed.  Above it the list
+    is split in halves, each multiplied out the same way, and the halves
+    are multiplied by _mul_coeffs at the width their coefficients need.
+    """
+    if len(factors) == 1:
+        return list(factors[0])
+    bound = prod(sum(map(abs, f)) for f in factors)
+    if bound.bit_length() < 64:
+        bits = _slot_bits(bound.bit_length() + 1)
+        nbytes = bits >> 3
+        value = prod(_pack(f, bits, nbytes) for f in factors)
+        return _unpack(value, bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
+    half = len(factors) // 2
+    return _mul_coeffs(_mul_tree(factors[:half]), _mul_tree(factors[half:]))
 
 
 # -- exact division ----------------------------------------------------------

@@ -15,8 +15,9 @@ from qaltsum.cyclo import (
     prime_power_form,
     q_int,
 )
+from qaltsum import polycore
 from qaltsum.polycore import ONE, IntPoly, InvalidArgument, monomial
-from qaltsum.qcomb import euler_phi, qbinom
+from qaltsum.qcomb import euler_phi, qbinom, qbinom_factored
 
 from oracles import conv
 
@@ -145,6 +146,16 @@ class TestFactorization:
             for _ in range(m):
                 want = conv(want, list(cyclotomic(d).coeffs))
         assert list(expand(CycloFactorization(factors)).coeffs) == want
+
+    def test_signed_factors_keep_the_slots_narrow(self, monkeypatch):
+        # the l1 norms of the cyclotomic factors of qbinom(100, 50) multiply
+        # to 268 bits, while its coefficients have 88
+        widths = []
+        pack = polycore._pack
+        monkeypatch.setattr(polycore, "_pack",
+                            lambda cs, bits, nbytes: widths.append(bits) or pack(cs, bits, nbytes))
+        assert expand(qbinom_factored(100, 50)) == qbinom(100, 50)
+        assert max(widths) <= 104
 
     def test_rejects_bad_entries(self):
         with pytest.raises(InvalidArgument):

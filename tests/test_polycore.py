@@ -233,7 +233,7 @@ def _slot_values(bits):
 class TestPacking:
     """Borrow-free pack and biased unpack at the edges of a slot."""
 
-    @pytest.mark.parametrize("bits", [8, 16, 64, 136])
+    @pytest.mark.parametrize("bits", [8, 16, 24, 32, 64, 136])
     def test_round_trip_at_slot_edges(self, bits):
         half = 1 << (bits - 1)
         nbytes = bits >> 3
@@ -309,6 +309,13 @@ class TestPackedSum:
             (-sign, 4, [([-2], 2), ([-5], 1), ([7], 1), ([3, 1], 0)]),
         ]
         assert packed_sum(terms) == [0, 0, 0, 0, sign * 200] == _chained(terms)
+
+    def test_signed_products_past_a_machine_word(self):
+        # the l1 norms of these 45 factors multiply to 80 bits, so the
+        # product tree splits them; the second term has no signed factor
+        factors = [[1, -1], [1, 0, -2, 1], [3, -1, 0, 1]] * 15
+        terms = [(1, 2, [(f, 1) for f in factors]), (-1, 0, [([5, 7], 3), ([2, 0, 1], 2)])]
+        assert packed_sum(terms) == _chained(terms)
 
     def test_zero_factors_and_empty_sums(self):
         assert packed_sum([]) == []
