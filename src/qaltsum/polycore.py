@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import operator
 import re
-import sys
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import prod
@@ -110,19 +109,14 @@ class NotDivisible(ArithmeticError):
 # Result degree at or below which the pure-Python schoolbook path is
 # used for dense products; larger ones go through Kronecker substitution.
 # Measured crossover (CPython 3.11, x86-64, 8-bit coefficients): 8x8
-# products take 7.5 us by schoolbook and 9.5 us by Kronecker, 12x12 ones
-# 12.8 us and 15.2 us, 16x16 ones 17.2 us and 14.7 us, 32x32 ones 63 us
-# and 25 us; wider coefficients move the crossover down a little.
+# products take 10 us by schoolbook and 20 us by Kronecker, 12x12 ones
+# 20 us and 24 us, 16x16 ones 32 us and 29 us, 32x32 ones 112 us and
+# 47 us; wider coefficients move the crossover down a little.
 SCHOOLBOOK_CUTOFF = 24
 
 # A factor with at most this many nonzero terms is multiplied by sparse
 # accumulation regardless of degree.
 _SPARSE_TERMS = 6
-
-# memoryview formats of the signed machine integers, by slot bytes; the
-# slots of a little-endian byte string are native integers only on a
-# little-endian host.
-_SIGNED_SLOT = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 # Kronecker division runs only where it is expected to beat long division.
 # Per quotient coefficient with w-bit slots, its divmod costs about
@@ -465,18 +459,11 @@ def _unpack(value, bits, nbytes, n):
     Adding 2**(bits-1) to every slot (the bias 0x80...80) turns the
     balanced digits in [-2**(bits-1), 2**(bits-1)) into unsigned ones; the
     value is representable exactly when the biased value fits in n slots.
-    Flipping the top bit of every biased slot back leaves each digit in
-    two's complement, which a memoryview reads at native speed when the
-    slot is a machine integer.
     """
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-    biased = value + bias
+    half = 1 << (bits - 1)
+    biased = value + int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
     if biased < 0 or biased >> (bits * n):
         return None
-    if nbytes in _SIGNED_SLOT:
-        return memoryview((biased ^ bias).to_bytes(n * nbytes, "little")).cast(
-            _SIGNED_SLOT[nbytes]).tolist()
-    half = 1 << (bits - 1)
     buf = biased.to_bytes(n * nbytes, "little")
     from_bytes = int.from_bytes
     return [from_bytes(buf[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
@@ -503,11 +490,11 @@ def packed_sum(terms) -> list[int]:
     [1, 1, 2]
     """
     terms = [(sign, shift, [(f, e) for f, e in fs if e]) for sign, shift, fs in terms]
-    terms = [term for term in terms if all(f for f, _ in term[2])]
+    terms = [term for term in terms if all(any(f) for f, _ in term[2])]
     if not terms:
         return []
-    norms: dict[int, Union[int, None]] = {}  # l1(f), or None for a signed f
-    products: dict[tuple[tuple[int, int], ...], tuple[Union[list[int], None], int]] = {}
+    norms: dict[int, int | None] = {}  # l1(f), or None for a signed f
+    products: dict[tuple[tuple[int, int], ...], tuple[list[int] | None, int]] = {}
     bound = 0
     for _, _, fs in terms:
         key = tuple((id(f), e) for f, e in fs)
@@ -560,9 +547,11 @@ def _mul_tree(factors):
 
     While the product of the factors' l1 norms fits a 64-bit slot, the
     factors are multiplied packed at that width, where its looseness
-    costs little and unpacking runs at native speed.  Above it the list
-    is split in halves, each multiplied out the same way, and the halves
-    are multiplied by _mul_coeffs at the width their coefficients need.
+    costs little.  Above it the list is split in halves, each multiplied
+    out the same way, and the halves are multiplied by _mul_coeffs at the
+    width their coefficients need.  64 bits was the fastest of 32, 64 and
+    128 both on expanding every qbinom(n, k), n <= 45, from its
+    cyclotomic factors and on n = 80 and 100.
     """
     if len(factors) == 1:
         return list(factors[0])
