@@ -1,8 +1,9 @@
 """Pure-Python arithmetic kernels: dense convolution and long division.
 
-polycore uses them for small dense products (mul_schoolbook) and for
-every exact division that Kronecker division does not prove
-(divexact_steps), which also supplies the witness of a failed division.
+polycore uses divexact_steps for every exact division that Kronecker
+division does not prove; it also supplies the witness of a failed
+division.  polycore multiplies without mul_schoolbook, which stays as
+the benchmark harness's reference convolution in perfbench/.
 """
 
 from __future__ import annotations

@@ -39,16 +39,6 @@ REPORT_FIELDS = (
 )
 
 
-def default_jobs() -> int:
-    env = os.environ.get("QALTSUM_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def parse_range(text: str) -> list[int]:
     """Inclusive integer range 'a..b', or a single integer 'a'."""
     parts = text.split("..")
@@ -417,7 +407,7 @@ def run(argv=None) -> int:
         if args.command == "inspect":
             return _run_inspect(args)
         cases = build_cases(args)
-        jobs = args.jobs if args.jobs is not None else default_jobs()
+        jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
         if jobs < 1:
             raise InvalidArgument("parallelism must be >= 1")
         if not cases:

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .polycore import IntPoly, InvalidArgument, divexact, divexact_qm1, mul_qm1, packed_sum
+from .polycore import IntPoly, InvalidArgument, divexact, divexact_qm1, mul_qm1, product
 
 __all__ = [
     "CycloFactorization",
@@ -129,11 +129,13 @@ class CycloFactorization:
 def expand(f: CycloFactorization) -> IntPoly:
     """Exact expanded product of a cyclotomic factorization.
 
-    One call of polycore.packed_sum on the cached Phi_d^m, which keeps
-    the slots narrow although the Phi_d have negative coefficients.
+    One call of polycore.product on the cached Phi_d, each repeated by its
+    multiplicity, which keeps the slots narrow although the Phi_d have
+    negative coefficients.
 
     >>> str(expand(CycloFactorization({2: 1, 3: 1})))
     '1 + 2*q + 2*q^2 + q^3'
     """
-    factors = [(cyclotomic(d).coeffs, m) for d, m in sorted(f.factors.items())]
-    return IntPoly(packed_sum([(1, 0, factors)]))
+    return IntPoly(product(
+        [cyclotomic(d).coeffs for d, m in sorted(f.factors.items()) for _ in range(m)]
+    ))

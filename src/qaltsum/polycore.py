@@ -8,28 +8,26 @@ every operation returns a fresh IntPoly, so instances can be shared
 freely between threads.
 
 Multiplication picks a strategy per call: a sparse accumulation when one
-operand has very few terms, a schoolbook loop for small dense products,
-and Kronecker substitution for everything else.  Kronecker substitution
-packs the coefficients into one huge integer per operand and lets the
-interpreter's native big-integer multiplication do the work, which keeps
-degree-10^4 products with thousand-bit coefficients cheap without any
-custom fast arithmetic.  A coefficient c goes into a slot of w bits as a
-balanced digit, -2^(w-1) <= c < 2^(w-1): the nonnegative and the
-negative coefficients are packed as two unsigned integers and
-subtracted, and unpacking adds 2^(w-1) to every slot and reads unsigned
-slots, so neither direction runs a borrow chain.
+operand has very few terms, and Kronecker substitution for everything
+else.  Kronecker substitution packs the coefficients into one huge
+integer per operand and lets the interpreter's native big-integer
+multiplication do the work, which keeps degree-10^4 products with
+thousand-bit coefficients cheap without any custom fast arithmetic.  A
+coefficient c goes into a slot of w bits as a balanced digit,
+-2^(w-1) <= c < 2^(w-1): the nonnegative and the negative coefficients
+are packed as two unsigned integers and subtracted, and unpacking adds
+2^(w-1) to every slot and reads unsigned slots, so neither direction
+runs a borrow chain.
 
 A whole signed sum of products, sum sign * q^shift * prod f^e, is
 evaluated the same way by packed_sum (Harvey, J. Symbolic Comput. 44,
 2009): every term is packed, and the total is unpacked once.  The slot
-width comes from the l1 norms of the terms, since no coefficient of the
-sum exceeds their total.  For nonnegative factors the l1 norm of a
-product is the product of their norms, so such terms are multiplied as
-packed integers at that width; a term with a signed factor is multiplied
-out first, by a product tree whose slots follow the size of the actual
-coefficients.  Expanding a cyclotomic factorization and the q-mode
-alternating sums both go through packed_sum, and the packing format is
-private to this module.
+width comes from the l1 norms of the factors, since no coefficient of
+the sum exceeds sum over terms of prod l1(f)^e.  The q-mode alternating
+sums go through packed_sum.  A product of many signed factors, such as
+a cyclotomic factorization, can cancel far below that bound, so product
+multiplies it by a tree whose slots follow the size of the actual
+coefficients.  The packing format is private to this module.
 
 Exact division by a dense divisor works the same way (Kronecker
 division), wherever a cost estimate says it beats long division: one
@@ -57,10 +55,10 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Union
 
-from ._kernels_py import divexact_steps, mul_schoolbook
+from ._kernels_py import divexact_steps
 
 __all__ = [
     "IntPoly",
@@ -76,6 +74,7 @@ __all__ = [
     "divexact_qm1",
     "mul_qm1",
     "packed_sum",
+    "product",
 ]
 
 
@@ -105,14 +104,6 @@ class NotDivisible(ArithmeticError):
             detail = f"inexact leading-coefficient division at quotient index {step}"
         super().__init__(f"{dividend} is not divisible by {divisor}: {detail}")
 
-
-# Result degree at or below which the pure-Python schoolbook path is
-# used for dense products; larger ones go through Kronecker substitution.
-# Measured crossover (CPython 3.11, x86-64, 8-bit coefficients): 8x8
-# products take 10 us by schoolbook and 20 us by Kronecker, 12x12 ones
-# 20 us and 24 us, 16x16 ones 32 us and 29 us, 32x32 ones 112 us and
-# 47 us; wider coefficients move the crossover down a little.
-SCHOOLBOOK_CUTOFF = 24
 
 # A factor with at most this many nonzero terms is multiplied by sparse
 # accumulation regardless of degree.
@@ -268,12 +259,7 @@ class IntPoly:
 
     def content(self) -> int:
         """gcd of the coefficients; 0 for the zero polynomial."""
-        g = 0
-        for c in self.coeffs:
-            g = _gcd(g, c)
-            if g == 1:
-                break
-        return g
+        return gcd(*self.coeffs)
 
     def is_primitive(self) -> bool:
         """True iff the coefficient gcd is 1.  Raises on the zero polynomial."""
@@ -325,13 +311,6 @@ def _coerce(value):
     if isinstance(value, int):
         return IntPoly(value)
     return NotImplemented
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 ZERO = IntPoly()
@@ -391,8 +370,6 @@ def _mul_coeffs(a, b):
         a, b, annz, bnnz = b, a, bnnz, annz
     if annz <= _SPARSE_TERMS:
         return _mul_sparse(b, a)
-    if len(a) + len(b) - 2 <= SCHOOLBOOK_CUTOFF:
-        return mul_schoolbook(a, b)
     return _mul_kronecker(a, b)
 
 
@@ -473,18 +450,13 @@ def packed_sum(terms) -> list[int]:
     """Coefficients of sum sign * q^shift * prod f^e over terms, evaluated packed.
 
     terms is an iterable of (sign, shift, factors): sign is 1 or -1,
-    shift >= 0, and factors is a list of (coeffs, e) with e >= 0.  No
-    coefficient of the sum exceeds B = sum over terms of l1(prod f^e) in
-    absolute value, so slots of bits(B) + 1 bits hold every one of them
-    as a balanced digit.  When a term's factors are nonnegative,
-    l1(prod f^e) = prod l1(f)^e, and the term is multiplied packed at
-    that width.  Signed factors can cancel far below that product of
-    norms (expanding qbinom(100, 50) from its cyclotomic factors, it has
-    268 bits and the coefficients 88), so such a term is multiplied out
-    first, by _mul_tree, and the exact l1 of its product enters B.  A
-    term with a zero factor contributes nothing, and terms whose factors
-    are the same coefficient objects with the same exponents share one
-    product.  The result has no trailing zero.
+    shift >= 0, and factors is a list of (coeffs, e) with e >= 0.  The l1
+    norm, l1(f) = sum |c|, is submultiplicative, so no coefficient of the
+    sum exceeds B = sum over terms of prod l1(f)^e in absolute value, and
+    slots of bits(B) + 1 bits hold every one of them as a balanced digit,
+    whatever the signs.  A term with a zero factor contributes nothing,
+    and terms whose factors are the same coefficient objects with the
+    same exponents share one product.  The result has no trailing zero.
 
     >>> packed_sum([(1, 0, [([1, 1], 2)]), (-1, 1, [([1, -1], 1)])])
     [1, 1, 2]
@@ -493,21 +465,13 @@ def packed_sum(terms) -> list[int]:
     terms = [term for term in terms if all(any(f) for f, _ in term[2])]
     if not terms:
         return []
-    norms: dict[int, int | None] = {}  # l1(f), or None for a signed f
-    products: dict[tuple[tuple[int, int], ...], tuple[list[int] | None, int]] = {}
+    norms: dict[int, int] = {}
     bound = 0
     for _, _, fs in terms:
-        key = tuple((id(f), e) for f, e in fs)
-        if key not in products:
-            for f, _ in fs:
-                if id(f) not in norms:
-                    norms[id(f)] = sum(f) if min(f) >= 0 else None
-            if all(norms[id(f)] is not None for f, _ in fs):
-                products[key] = (None, prod(norms[id(f)] ** e for f, e in fs))
-            else:
-                coeffs = _mul_tree([f for f, e in fs for _ in range(e)])
-                products[key] = (coeffs, sum(map(abs, coeffs)))
-        bound += products[key][1]
+        for f, _ in fs:
+            if id(f) not in norms:
+                norms[id(f)] = sum(map(abs, f))
+        bound += prod(norms[id(f)] ** e for f, e in fs)
     bits = _slot_bits(bound.bit_length() + 1)
     nbytes = bits >> 3
     packed: dict[int, int] = {}
@@ -518,16 +482,12 @@ def packed_sum(terms) -> list[int]:
         key = tuple((id(f), e) for f, e in fs)
         value = values.get(key)
         if value is None:
-            coeffs = products[key][0]
-            if coeffs is not None:
-                value = _pack(coeffs, bits, nbytes)
-            else:
-                value = 1
-                for f, e in fs:
-                    p = packed.get(id(f))
-                    if p is None:
-                        p = packed[id(f)] = _pack(f, bits, nbytes)
-                    value *= p**e
+            value = 1
+            for f, e in fs:
+                p = packed.get(id(f))
+                if p is None:
+                    p = packed[id(f)] = _pack(f, bits, nbytes)
+                value *= p**e
             values[key] = value
         n = max(n, shift + sum(e * (len(f) - 1) for f, e in fs) + 1)
         if sign < 0:
@@ -542,16 +502,20 @@ def packed_sum(terms) -> list[int]:
     return out
 
 
-def _mul_tree(factors):
-    """The product of one or more coefficient lists, with slots kept narrow.
+def product(factors) -> list[int]:
+    """The product of a list of nonzero canonical coefficient lists.
 
-    While the product of the factors' l1 norms fits a 64-bit slot, the
-    factors are multiplied packed at that width, where its looseness
-    costs little.  Above it the list is split in halves, each multiplied
-    out the same way, and the halves are multiplied by _mul_coeffs at the
-    width their coefficients need.  64 bits was the fastest of 32, 64 and
-    128 both on expanding every qbinom(n, k), n <= 45, from its
-    cyclotomic factors and on n = 80 and 100.
+    The slots are kept narrow however much signed factors cancel: while
+    the product of the factors' l1 norms fits a 64-bit slot, the factors
+    are multiplied packed at that width, where its looseness costs
+    little.  Above it the list is split in halves, each multiplied out the
+    same way, and the halves are multiplied by _mul_coeffs at the width
+    their coefficients need.  64 bits was the fastest of 32, 64 and 128
+    both on expanding every qbinom(n, k), n <= 45, from its cyclotomic
+    factors and on n = 80 and 100.  The empty product is [1].
+
+    >>> product([[1, 1], [-1, 1]]), product([])
+    ([-1, 0, 1], [1])
     """
     if len(factors) == 1:
         return list(factors[0])
@@ -562,7 +526,7 @@ def _mul_tree(factors):
         value = prod(_pack(f, bits, nbytes) for f in factors)
         return _unpack(value, bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
     half = len(factors) // 2
-    return _mul_coeffs(_mul_tree(factors[:half]), _mul_tree(factors[half:]))
+    return _mul_coeffs(product(factors[:half]), product(factors[half:]))
 
 
 # -- exact division ----------------------------------------------------------

@@ -147,6 +147,8 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 # rows kept modulo Phi_d, built in a loop with q^k applied as a shift by
 # k mod d (q^d == 1 mod Phi_d) and _reduce_mod; the right side reduces an
 # actual product-formula q-binomial, so the two never share a code path.
+# Reduction modulo a monic polynomial is Z-linear, so the right side
+# reduces qbinom(x2, y2) and scales the residue by C(x1, y1).
 
 
 def _reduce_mod(coeffs: tuple[int, ...], mod: tuple[int, ...]) -> tuple[int, ...]:
@@ -205,8 +207,9 @@ def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:
     if x1 < 0 or y1 < 0:
         raise InvalidArgument("quotient parts must be nonnegative")
     lhs = _qbinom_mod(x1 * d + x2, y1 * d + y2, d)
-    rhs = _reduce_mod((binom(x1, y1) * qbinom(x2, y2)).coeffs, cyclo.cyclotomic(d).coeffs)
-    return lhs == rhs
+    scale = binom(x1, y1)
+    residue = _reduce_mod(qbinom(x2, y2).coeffs, cyclo.cyclotomic(d).coeffs) if scale else ()
+    return lhs == tuple(scale * c for c in residue)
 
 
 # -- valuations ----------------------------------------------------------------

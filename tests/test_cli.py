@@ -192,12 +192,6 @@ class TestDeterminism:
         parallel = [rep.record() for rep in run_sweep(cases, jobs=2)]
         assert _normalize(serial) == _normalize(parallel)
 
-    def test_env_var_sets_default_jobs(self, monkeypatch):
-        monkeypatch.setenv("QALTSUM_JOBS", "3")
-        assert cli.default_jobs() == 3
-        monkeypatch.setenv("QALTSUM_JOBS", "not-a-number")
-        assert cli.default_jobs() >= 1
-
 
 class TestInspect:
     def test_qbinom(self, capsys):

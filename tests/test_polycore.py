@@ -1,5 +1,7 @@
 """Ring arithmetic, exact division, packed products, text forms."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from qaltsum.polycore import (
     monomial,
     mul_qm1,
     packed_sum,
+    product,
 )
 
 from oracles import conv, poly_add
@@ -311,8 +314,8 @@ class TestPackedSum:
         assert packed_sum(terms) == [0, 0, 0, 0, sign * 200] == _chained(terms)
 
     def test_signed_products_past_a_machine_word(self):
-        # the l1 norms of these 45 factors multiply to 80 bits, so the
-        # product tree splits them; the second term has no signed factor
+        # the l1 norms of these 45 factors multiply to 80 bits, past a
+        # 64-bit machine word; the second term has no signed factor
         factors = [[1, -1], [1, 0, -2, 1], [3, -1, 0, 1]] * 15
         terms = [(1, 2, [(f, 1) for f in factors]), (-1, 0, [([5, 7], 3), ([2, 0, 1], 2)])]
         assert packed_sum(terms) == _chained(terms)
@@ -326,6 +329,16 @@ class TestPackedSum:
         # slot width is taken, so the term's other factors need no slot
         assert packed_sum([(1, 0, [([0], 1), ([10**6], 1)]), (1, 1, [([1], 1)])]) == [0, 1]
         assert packed_sum([(1, 0, [([0, 0], 2), ([-(10**6), 1], 1)]), (1, 0, [([3], 1)])]) == [3]
+
+
+class TestProduct:
+    """The product tree against chained convolution."""
+
+    @given(st.lists(signed_factors.map(lambda f: list(IntPoly(f).coeffs)).filter(bool),
+                    max_size=12))
+    def test_matches_chained_convolution(self, factors):
+        # past 64 bits of l1 norm the list is split, below it packed whole
+        assert product(factors) == functools.reduce(conv, factors, [1])
 
 
 class TestEvalAndContent:
@@ -463,11 +476,14 @@ class TestKernelLanes:
     """The multiplication paths agree bit-exactly with the defining convolution."""
 
     @given(coeffs_st, coeffs_st)
-    def test_kronecker_matches_schoolbook(self, a, b):
+    def test_kronecker_and_dispatch_match_convolution(self, a, b):
+        # operands of up to 65 coefficients put small dense products
+        # through the dispatcher as well as large ones
         a, b = IntPoly(a).coeffs, IntPoly(b).coeffs
+        expected = conv(list(a), list(b))
+        assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(expected)
         if not a or not b:
             return
-        expected = conv(list(a), list(b))
         assert _mul_kronecker(a, b) == expected + [0] * (
             len(a) + len(b) - 1 - len(expected)
         )
