@@ -40,6 +40,8 @@ coefficient of b*q (like every one of a) inside a balanced slot, so b*q
 and a, equal at 2^w, are equal; or, failing that, the multiply-back
 b*q == a.  In every other case long division decides, and it alone
 supplies the remainder and the failing step that NotDivisible carries.
+divides needs only the answer, so it takes an inexact divmod as a "no"
+and runs long division only where Kronecker division decided nothing.
 
 Two text forms are supported and emitted bit-exactly:
 
@@ -72,6 +74,7 @@ __all__ = [
     "monomial",
     "divexact",
     "divexact_qm1",
+    "divides",
     "mul_qm1",
     "packed_sum",
     "product",
@@ -552,7 +555,7 @@ def divexact(a, b) -> IntPoly:
     if len(a.coeffs) < len(b.coeffs):
         raise NotDivisible(a, b, remainder=a)
     quot = _divexact_kronecker(a.coeffs, b.coeffs)
-    if quot is not None:
+    if quot:
         return IntPoly(quot)
     quot, rem, step = divexact_steps(a.coeffs, b.coeffs)
     if quot is None:
@@ -562,13 +565,39 @@ def divexact(a, b) -> IntPoly:
     return IntPoly(quot)
 
 
+def divides(a, b) -> bool:
+    """Whether b divides a in Z[q]: the decision of divexact, without its witness.
+
+    An inexact Kronecker divmod answers False at once; long division
+    decides only where Kronecker division is not tried or not proved.
+
+    >>> divides(IntPoly("[-1, 0, 0, 0, 1]"), IntPoly("[-1, 1]")), divides(Q, IntPoly(2))
+    (True, False)
+    """
+    a = IntPoly(a) if not isinstance(a, IntPoly) else a
+    b = IntPoly(b) if not isinstance(b, IntPoly) else b
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return True
+    if len(a.coeffs) < len(b.coeffs):
+        return False
+    quot = _divexact_kronecker(a.coeffs, b.coeffs)
+    if quot is not None:
+        return bool(quot)
+    quot, rem, _ = divexact_steps(a.coeffs, b.coeffs)
+    return quot is not None and not rem
+
+
 def _divexact_kronecker(a, b):
-    """The quotient a / b by Kronecker division, or None if it is not proved.
+    """The quotient a / b by Kronecker division, False, or None.
 
     See the module docstring for the proof.  The slot width leaves room
-    for a quotient as large as a itself under the digit bound.  Divisors
-    that are sparse, or for which long division is expected to be faster,
-    are not tried.  None means only "not proved", never "not divisible".
+    for a quotient as large as a itself under the digit bound.  False
+    means the divmod left a remainder, which proves that b does not
+    divide a.  None means "not tried" or "not proved", never "not
+    divisible": divisors that are sparse, or for which long division is
+    expected to be faster, are not tried.
     """
     nnz = len(b) - b.count(0)
     if nnz <= _SPARSE_TERMS:
@@ -583,7 +612,7 @@ def _divexact_kronecker(a, b):
     nbytes = bits >> 3
     value, rem = divmod(_pack(a, bits, nbytes), _pack(b, bits, nbytes))
     if rem:
-        return None
+        return False
     quot = _unpack(value, bits, nbytes, nq)
     if quot is None:
         return None

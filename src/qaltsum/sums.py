@@ -28,16 +28,38 @@ Families:
               over a cyclic composition (n_1, ..., n_h), n_{h+1} = n_1
   triple      sum_{k=-n..n} (-1)^k [q^C(k,2)] qb(A, A/2+k)^r qb(4n, 2n+k)^s
               qb(2n, n+k)^t with A = 6n or 8n
+
+Every integer-mode sum is evaluated over half its range (_even_sum).  Its
+term T(k) is even about the centre of the range, and so is the sign, so
+the terms at k and -k add up to 2(-1)^k T(k):
+
+  centred     sum_{k=-n..n} (-1)^k T(k) = T(0) + 2 sum_{k=1..n} (-1)^k T(k)
+  0..2n       sum_{k=0..2n} (-1)^k T(k)
+                = 2 sum_{k<n} (-1)^k T(k) + (-1)^n T(n)
+
+For the power and pattern sums that is C(N, k) = C(N, N - k); the
+carries of k + (2n - k) are the same read either way round, so the
+filters keep k exactly when they keep 2n - k.  The triple terms are
+products of C(2m, m + k) = C(2m, m - k).  The gjz term is even in k
+because it is a product of factorials: writing each factor as
+(n_i + n_{i+1})! / ((n_i + k)! (n_{i+1} - k)!) and shifting the second
+half of the denominators one step round the cycle gives
+
+  prod_i (n_i + n_{i+1})! / prod_i ((n_i + k)! (n_i - k)!),
+
+and T(k) = 0 once |k| > min_i n_i.  The q modes keep every k, because
+q^C(k,2) is not even in k; the packed sum shares the products of +-k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence, Union
+from math import comb, prod
+from typing import Callable, Iterable, Literal, Optional, Sequence, Union
 
 from .cyclo import is_prime
 from .polycore import IntPoly, InvalidArgument, packed_sum
-from .qcomb import _carry_at, binom, qbinom
+from .qcomb import _carry_at, qbinom
 
 __all__ = [
     "SumSpec",
@@ -65,6 +87,18 @@ def _check_mode(mode: str) -> None:
         raise InvalidArgument(f"mode must be 'integer' or 'q', got {mode!r}")
 
 
+def _even_sum(term: Callable[[int], int], m: int) -> int:
+    """sum_{k=-m}^{m} (-1)^k term(k) for a term even in k, from k = 0..m.
+
+    term is called only at k = 0..m: the pairs +-k count twice.
+
+    >>> _even_sum(lambda k: comb(4, 2 + k), 2)  # 1 - 4 + 6 - 4 + 1
+    0
+    """
+    pairs = sum(map(term, range(2, m + 1, 2))) - sum(map(term, range(1, m + 1, 2)))
+    return term(0) + 2 * pairs
+
+
 def _packed_sum(terms: Iterable[tuple[int, list[tuple[IntPoly, int]]]]) -> IntPoly:
     """sum over (k, factors) of (-1)^k q^C(k,2) prod f^e, evaluated packed.
 
@@ -80,12 +114,16 @@ def _packed_sum(terms: Iterable[tuple[int, list[tuple[IntPoly, int]]]]) -> IntPo
 def alt_power_sum(n: int, r: int) -> int:
     """sum_{k=0}^{2n} (-1)^k C(2n, k)^r, exactly.
 
+    Evaluated over half the range: C(2n, k) = C(2n, 2n - k), and k and
+    2n - k have the same sign, so the sum is
+    2 sum_{k<n} (-1)^k C(2n, k)^r + (-1)^n C(2n, n)^r.
+
     >>> alt_power_sum(1, 2), alt_power_sum(2, 3), alt_power_sum(2, 4)
     (-2, 90, 786)
     """
     if n < 1 or r < 1:
         raise InvalidArgument(f"alt_power_sum requires n, r >= 1, got n={n}, r={r}")
-    return sum(_sign(k) * binom(2 * n, k) ** r for k in range(2 * n + 1))
+    return _sign(n) * _even_sum(lambda j: comb(2 * n, n - j) ** r, n)
 
 
 def _p_divides(N: int, k: int, p: int) -> bool:
@@ -112,10 +150,8 @@ def alt_power_sum_filtered(
     if filter not in ("p_divides", "p_ndivides"):
         raise InvalidArgument(f"unknown filter {filter!r}")
     want = filter == "p_divides"
-    return sum(
-        _sign(k) * binom(2 * n, k) ** r
-        for k in range(2 * n + 1)
-        if _p_divides(2 * n, k, p) == want
+    return _sign(n) * _even_sum(
+        lambda j: comb(2 * n, n - j) ** r if _p_divides(2 * n, n - j, p) == want else 0, n
     )
 
 
@@ -141,14 +177,16 @@ def pattern_sum(
     if idx[0] < 1:
         raise InvalidArgument(f"indices in I must be >= 1, got {idx[0]}")
     _check_mode(mode)
-    ks = [
-        k
-        for k in range(2 * n + 1)
-        if all(_carry_at(2 * n, k, p**a) for a in idx)
-    ]
+    moduli = [p**a for a in idx]
+
+    def kept(k):
+        return all(_carry_at(2 * n, k, d) for d in moduli)
+
     if mode == "integer":
-        return sum(_sign(k) * binom(2 * n, k) ** r for k in ks)
-    return _packed_sum((k, [(qbinom(2 * n, k), r)]) for k in ks)
+        return _sign(n) * _even_sum(
+            lambda j: comb(2 * n, n - j) ** r if kept(n - j) else 0, n
+        )
+    return _packed_sum((k, [(qbinom(2 * n, k), r)]) for k in range(2 * n + 1) if kept(k))
 
 
 def gjz_sum(ns: Sequence[int], mode: Mode = "integer") -> Union[int, IntPoly]:
@@ -171,15 +209,9 @@ def gjz_sum(ns: Sequence[int], mode: Mode = "integer") -> Union[int, IntPoly]:
     h = len(ns)
     n1 = ns[0]
     if mode == "integer":
-        total = 0
-        for k in range(-n1, n1 + 1):
-            term = 1
-            for i in range(h):
-                term *= binom(ns[i] + ns[(i + 1) % h], ns[i] + k)
-                if not term:
-                    break
-            total += _sign(k) * term
-        return total
+        # even in k (see the module docstring) and zero for |k| > min(ns)
+        rows = [(ns[i] + ns[(i + 1) % h], ns[i]) for i in range(h)]
+        return _even_sum(lambda k: prod(comb(N, m + k) for N, m in rows), min(ns))
     return _packed_sum(
         (k, [(qbinom(ns[i] + ns[(i + 1) % h], ns[i] + k), 1) for i in range(h)])
         for k in range(-n1, n1 + 1)
@@ -214,12 +246,10 @@ def triple_sum(
     _check_mode(mode)
     A = _TRIPLE_WIDTH[family] * n
     if mode == "integer":
-        return sum(
-            _sign(k)
-            * binom(A, A // 2 + k) ** r
-            * binom(4 * n, 2 * n + k) ** s
-            * binom(2 * n, n + k) ** t
-            for k in range(-n, n + 1)
+        return _even_sum(
+            lambda k: comb(A, A // 2 + k) ** r * comb(4 * n, 2 * n + k) ** s
+            * comb(2 * n, n + k) ** t,
+            n,
         )
     return _packed_sum(
         (k, [(qbinom(A, A // 2 + k), r),

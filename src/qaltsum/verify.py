@@ -34,7 +34,14 @@ from itertools import combinations
 from typing import Iterator, Optional, Union
 
 from . import cyclo, qcomb, sums
-from .polycore import CongruenceWitness, IntPoly, InvalidArgument, NotDivisible, divexact
+from .polycore import (
+    CongruenceWitness,
+    IntPoly,
+    InvalidArgument,
+    NotDivisible,
+    divexact,
+    divides,
+)
 from .qcomb import ValuationRecord, binom, euler_phi, nu_p_binom, nu_p_int, qbinom
 
 __all__ = [
@@ -123,14 +130,6 @@ def check_congruence(dividend, modulus) -> CongruenceWitness:
     return CongruenceWitness(dividend, modulus, quotient, True)
 
 
-def _divides(dividend, modulus) -> bool:
-    try:
-        divexact(dividend, modulus)
-    except NotDivisible:
-        return False
-    return True
-
-
 Outcome = tuple[TheoremCase, Optional[bool], Witness]
 
 
@@ -210,7 +209,7 @@ def _gjzq(ns: tuple[int, ...]) -> Outcome:
     # The modulus subscript is printed ambiguously (last part vs an
     # undefined index r); assert the last-part reading and record, for
     # every component i, whether qb(n1 + n_i, n1) also divides.
-    variants = [i + 1 for i, ni in enumerate(ns) if _divides(dividend, qbinom(n1 + ni, n1))]
+    variants = [i + 1 for i, ni in enumerate(ns) if divides(dividend, qbinom(n1 + ni, n1))]
     note = (
         "modulus subscript ambiguity: asserted last-part variant; "
         f"component subscripts whose modulus divides: {variants}"
@@ -357,7 +356,7 @@ def _thm2(n: int, r: int, s: int, t: int, claim: str) -> Outcome:
         dividend = sums.triple_sum("six_four_two", n, r, s, t, "q")
         modulus = _two_factor(alpha) * cyclo.q_int(3, step=3**beta) * qbinom(6 * n, 3 * n)
         printed = _two_factor(alpha) * cyclo.q_int(3, step=2**alpha) * qbinom(6 * n, 3 * n)
-        printed_ok = _divides(dividend, printed)
+        printed_ok = divides(dividend, printed)
         note = (
             f"alpha={alpha}, beta={beta}; printed-form modulus with [3] at "
             f"q^(2^alpha) {'also divides' if printed_ok else 'does NOT divide'}"
@@ -486,7 +485,7 @@ def verify_gcd_window(n: int, m: int, w: int) -> VerificationReport:
 
 
 def _gcd_window(n: int, m: int, w: int) -> Outcome:
-    g, divides = gcd_window(n, m, w)
+    g, central_divides = gcd_window(n, m, w)
     central = binom(2 * n, n)
     case = TheoremCase(
         "conj1_window",
@@ -494,7 +493,7 @@ def _gcd_window(n: int, m: int, w: int) -> Outcome:
         IntPoly(central),
         f"evidence, not proof (finite window r={m}..{m + w - 1}); gcd={g}",
     )
-    return case, divides, None
+    return case, central_divides, None
 
 
 def verify_qlucas(d: int, x1: int, x2: int, y1: int, y2: int) -> VerificationReport:
