@@ -3,7 +3,8 @@
 Nothing here may import computation paths from qaltsum: convolution is
 the defining double loop, binomials come from Pascal's triangle, q-binomials
 from the q-Pascal recurrence on raw coefficient lists, and valuations from
-the Legendre floor sum.
+the Legendre floor sum.  Every sum runs term by term over its whole index
+range, with no use of its symmetry.
 """
 
 from __future__ import annotations
@@ -78,6 +79,47 @@ def alt_sum_brute(n, r):
     return sum((-1) ** k * pascal_binom(2 * n, k) ** r for k in range(2 * n + 1))
 
 
+def filtered_sum_brute(n, r, p, divisible):
+    """The terms of alt_sum_brute whose C(2n, k) is divisible by p (or not), by Legendre."""
+    N = 2 * n
+    return sum((-1) ** k * pascal_binom(N, k) ** r for k in range(N + 1)
+               if (legendre_nu(N, k, p) > 0) == divisible)
+
+
+def carries_at_all(N, k, p, I):
+    """Whether the base-p addition k + (N-k) carries at p^a for every a in I."""
+    return all(N // p**a > k // p**a + (N - k) // p**a for a in I)
+
+
+def pattern_sum_brute(n, r, p, I):
+    """The terms of alt_sum_brute whose k carries at p^a for every a in I."""
+    N = 2 * n
+    return sum((-1) ** k * pascal_binom(N, k) ** r for k in range(N + 1)
+               if carries_at_all(N, k, p, I))
+
+
+def triple_sum_brute(width, n, r, s, t):
+    """sum_{k=-n..n} (-1)^k C(A, A/2+k)^r C(4n, 2n+k)^s C(2n, n+k)^t, A = width*n."""
+    A = width * n
+    return sum(
+        (-1) ** abs(k) * pascal_binom(A, A // 2 + k) ** r * pascal_binom(4 * n, 2 * n + k) ** s
+        * pascal_binom(2 * n, n + k) ** t
+        for k in range(-n, n + 1)
+    )
+
+
+def gjz_sum_brute(ns):
+    """sum_{k=-n1..n1} (-1)^k prod_i C(n_i + n_{i+1}, n_i + k), cyclically."""
+    h = len(ns)
+    total = 0
+    for k in range(-ns[0], ns[0] + 1):
+        term = (-1) ** abs(k)
+        for i in range(h):
+            term *= pascal_binom(ns[i] + ns[(i + 1) % h], ns[i] + k)
+        total += term
+    return total
+
+
 def phi_brute(n):
     """Euler's totient by counting coprime residues."""
     return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
@@ -122,6 +164,5 @@ def gjz_sum_q(ns):
 def pattern_sum_q(n, r, p, I):
     """The q power sum over the k whose base-p addition k + (2n-k) carries at every p^a, a in I."""
     N = 2 * n
-    ks = [k for k in range(N + 1)
-          if all(N // p**a > k // p**a + (N - k) // p**a for a in I)]
+    ks = [k for k in range(N + 1) if carries_at_all(N, k, p, I)]
     return q_alt_sum((k, [(qbinom_qpascal(N, k), r)]) for k in ks)

@@ -1,6 +1,8 @@
 """The alternating-sum families and their cross-identities."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qaltsum import sums
 from qaltsum.polycore import ZERO, IntPoly, InvalidArgument
@@ -14,7 +16,66 @@ from qaltsum.sums import (
     triple_sum,
 )
 
-from oracles import alt_sum_brute, conv, gjz_sum_q, pattern_sum_q, q_alt_sum, triple_sum_q
+from oracles import (
+    alt_sum_brute,
+    conv,
+    filtered_sum_brute,
+    gjz_sum_brute,
+    gjz_sum_q,
+    pattern_sum_brute,
+    pattern_sum_q,
+    q_alt_sum,
+    triple_sum_brute,
+    triple_sum_q,
+)
+
+# The integer sums are evaluated over half their range; these pin each
+# family against its full-range definition, for odd and even n (the power
+# sum itself: TestAltPowerSum).
+small_n = st.integers(1, 14)
+exponent = st.integers(1, 5)
+prime = st.sampled_from([2, 3, 5])
+index_set = st.sets(st.integers(1, 4), min_size=1, max_size=3).map(sorted)
+composition = st.lists(st.integers(1, 5), min_size=1, max_size=4)
+
+
+class TestFoldedIntegerSums:
+    """Each folded integer family against its full-range oracle."""
+
+    @given(small_n, exponent, prime, st.sampled_from(["p_divides", "p_ndivides"]))
+    @example(4, 1, 2, "p_divides").via("even n")
+    @example(5, 2, 3, "p_ndivides").via("odd n")
+    def test_filtered_sum(self, n, r, p, which):
+        expected = filtered_sum_brute(n, r, p, which == "p_divides")
+        assert alt_power_sum_filtered(n, r, p, which) == expected
+
+    @given(small_n, exponent, prime, index_set)
+    @example(4, 2, 2, [1, 2]).via("even n")
+    @example(13, 3, 3, [1, 2]).via("odd n, carries at 3 and 9")
+    @example(12, 1, 5, [1]).via("r = 1")
+    def test_pattern_sum(self, n, r, p, I):
+        assert pattern_sum(n, r, p, I, "integer") == pattern_sum_brute(n, r, p, I)
+
+    @given(st.sampled_from([6, 8]), st.integers(1, 5), exponent, exponent, exponent)
+    @example(6, 2, 1, 1, 1).via("even n")
+    @example(8, 3, 2, 1, 3).via("odd n")
+    def test_triple_sum(self, width, n, r, s, t):
+        family = "six_four_two" if width == 6 else "eight_four_two"
+        assert triple_sum(family, n, r, s, t, "integer") == triple_sum_brute(width, n, r, s, t)
+
+    @given(composition)
+    @example([3]).via("h = 1")
+    @example([5, 1]).via("h = 2, n1 > min")
+    @example([2, 4, 3]).via("h = 3")
+    @example([4, 5, 2, 3]).via("h = 4, min not first")
+    def test_gjz_sum(self, ns):
+        assert gjz_sum(ns, "integer") == gjz_sum_brute(ns)
+
+    def test_even_sum_calls_only_the_half_range(self):
+        seen = []
+        assert sums._even_sum(lambda k: seen.append(k) or 1, 5) == 1 + 2 * (2 - 3)
+        assert sorted(seen) == [0, 1, 2, 3, 4, 5]
+        assert sums._even_sum(lambda k: 7, 0) == 7
 
 
 class TestAltPowerSum:
@@ -24,8 +85,9 @@ class TestAltPowerSum:
         assert alt_power_sum(2, 4) == 786
 
     def test_against_pascal_oracle(self):
-        for n in range(1, 9):
-            for r in range(1, 5):
+        # the sum is folded about k = n, so odd and even n both matter
+        for n in range(1, 13):
+            for r in range(1, 6):
                 assert alt_power_sum(n, r) == alt_sum_brute(n, r)
 
     def test_r_one_vanishes(self):

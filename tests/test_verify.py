@@ -6,11 +6,12 @@ import pytest
 
 from qaltsum import verify
 from qaltsum.cyclo import q_int
-from qaltsum.polycore import IntPoly, InvalidArgument
-from qaltsum.qcomb import binom, qbinom
+from qaltsum.polycore import IntPoly, InvalidArgument, _divexact_kronecker, divides, monomial
+from qaltsum.qcomb import binom, nu_p_int, qbinom
 from qaltsum.sums import alt_power_sum, triple_sum
 from qaltsum.verify import (
     InfeasibleScale,
+    check_congruence,
     gcd_window,
     run_case,
     verify_gcd_window,
@@ -40,6 +41,53 @@ class TestCheckCongruence:
     def test_zero_modulus_rejected(self):
         with pytest.raises(InvalidArgument):
             verify.check_congruence(IntPoly("q"), 0)
+
+
+def _printed_t2c2(n, r, s, t):
+    """(dividend, printed modulus) of the t2c2 case, [3] at q^(2^alpha)."""
+    alpha = nu_p_int(n, 2).value
+    dividend = triple_sum("six_four_two", n, r, s, t, "q")
+    return dividend, verify._two_factor(alpha) * q_int(3, step=2**alpha) * qbinom(6 * n, 3 * n)
+
+
+def _divides_pairs():
+    pairs = [_printed_t2c2(n, *rst) for n in range(1, 6) for rst in ((1, 1, 1), (2, 1, 2))]
+    # sparse divisors (at most six terms), which Kronecker division does not try
+    for m in (2, 3, 5):
+        qm1 = monomial(m) - 1
+        for a in (monomial(6) - 1, qbinom(6, 2), q_int(5) * q_int(3, step=2)):
+            pairs += [(a, qm1), (a * qm1, qm1), (a * qm1 + 1, qm1)]
+    # a quotient that outgrows its slots: the divmod is exact but not proved
+    b = IntPoly([1, -1]) ** 7
+    a = q_int(16) ** 7 * b
+    pairs += [(a, b), (a + monomial(3), b), (IntPoly(7), IntPoly(7)), (IntPoly(8), IntPoly(3))]
+    return pairs
+
+
+class TestDivides:
+    """divides answers as check_congruence does, on every division path."""
+
+    @pytest.mark.parametrize("a,b", _divides_pairs())
+    def test_agrees_with_check_congruence(self, a, b):
+        assert divides(a, b) is check_congruence(a, b).holds
+
+    def test_pairs_reach_every_path(self):
+        pairs = _divides_pairs()
+        kron = [_divexact_kronecker(a.coeffs, b.coeffs) for a, b in pairs]
+        assert any(q is False for q in kron)  # decided "no" by the divmod
+        assert any(q for q in kron)  # proved quotient
+        undecided = [check_congruence(a, b).holds for (a, b), q in zip(pairs, kron) if q is None]
+        assert True in undecided and False in undecided  # long division decides
+
+    def test_printed_t2c2_moduli(self):
+        # for n <= 5 the printed form, [3] at q^(2^alpha), fails only at n = 3
+        assert [divides(*_printed_t2c2(n, 1, 1, 1)) for n in range(1, 6)] == [
+            True, True, False, True, True]
+
+    def test_zero_cases(self):
+        assert divides(IntPoly(), IntPoly("1 + q"))
+        with pytest.raises(ZeroDivisionError):
+            divides(IntPoly("q"), IntPoly())
 
 
 class TestIdentities:
