@@ -32,7 +32,7 @@ from .qcomb import (
     qbinom_factored,
     qlucas_check,
 )
-from .sums import SumSpec, alt_power_sum, alt_power_sum_filtered, gjz_sum, pattern_sum, triple_sum
+from .sums import alt_power_sum, alt_power_sum_filtered, gjz_sum, pattern_sum, triple_sum
 from .verify import (
     InfeasibleScale,
     TheoremCase,
@@ -57,7 +57,6 @@ __all__ = [
     "IntPoly",
     "InvalidArgument",
     "NotDivisible",
-    "SumSpec",
     "TheoremCase",
     "ValuationRecord",
     "VerificationReport",

@@ -1,9 +1,10 @@
 """Pure-Python arithmetic kernels: dense convolution and long division.
 
-polycore uses divexact_steps for every exact division that Kronecker
-division does not prove; it also supplies the witness of a failed
-division.  polycore multiplies without mul_schoolbook, which stays as
-the benchmark harness's reference convolution in perfbench/.
+divexact_steps is the long division behind polycore._divide: it decides
+every division that Kronecker division does not prove and supplies the
+witness of a failed one.  qcomb takes from it the remainders modulo
+Phi_d that the q-Lucas check compares.  polycore multiplies without mul_schoolbook, which
+stays as the benchmark harness's reference convolution in perfbench/.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ def mul_schoolbook(a, b):
 def divexact_steps(a, b):
     """Long division of a by b over the integers, succeeding only when exact.
 
-    Requires len(a) >= len(b) >= 1 and b canonical (nonzero leading
-    coefficient).  Returns a triple (quotient, remainder, fail_step):
+    Requires b canonical (nonzero leading coefficient); a may have any
+    length, and trailing zeros.  Returns a triple (quotient, remainder,
+    fail_step):
 
       * (q, [], -1)        division exact;
       * (q, rem, -1)       every leading-coefficient step divided exactly
@@ -33,14 +35,19 @@ def divexact_steps(a, b):
                            index i was inexact; rem is the partial
                            remainder at that point.
 
+    An a shorter than b gives q = [] and rem = a, trimmed.  For a monic b
+    no step fails, and rem is the remainder of a modulo b.
+
     The inner update iterates only over the nonzero coefficients of b, so
     division by sparse divisors (q^m - 1, short cyclotomics over large
     steps) costs O(deg * nnz(b)).
     """
     nb = len(b)
+    nq = len(a) - nb + 1
+    if nq <= 0:
+        return [], _trim(list(a)), -1
     lead = b[-1]
     rem = list(a)
-    nq = len(a) - nb + 1
     quot = [0] * nq
     bnz = [(j, bj) for j, bj in enumerate(b[: nb - 1]) if bj]
     for i in range(nq - 1, -1, -1):

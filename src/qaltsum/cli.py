@@ -21,9 +21,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
-from . import cyclo, qcomb, verify
+from . import cyclo, qcomb, sums, verify
 from .polycore import IntPoly, InvalidArgument
-from .sums import SumSpec
 from .verify import VerificationReport
 
 __all__ = ["emit_report", "main", "parse_report_json", "run", "run_sweep"]
@@ -281,29 +280,31 @@ def _run_inspect(args) -> int:
         print(cyclo.cyclotomic(args.d))
         return 0
     if what == "sum":
-        spec = _sum_spec(args)
-        value = spec.compute()
-        print(value if isinstance(value, (int, IntPoly)) else str(value))
+        print(_sum(args))
         return 0
     raise InvalidArgument(f"unknown inspect command {what!r}")
 
 
-def _sum_spec(args) -> SumSpec:
-    family = args.family
+_TRIPLE_FAMILIES = {"triple_642": "six_four_two", "triple_842": "eight_four_two"}
+
+
+def _sum(args) -> int | IntPoly:
+    """The sum instance that inspect sum names, from its family's function."""
+    family, n, mode = args.family, args.n, args.mode
     if family == "gjz":
         if not args.ns:
             raise InvalidArgument("inspect sum gjz requires --ns")
-        return SumSpec("gjz", tuple(_parse_int_list(args.ns)), mode=args.mode)
+        return sums.gjz_sum(_parse_int_list(args.ns), mode)
     if family == "power":
-        return SumSpec("power", args.n, (args.r,), mode=args.mode)
+        if mode != "integer":
+            raise InvalidArgument("the power family is integer-only")
+        return sums.alt_power_sum(n, args.r)
     if family == "pattern":
         if args.p is None or not args.I:
             raise InvalidArgument("inspect sum pattern requires --p and --I")
-        return SumSpec(
-            "pattern", args.n, (args.r,), (args.p, tuple(_parse_int_list(args.I))), args.mode
-        )
-    if family in ("triple_642", "triple_842"):
-        return SumSpec(family, args.n, (args.r, args.s, args.t), mode=args.mode)
+        return sums.pattern_sum(n, args.r, args.p, _parse_int_list(args.I), mode)
+    if family in _TRIPLE_FAMILIES:
+        return sums.triple_sum(_TRIPLE_FAMILIES[family], n, args.r, args.s, args.t, mode)
     raise InvalidArgument(f"unknown sum family {family!r}")
 
 

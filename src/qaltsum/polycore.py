@@ -38,10 +38,14 @@ slots, which is accepted only with a proof: either the digit bound
 min(len b, len q) * max|b| * max|q| < 2^(w-1), which puts every
 coefficient of b*q (like every one of a) inside a balanced slot, so b*q
 and a, equal at 2^w, are equal; or, failing that, the multiply-back
-b*q == a.  In every other case long division decides, and it alone
-supplies the remainder and the failing step that NotDivisible carries.
-divides needs only the answer, so it takes an inexact divmod as a "no"
-and runs long division only where Kronecker division decided nothing.
+b*q == a.  In every other case long division (divexact_steps) decides,
+and it alone supplies the remainder and the failing step that
+NotDivisible carries; the q-Lucas check in qcomb takes its residues
+modulo Phi_d from the same long division.  One private routine,
+_divide, makes every divisibility decision; divexact and divides only
+read its answer.  divides needs no witness, so an inexact divmod is its
+"no", and long division runs only where Kronecker division decided
+nothing.
 
 Two text forms are supported and emitted bit-exactly:
 
@@ -162,10 +166,6 @@ class IntPoly:
         """Degree; the zero polynomial gets the -inf sentinel."""
         return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -233,15 +233,7 @@ class IntPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise InvalidArgument(f"polynomial exponent must be a nonnegative int, got {n!r}")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return IntPoly(packed_sum([(1, 0, [(self.coeffs, n)])]))
 
     def shifted(self, k: int) -> "IntPoly":
         """Multiply by q**k (k >= 0)."""
@@ -269,9 +261,6 @@ class IntPoly:
         if not self.coeffs:
             raise ZeroPolynomial("primitivity is undefined for the zero polynomial")
         return self.content() == 1
-
-    def divexact(self, other) -> "IntPoly":
-        return divexact(self, other)
 
     # -- text forms --------------------------------------------------------
 
@@ -301,11 +290,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({str(self)!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "IntPoly":
-        """Parse either text form (see module docstring)."""
-        return cls(text)
 
 
 def _coerce(value):
@@ -538,55 +522,56 @@ def product(factors) -> list[int]:
 def divexact(a, b) -> IntPoly:
     """Exact quotient a / b in Z[q]; raises NotDivisible otherwise.
 
-    A dense divisor may be tried by Kronecker division
-    (_divexact_kronecker); plain long division decides every other case
-    and supplies the failure witness.  b need not be monic, but then every
-    leading-coefficient division has to be exact on its own.
+    b need not be monic, but then every leading-coefficient division has
+    to be exact on its own.
 
     >>> divexact(IntPoly("[-1, 0, 0, 0, 1]"), IntPoly("[-1, 1]"))
     IntPoly('1 + q + q^2 + q^3')
     """
-    a = IntPoly(a) if not isinstance(a, IntPoly) else a
-    b = IntPoly(b) if not isinstance(b, IntPoly) else b
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ZERO
-    if len(a.coeffs) < len(b.coeffs):
-        raise NotDivisible(a, b, remainder=a)
-    quot = _divexact_kronecker(a.coeffs, b.coeffs)
-    if quot:
-        return IntPoly(quot)
-    quot, rem, step = divexact_steps(a.coeffs, b.coeffs)
-    if quot is None:
-        raise NotDivisible(a, b, remainder=IntPoly(rem), step=step)
-    if rem:
-        raise NotDivisible(a, b, remainder=IntPoly(rem))
+    a, b = _poly(a), _poly(b)
+    quot, rem, step = _divide(a.coeffs, b.coeffs)
+    if quot is None or rem:
+        raise NotDivisible(a, b, remainder=IntPoly(rem), step=step if quot is None else None)
     return IntPoly(quot)
 
 
 def divides(a, b) -> bool:
     """Whether b divides a in Z[q]: the decision of divexact, without its witness.
 
-    An inexact Kronecker divmod answers False at once; long division
-    decides only where Kronecker division is not tried or not proved.
-
     >>> divides(IntPoly("[-1, 0, 0, 0, 1]"), IntPoly("[-1, 1]")), divides(Q, IntPoly(2))
     (True, False)
     """
-    a = IntPoly(a) if not isinstance(a, IntPoly) else a
-    b = IntPoly(b) if not isinstance(b, IntPoly) else b
+    quot, rem, _ = _divide(_poly(a).coeffs, _poly(b).coeffs, witness=False)
+    return quot is not None and not rem
+
+
+def _poly(value) -> IntPoly:
+    return value if isinstance(value, IntPoly) else IntPoly(value)
+
+
+def _divide(a, b, witness=True):
+    """Long division of the coefficient list a by b, as divexact_steps does it.
+
+    Every divisibility decision is made here, and the triple
+    (quot, rem, step) means what it means for divexact_steps: b divides a
+    exactly when quot is not None and rem is empty.  b must be canonical
+    and nonzero; a may be zero, shorter than b (then quot == [] and
+    rem == a, trimmed) or end in zeros.  A dense divisor is first tried by
+    Kronecker division where the cost model allows: a proved quotient
+    returns (quot, [], -1).  An inexact divmod proves "no" without a
+    remainder, so it returns (None, None, None) when no witness is
+    wanted; otherwise long division runs for the remainder and the
+    failing step.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return True
-    if len(a.coeffs) < len(b.coeffs):
-        return False
-    quot = _divexact_kronecker(a.coeffs, b.coeffs)
-    if quot is not None:
-        return bool(quot)
-    quot, rem, _ = divexact_steps(a.coeffs, b.coeffs)
-    return quot is not None and not rem
+    if len(a) >= len(b):
+        quot = _divexact_kronecker(a, b)
+        if quot:
+            return quot, [], -1
+        if quot is False and not witness:
+            return None, None, None
+    return divexact_steps(a, b)
 
 
 def _divexact_kronecker(a, b):

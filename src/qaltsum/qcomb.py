@@ -23,6 +23,7 @@ from itertools import zip_longest
 from typing import Iterator, Union
 
 from . import cyclo
+from ._kernels_py import divexact_steps
 from .cyclo import CycloFactorization, is_prime
 from .polycore import ZERO, IntPoly, InvalidArgument, NotDivisible, divexact_qm1, mul_qm1
 
@@ -143,30 +144,15 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 
 # -- q-Lucas reduction ---------------------------------------------------------
 #
-# qlucas_check compares residues modulo Phi_d.  The left side reads q-Pascal
-# rows kept modulo Phi_d, built in a loop with q^k applied as a shift by
-# k mod d (q^d == 1 mod Phi_d) and _reduce_mod; the right side reduces an
-# actual product-formula q-binomial, so the two never share a code path.
+# qlucas_check compares residues modulo Phi_d, both taken from the long
+# division that decides divisibility in polycore (divexact_steps).  No
+# Kronecker divmod is tried first: it settles only an exact division, and
+# most residues are nonzero.  The left side reads q-Pascal rows kept
+# modulo Phi_d, built in a loop with q^k applied as a shift by k mod d
+# (q^d == 1 mod Phi_d); the right side reduces an actual product-formula
+# q-binomial, so the two share no code path above that division.
 # Reduction modulo a monic polynomial is Z-linear, so the right side
 # reduces qbinom(x2, y2) and scales the residue by C(x1, y1).
-
-
-def _reduce_mod(coeffs: tuple[int, ...], mod: tuple[int, ...]) -> tuple[int, ...]:
-    """Remainder of coeffs modulo a monic polynomial, as a trimmed tuple."""
-    nm = len(mod)
-    out = list(coeffs)
-    for i in range(len(out) - nm, -1, -1):
-        c = out[i + nm - 1]
-        if not c:
-            continue
-        for j in range(nm - 1):
-            if mod[j]:
-                out[i + j] -= c * mod[j]
-        out[i + nm - 1] = 0
-    n = min(len(out), nm - 1)
-    while n and out[n - 1] == 0:
-        n -= 1
-    return tuple(out[:n])
 
 
 # d -> q-Pascal rows 0..n modulo Phi_d, extended under the lock so that
@@ -189,7 +175,7 @@ def _qbinom_mod(n: int, k: int, d: int) -> tuple[int, ...]:
             for j in range(1, len(prev)):
                 lower = (0,) * (j % d) + prev[j]
                 both = [a + b for a, b in zip_longest(prev[j - 1], lower, fillvalue=0)]
-                row.append(_reduce_mod(both, mod))
+                row.append(tuple(divexact_steps(both, mod)[1]))
             rows.append(tuple(row) + ((1,),))
     return rows[n][k]
 
@@ -208,7 +194,7 @@ def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:
         raise InvalidArgument("quotient parts must be nonnegative")
     lhs = _qbinom_mod(x1 * d + x2, y1 * d + y2, d)
     scale = binom(x1, y1)
-    residue = _reduce_mod(qbinom(x2, y2).coeffs, cyclo.cyclotomic(d).coeffs) if scale else ()
+    residue = divexact_steps(qbinom(x2, y2).coeffs, cyclo.cyclotomic(d).coeffs)[1] if scale else ()
     return lhs == tuple(scale * c for c in residue)
 
 

@@ -53,16 +53,14 @@ q^C(k,2) is not even in k; the packed sum shares the products of +-k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
-from typing import Callable, Iterable, Literal, Optional, Sequence, Union
+from typing import Callable, Iterable, Literal, Sequence, Union
 
 from .cyclo import is_prime
 from .polycore import IntPoly, InvalidArgument, packed_sum
 from .qcomb import _carry_at, qbinom
 
 __all__ = [
-    "SumSpec",
     "alt_power_sum",
     "alt_power_sum_filtered",
     "gjz_sum",
@@ -257,41 +255,3 @@ def triple_sum(
              (qbinom(2 * n, n + k), t)])
         for k in range(-n, n + 1)
     )
-
-
-@dataclass(frozen=True)
-class SumSpec:
-    """A fully-specified sum instance, as used by the CLI and drivers.
-
-    family selects the engine; n is an int for power/pattern/triple
-    families and the composition tuple for gjz; exponents carries r (or
-    r, s, t); pattern carries (p, I) for the pattern family.
-    """
-
-    family: Literal["power", "gjz", "triple_642", "triple_842", "pattern"]
-    n: Union[int, tuple[int, ...]]
-    exponents: tuple[int, ...] = (1,)
-    pattern: Optional[tuple[int, tuple[int, ...]]] = None
-    mode: Mode = "integer"
-
-    def __post_init__(self):
-        if any(e < 1 for e in self.exponents):
-            raise InvalidArgument(f"exponents must be >= 1, got {self.exponents}")
-        if self.family == "pattern" and (self.pattern is None or not self.pattern[1]):
-            raise InvalidArgument("pattern family needs a prime and a nonempty index set")
-
-    def compute(self) -> Union[int, IntPoly]:
-        if self.family == "power":
-            if self.mode != "integer":
-                raise InvalidArgument("the power family is integer-only")
-            return alt_power_sum(self.n, self.exponents[0])
-        if self.family == "pattern":
-            p, idx = self.pattern
-            return pattern_sum(self.n, self.exponents[0], p, idx, self.mode)
-        if self.family == "gjz":
-            return gjz_sum(self.n, self.mode)
-        if self.family in ("triple_642", "triple_842"):
-            fam = "six_four_two" if self.family == "triple_642" else "eight_four_two"
-            r, s, t = self.exponents
-            return triple_sum(fam, self.n, r, s, t, self.mode)
-        raise InvalidArgument(f"unknown family {self.family!r}")

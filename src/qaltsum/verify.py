@@ -85,19 +85,19 @@ class VerificationReport:
 
     holds is True/False for checked cases and None when the case's side
     condition ruled it out (reported, but neither success nor failure).
+    A report keeps only what it prints: the witness of a failed check,
+    for the counterexample, and the degree of a congruence quotient
+    (-1 for a zero quotient, where the dividend is 0).
     """
 
     case: TheoremCase
     holds: Optional[bool]
     witness: Witness = None
     elapsed: float = 0.0
+    quotient_degree: Optional[int] = None
 
     def record(self) -> dict:
         """Serializable record with a stable field order."""
-        quotient_degree = None
-        if isinstance(self.witness, CongruenceWitness) and self.witness.quotient is not None:
-            deg = self.witness.quotient.degree
-            quotient_degree = -1 if deg == float("-inf") else int(deg)
         return {
             "claim_id": self.case.claim_id,
             "params": self.case.params,
@@ -107,7 +107,7 @@ class VerificationReport:
                 else None
             ),
             "holds": self.holds,
-            "quotient_degree": quotient_degree,
+            "quotient_degree": self.quotient_degree,
             "branch_note": self.case.derivation_note,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
         }
@@ -141,13 +141,18 @@ def _timed(outcomes: Iterator[Outcome]) -> list[VerificationReport]:
     report (or from the call) to the moment its outcome is ready: it
     includes every value computed for it, a value several reports share
     is charged to the first of them, and the reports of one call add up
-    to the call's wall time.
+    to the call's wall time.  A report keeps its witness only when the
+    check failed, so a sweep does not hold every dividend and quotient
+    until it ends.
     """
     reports = []
     start = time.perf_counter()
     for case, holds, witness in outcomes:
         now = time.perf_counter()
-        reports.append(VerificationReport(case, holds, witness, now - start))
+        quotient = getattr(witness, "quotient", None)
+        degree = None if quotient is None else len(quotient) - 1
+        kept = witness if holds is False else None
+        reports.append(VerificationReport(case, holds, kept, now - start, quotient_degree=degree))
         start = now
     return reports
 

@@ -36,6 +36,31 @@ def poly_add(a, b):
     return out
 
 
+def poly_rem_brute(a, b):
+    """Remainder of the coefficient list a modulo a monic b, by linearity.
+
+    The remainder is sum_i a_i (q^i mod b); each q^i mod b is the one
+    before it times q, with its q^deg(b) term replaced by minus the lower
+    part of b.
+    """
+    assert b and b[-1] == 1, "the divisor must be monic"
+    m = len(b) - 1
+    if not m:
+        return []  # b = 1 divides everything
+    out = [0] * m
+    power = [1] + [0] * (m - 1)  # q^0 mod b
+    for c in a:
+        for j, x in enumerate(power):
+            out[j] += c * x
+        top = power[-1]
+        power = [0] + power[:-1]
+        for j in range(m):
+            power[j] -= top * b[j]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def pascal_binom(n, k):
     """C(n, k) from Pascal's triangle; 0 outside 0 <= k <= n."""
     if k < 0 or k > n:

@@ -226,6 +226,29 @@ class TestInspect:
         assert run(["inspect", "sum", "gjz"]) == 2
         assert run(["inspect", "sum", "pattern", "--n", "2"]) == 2
 
+    def _sum(self, capsys, *args):
+        assert run(["inspect", "sum", *args]) == 0
+        return capsys.readouterr().out.strip()
+
+    def test_sum_power(self, capsys):
+        assert self._sum(capsys, "power", "--n", "2", "--r", "4") == "786"
+
+    def test_sum_gjz(self, capsys):
+        assert self._sum(capsys, "gjz", "--ns", "1,1", "--mode", "q") == "q + q^2"
+
+    def test_sum_triple(self, capsys):
+        assert self._sum(capsys, "triple_642", "--n", "1") == "120"
+        assert self._sum(capsys, "triple_842", "--n", "1", "--r", "2") == "33712"
+
+    def test_sum_pattern(self, capsys):
+        assert self._sum(capsys, "pattern", "--n", "2", "--r", "2", "--p", "2", "--I", "1") == "-32"
+
+    def test_sum_rejections(self, capsys):
+        assert run(["inspect", "sum", "power", "--n", "2", "--r", "0"]) == 2
+        assert run(["inspect", "sum", "pattern", "--n", "2"]) == 2
+        assert run(["inspect", "sum", "power", "--n", "2", "--mode", "q"]) == 2
+        assert "the power family is integer-only" in capsys.readouterr().err
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 OK_ARGS = ["verify", "eq1", "--n", "1..5", "--output", "csv"]

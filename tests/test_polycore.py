@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaltsum import _kernels_py, polycore
+from qaltsum.cyclo import cyclotomic
 from qaltsum.polycore import (
     ONE,
     ZERO,
@@ -20,13 +21,14 @@ from qaltsum.polycore import (
     _unpack,
     divexact,
     divexact_qm1,
+    divides,
     monomial,
     mul_qm1,
     packed_sum,
     product,
 )
 
-from oracles import conv, poly_add
+from oracles import conv, poly_add, poly_rem_brute
 
 coeffs_st = st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=65)
 polys = coeffs_st.map(IntPoly)
@@ -54,6 +56,8 @@ class TestArithmeticExamples:
         assert ZERO**0 == ONE
         with pytest.raises(ValueError):
             IntPoly("q") ** -1
+        with pytest.raises(ValueError):
+            IntPoly("q") ** 2.0
 
 
 Q_SQUARED = monomial(2)
@@ -227,6 +231,44 @@ class TestKroneckerDivision:
         a = conv(b, q)
         assert _divexact_kronecker(a, b) is None
         assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
+
+
+monic_lists = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=11).map(lambda cs: cs + [1]),
+    st.lists(st.integers(-9, 9).filter(bool), min_size=7, max_size=11).map(lambda cs: cs + [1]),
+    st.integers(1, 40).map(lambda d: list(cyclotomic(d).coeffs)),
+)
+
+
+class TestSharedDivision:
+    """polycore._divide and its long division, behind divexact, divides and q-Lucas."""
+
+    @given(monic_lists, st.lists(st.integers(-(10**6), 10**6), max_size=50))
+    def test_remainder_modulo_monic_matches_oracle(self, b, a):
+        rem = poly_rem_brute(a, b)
+        assert polycore._divide(a, b)[1] == _kernels_py.divexact_steps(a, b)[1] == rem
+
+    @given(monic_lists, quotient_lists, st.lists(st.integers(-(10**3), 10**3), max_size=11))
+    def test_multiple_plus_remainder(self, b, q, r):
+        # dense divisors settle the exact multiples by Kronecker division
+        r = r[: len(b) - 1]
+        a = poly_add(conv(b, q), r)
+        assert polycore._divide(conv(b, q), b) == (q, [], -1)
+        assert polycore._divide(a, b)[1] == poly_rem_brute(a, b) == poly_add(r, [])
+
+    @given(canonical_lists.filter(bool), st.data())
+    def test_shorter_and_zero_dividends(self, b, data):
+        assert polycore._divide([], b) == ([], [], -1)
+        a = data.draw(st.lists(st.integers(-(10**6), 10**6), max_size=len(b) - 1))
+        rem = list(IntPoly(a).coeffs)
+        assert polycore._divide(a, b) == ([], rem, -1)
+        assert divides(IntPoly(a), IntPoly(b)) == (not rem)
+        if rem:
+            with pytest.raises(NotDivisible) as exc:
+                divexact(IntPoly(a), IntPoly(b))
+            assert (exc.value.remainder, exc.value.step) == (IntPoly(a), None)
+        else:
+            assert divexact(IntPoly(a), IntPoly(b)) == ZERO
 
 
 def _slot_values(bits):
@@ -461,6 +503,10 @@ class TestRingAxioms:
     @given(polys, nonzero_polys)
     def test_divexact_roundtrip(self, a, b):
         assert divexact(a * b, b) == a
+
+    @given(polys, st.integers(0, 6))
+    def test_pow_is_repeated_product(self, a, e):
+        assert (a**e).coeffs == tuple(_power(list(a.coeffs), e))
 
     @given(polys, polys, st.integers(min_value=-9, max_value=9))
     def test_eval_is_ring_hom(self, a, b, x):

@@ -24,7 +24,7 @@ from qaltsum.qcomb import (
     qlucas_check,
 )
 
-from oracles import legendre_nu, pascal_binom, phi_brute, qbinom_qpascal
+from oracles import legendre_nu, pascal_binom, phi_brute, poly_rem_brute, qbinom_qpascal
 
 
 class TestDSet:
@@ -207,19 +207,19 @@ class TestQPascalRowsModPhi:
             mod = cyclotomic(d).coeffs
             for n in range(41):
                 for k in range(n + 1):
-                    want = qcomb._reduce_mod(qbinom(n, k).coeffs, mod)
+                    want = tuple(poly_rem_brute(qbinom(n, k).coeffs, mod))
                     assert qcomb._qbinom_mod(n, k, d) == want, (n, k, d)
 
     def test_concurrent_callers_append_each_row_once(self, monkeypatch):
         monkeypatch.setattr(qcomb, "_ROWS", {})
         qcomb._qbinom_mod.cache_clear()
-        reduce_mod = qcomb._reduce_mod
+        steps = qcomb.divexact_steps
 
-        def yielding_reduce_mod(coeffs, mod):
+        def yielding_steps(coeffs, mod):
             time.sleep(0)  # invite a thread switch inside the row loop
-            return reduce_mod(coeffs, mod)
+            return steps(coeffs, mod)
 
-        monkeypatch.setattr(qcomb, "_reduce_mod", yielding_reduce_mod)
+        monkeypatch.setattr(qcomb, "divexact_steps", yielding_steps)
         d, top = 7, 60
         ns = list(range(top)) * 4
         random.Random(0).shuffle(ns)
@@ -235,7 +235,7 @@ class TestQPascalRowsModPhi:
         assert [len(row) for row in qcomb._ROWS[d]] == list(range(1, top + 1))
         mod = cyclotomic(d).coeffs
         for n, residue in got:
-            assert residue == reduce_mod(qbinom(n, n // 2).coeffs, mod), n
+            assert residue == tuple(steps(qbinom(n, n // 2).coeffs, mod)[1]), n
 
 
 def _divides(a, b):

@@ -8,7 +8,6 @@ from qaltsum import sums
 from qaltsum.polycore import ZERO, IntPoly, InvalidArgument
 from qaltsum.qcomb import binom, qbinom
 from qaltsum.sums import (
-    SumSpec,
     alt_power_sum,
     alt_power_sum_filtered,
     gjz_sum,
@@ -315,30 +314,6 @@ class TestPackedQSums:
         one = qbinom(5, 0)
         assert sums._packed_sum([(0, [(one, 1)])] * 200) == IntPoly(200)
         assert sums._packed_sum([(1, [(one, 3)])] * 255) == IntPoly(-255)
-
-
-class TestSumSpec:
-    def test_power(self):
-        assert SumSpec("power", 2, (4,)).compute() == 786
-
-    def test_gjz(self):
-        assert SumSpec("gjz", (1, 1), mode="q").compute() == IntPoly("q + q^2")
-
-    def test_triple(self):
-        assert SumSpec("triple_642", 1, (1, 1, 1)).compute() == 120
-        assert SumSpec("triple_842", 1, (2, 1, 1)).compute() == 33712
-
-    def test_pattern(self):
-        spec = SumSpec("pattern", 2, (2,), (2, (1,)), "integer")
-        assert spec.compute() == -32
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgument):
-            SumSpec("power", 2, (0,))
-        with pytest.raises(InvalidArgument):
-            SumSpec("pattern", 2, (1,))
-        with pytest.raises(InvalidArgument):
-            SumSpec("power", 2, (1,), mode="q").compute()
 
 
 def test_triple_sum_uses_qbinom_boundary_convention():

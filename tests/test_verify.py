@@ -232,11 +232,12 @@ class TestThm2:
 
     def test_witness_specializes_to_integer_congruence(self):
         rep = verify_thm2(1, 1, 1, 1, "t2c1")
-        w = rep.witness
+        w = check_congruence(triple_sum("six_four_two", 1, 1, 1, 1, "q"), rep.case.expected_modulus)
         assert w.modulus.evaluate(1) == 2 * binom(6, 1)
         assert w.quotient.evaluate(1) * w.modulus.evaluate(1) == triple_sum(
             "six_four_two", 1, 1, 1, 1, "integer"
         )
+        assert rep.record()["quotient_degree"] == w.quotient.degree
 
     def test_rejects(self):
         with pytest.raises(InvalidArgument):
@@ -321,6 +322,17 @@ class TestRunCaseAndRecords:
         assert rec["modulus"] == "[6]"
         assert rec["holds"] is True
         assert rec["quotient_degree"] == 0
+
+    def test_reports_keep_only_what_they_print(self, monkeypatch):
+        held = run_case("calkin", {"n": 2, "r": 2})[0]
+        assert held.holds and held.witness is None and held.quotient_degree == 0
+        zero = run_case("calkin", {"n": 3, "r": 1})[0]  # S = (1 - 1)^6 = 0
+        assert zero.holds and zero.record()["quotient_degree"] == -1
+        assert run_case("thm1", {"n": 2, "variant": "per_prime"})[0].quotient_degree is None
+        monkeypatch.setattr(verify.sums, "alt_power_sum", lambda n, r: 7)
+        failed = run_case("calkin", {"n": 2, "r": 2})[0]
+        assert failed.holds is False and failed.quotient_degree is None
+        assert failed.witness.remainder == IntPoly(7)  # 6 does not divide 7 in Z[q]
 
     def test_over_budget_case_reported_not_evaluated(self):
         reps = run_case("thm1", {"n": 4, "variant": "full_modulus", "exponent_budget": 10})
