@@ -1,13 +1,13 @@
 """Command-line front end: verification sweeps and inspection commands.
 
 Verification sweeps expand the given parameter ranges in lexicographic
-order, run every case (optionally across worker processes), and emit the
-reports as pretty text, JSON or CSV on stdout.  Report content for a
-fixed configuration is deterministic regardless of parallelism; only the
-elapsed_ms fields (the wall time of each case) vary.  Exit codes: 0 all
-checks hold (or are not applicable), 1 at least one check failed
-(counterexample on stderr), 2 usage or configuration error, 3 internal
-error (one line on stderr).
+order (at most MAX_CASES cases), run every case (optionally across worker
+processes) until the first failed check, and emit the reports as pretty
+text, JSON or CSV on stdout.  Report content for a fixed configuration is
+deterministic regardless of parallelism; only the elapsed_ms fields (the
+wall time of each case) vary.  Exit codes: 0 all checks hold (or are not
+applicable), 1 at least one check failed (counterexample on stderr), 2
+usage or configuration error, 3 internal error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from itertools import product
 
 from . import cyclo, qcomb, sums, verify
@@ -37,19 +39,19 @@ REPORT_FIELDS = (
     "elapsed_ms",
 )
 
+# Largest sweep a command may request; checked from the range sizes before
+# any case is built, so a mistyped range fails fast instead of filling memory.
+MAX_CASES = 100_000
 
-def parse_range(text: str) -> list[int]:
+
+def parse_range(text: str) -> range:
     """Inclusive integer range 'a..b', or a single integer 'a'."""
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            value = int(parts[0])
-            return [value]
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            if lo > hi:
-                raise ValueError
-            return list(range(lo, hi + 1))
+        if len(parts) <= 2:
+            lo, hi = int(parts[0]), int(parts[-1])
+            if lo <= hi:
+                return range(lo, hi + 1)
     except ValueError:
         pass
     raise InvalidArgument(f"malformed range {text!r} (expected 'a' or 'a..b' with a <= b)")
@@ -65,103 +67,102 @@ def _parse_int_list(text: str) -> list[int]:
 # -- sweep construction -----------------------------------------------------------
 
 
-def _compositions(h_range, ni_range):
+def _size(values) -> int:
+    """len(values), also for a range longer than sys.maxsize."""
+    return values.stop - values.start if isinstance(values, range) else len(values)
+
+
+def _check_cap(count: int) -> None:
+    if count > MAX_CASES:
+        raise InvalidArgument(f"the sweep has more than MAX_CASES = {MAX_CASES} cases")
+
+
+def _grid(claims: list[str], **axes) -> list[tuple[str, dict]]:
+    """(claim, params) at every point of the axes' product, in lexicographic order.
+
+    The last axis varies fastest and the claim fastest of all; params keep
+    the axes' order.  The size is checked against MAX_CASES first.
+    """
+    _check_cap(len(claims) * math.prod(_size(values) for values in axes.values()))
+    return [
+        (claim, dict(zip(axes, point)))
+        for point in product(*axes.values())
+        for claim in claims
+    ]
+
+
+def _compositions(verb: str, h_range, ni_range) -> list[tuple[str, dict]]:
+    count = 0
     for h in h_range:
-        for ns in product(ni_range, repeat=h):
-            yield list(ns)
+        # |ni|^h passes the cap for every h beyond the cap's bit length
+        # (|ni| >= 2) or equals 1 (|ni| = 1), so the exponent can be clipped.
+        count += _size(ni_range) ** min(h, MAX_CASES.bit_length())
+        _check_cap(count)
+    return [(verb, {"ns": list(ns)}) for h in h_range for ns in product(ni_range, repeat=h)]
+
+
+# Claims of the triple-sum verbs, in the order that --claim all runs them.
+_TRIPLE_CLAIMS = {"conj2": ["cj2c1", "cj2c2", "cj2c3"], "thm2": ["t2c1", "t2c2", "t2c3"]}
+_MODE_SUFFIXES = {"integer": [""], "q": ["q"], "both": ["", "q"]}
 
 
 def build_cases(args: argparse.Namespace) -> list[tuple[str, dict]]:
     verb = args.claim_verb
     if verb in ("eq1", "eq2"):
-        return [(verb, {"n": n}) for n in parse_range(args.n)]
+        return _grid([verb], n=parse_range(args.n))
     if verb == "calkin":
-        return [
-            ("calkin", {"n": n, "r": r})
-            for n in parse_range(args.n)
-            for r in parse_range(args.r)
-        ]
+        return _grid(["calkin"], n=parse_range(args.n), r=parse_range(args.r))
     if verb in ("gjz", "gjzq"):
         if args.ns:
             return [(verb, {"ns": _parse_int_list(args.ns)})]
         if not (args.h and args.ni):
             raise InvalidArgument("gjz needs either --ns or both --h and --ni")
-        return [
-            (verb, {"ns": ns})
-            for ns in _compositions(parse_range(args.h), parse_range(args.ni))
-        ]
-    if verb == "conj2":
-        claims = ["cj2c1", "cj2c2", "cj2c3"] if args.claim == "all" else [args.claim]
-        if args.mode == "q":
-            claims = [c + "q" for c in claims]
-        elif args.mode == "both":
-            claims = claims + [c + "q" for c in claims]
-        return [
-            (c, {"n": n, "r": r, "s": s, "t": t})
-            for n in parse_range(args.n)
-            for r in parse_range(args.r)
-            for s in parse_range(args.s)
-            for t in parse_range(args.t)
-            for c in claims
-        ]
+        return _compositions(verb, parse_range(args.h), parse_range(args.ni))
+    if verb in _TRIPLE_CLAIMS:
+        claims = _TRIPLE_CLAIMS[verb] if args.claim == "all" else [args.claim]
+        suffixes = _MODE_SUFFIXES[getattr(args, "mode", "integer")]  # thm2 has no --mode
+        axes = {axis: parse_range(getattr(args, axis)) for axis in ("n", "r", "s", "t")}
+        return _grid([c + suffix for suffix in suffixes for c in claims], **axes)
     if verb == "thm1":
         variants = ["per_prime", "full_modulus"] if args.variant == "both" else [args.variant]
-        return [
-            ("thm1", {"n": n, "variant": v, "exponent_budget": args.exponent_budget})
-            for n in parse_range(args.n)
-            for v in variants
-        ]
-    if verb == "thm2":
-        claims = ["t2c1", "t2c2", "t2c3"] if args.claim == "all" else [args.claim]
-        return [
-            (c, {"n": n, "r": r, "s": s, "t": t})
-            for n in parse_range(args.n)
-            for r in parse_range(args.r)
-            for s in parse_range(args.s)
-            for t in parse_range(args.t)
-            for c in claims
-        ]
+        return _grid(["thm1"], n=parse_range(args.n), variant=variants,
+                     exponent_budget=[args.exponent_budget])
     if verb == "lemmas":
-        return [
-            ("lemmas", {"n": n, "p": p, "r": r})
-            for n in parse_range(args.n)
-            for p in _parse_int_list(args.p)
-            for r in parse_range(args.r)
-        ]
+        return _grid(["lemmas"], n=parse_range(args.n), p=_parse_int_list(args.p),
+                     r=parse_range(args.r))
     if verb == "gcd-window":
-        return [
-            ("conj1_window", {"n": n, "m": args.m, "w": args.window})
-            for n in parse_range(args.n)
-        ]
+        return _grid(["conj1_window"], n=parse_range(args.n), m=[args.m], w=[args.window])
     raise InvalidArgument(f"unknown verify subcommand {verb!r}")
 
 
 # -- execution ---------------------------------------------------------------------
 
 
+def _run_case(case: tuple[str, dict]) -> list[VerificationReport]:
+    return verify.run_case(*case)  # looked up per call, so a patched run_case is used
+
+
 def run_sweep(cases: list[tuple[str, dict]], jobs: int = 1) -> list[VerificationReport]:
     """Run cases in order; reports are merged by case order, not completion.
 
-    Serial runs stop scheduling new cases after the first failure;
-    parallel runs stop at the end of the chunk that contained it.
-    Already-collected reports are always returned.
+    At most min(jobs, len(cases), CPU count) worker processes run the
+    cases, and none when that is 1.  Either way the sweep stops after the
+    first case with a failed check and returns the reports up to and
+    including that case, so the result does not depend on jobs.
     """
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
     reports: list[VerificationReport] = []
-    if jobs <= 1 or len(cases) <= 1:
-        for claim_id, params in cases:
-            batch = verify.run_case(claim_id, params)
+    with ExitStack() as stack:
+        if workers <= 1:
+            batches = map(_run_case, cases)  # lazy: takes one case at a time
+        else:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            chunksize = max(1, len(cases) // (16 * workers))
+            batches = pool.map(_run_case, cases, chunksize=chunksize)
+        for batch in batches:
             reports.extend(batch)
             if any(rep.holds is False for rep in batch):
-                break
-        return reports
-    chunk = max(1, 4 * jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for lo in range(0, len(cases), chunk):
-            failed = False
-            for batch in pool.map(verify.run_case, *zip(*cases[lo : lo + chunk])):
-                reports.extend(batch)
-                failed = failed or any(rep.holds is False for rep in batch)
-            if failed:
                 break
     return reports
 
@@ -322,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("pretty", "json", "csv"), default="pretty")
-    common.add_argument("--jobs", type=int, default=None, help="worker processes")
+    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="worker processes (default: the CPU count); never more than "
+                             "the cases or the CPUs, and none when that bound is 1")
 
     ver = top.add_parser("verify", help="run a verification sweep")
     claims = ver.add_subparsers(dest="claim_verb", required=True)
@@ -341,26 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--h", help="composition length range")
         sub.add_argument("--ni", help="range of each composition part")
 
-    sub = claims.add_parser("conj2", parents=[common], help="triple-sum congruences")
-    sub.add_argument("--n", required=True)
-    sub.add_argument("--r", required=True)
-    sub.add_argument("--s", required=True)
-    sub.add_argument("--t", required=True)
-    sub.add_argument("--claim", choices=("cj2c1", "cj2c2", "cj2c3", "all"), default="all")
-    sub.add_argument("--mode", choices=("integer", "q", "both"), default="integer")
+    for verb, doc in (("conj2", "triple-sum congruences"), ("thm2", "sharpened q-moduli")):
+        sub = claims.add_parser(verb, parents=[common], help=doc)
+        for axis in ("--n", "--r", "--s", "--t"):
+            sub.add_argument(axis, required=True)
+        sub.add_argument("--claim", choices=(*_TRIPLE_CLAIMS[verb], "all"), default="all")
+        if verb == "conj2":
+            sub.add_argument("--mode", choices=tuple(_MODE_SUFFIXES), default="integer")
 
     sub = claims.add_parser("thm1", parents=[common], help="exact valuation of power sums")
     sub.add_argument("--n", required=True)
     sub.add_argument("--variant", choices=("per_prime", "full_modulus", "both"),
                      default="per_prime")
     sub.add_argument("--exponent-budget", type=int, default=verify.DEFAULT_EXPONENT_BUDGET)
-
-    sub = claims.add_parser("thm2", parents=[common], help="sharpened q-moduli")
-    sub.add_argument("--n", required=True)
-    sub.add_argument("--r", required=True)
-    sub.add_argument("--s", required=True)
-    sub.add_argument("--t", required=True)
-    sub.add_argument("--claim", choices=("t2c1", "t2c2", "t2c3", "all"), default="all")
 
     sub = claims.add_parser("lemmas", parents=[common], help="filtered-sum valuation bounds")
     sub.add_argument("--n", required=True)
@@ -408,12 +404,11 @@ def run(argv=None) -> int:
         if args.command == "inspect":
             return _run_inspect(args)
         cases = build_cases(args)
-        jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-        if jobs < 1:
+        if args.jobs < 1:
             raise InvalidArgument("parallelism must be >= 1")
         if not cases:
             raise InvalidArgument("the requested sweep is empty")
-        reports = run_sweep(cases, jobs)
+        reports = run_sweep(cases, args.jobs)
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qaltsum import cli, verify
+from qaltsum import cli, sums, verify
 from qaltsum.cli import (
     build_cases,
     build_parser,
@@ -26,9 +27,9 @@ from qaltsum.verify import TheoremCase, VerificationReport
 
 class TestParsing:
     def test_parse_range(self):
-        assert parse_range("3") == [3]
-        assert parse_range("1..4") == [1, 2, 3, 4]
-        assert parse_range("5..5") == [5]
+        assert list(parse_range("3")) == [3]
+        assert list(parse_range("1..4")) == [1, 2, 3, 4]
+        assert list(parse_range("5..5")) == [5]
 
     @pytest.mark.parametrize("bad", ["", "4..1", "a..b", "1..2..3", "1.5"])
     def test_parse_range_rejects(self, bad):
@@ -53,6 +54,33 @@ class TestParsing:
         assert [params["ns"] for _, params in build_cases(args)] == [
             [1], [2], [1, 1], [1, 2], [2, 1], [2, 2],
         ]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["eq1", "--n", "1..2"], [("eq1", [("n", 1)]), ("eq1", [("n", 2)])]),
+        (["calkin", "--n", "1..2", "--r", "3"],
+         [("calkin", [("n", 1), ("r", 3)]), ("calkin", [("n", 2), ("r", 3)])]),
+        (["gjz", "--ns", "2,1"], [("gjz", [("ns", [2, 1])])]),
+        (["gjzq", "--h", "0..2", "--ni", "1"],
+         [("gjzq", [("ns", [])]), ("gjzq", [("ns", [1])]), ("gjzq", [("ns", [1, 1])])]),
+        (["conj2", "--n", "1", "--r", "1..2", "--s", "1", "--t", "1", "--claim", "cj2c2",
+          "--mode", "both"],
+         [(claim, [("n", 1), ("r", r), ("s", 1), ("t", 1)])
+          for r in (1, 2) for claim in ("cj2c2", "cj2c2q")]),
+        (["thm1", "--n", "1..2", "--variant", "both", "--exponent-budget", "7"],
+         [("thm1", [("n", n), ("variant", v), ("exponent_budget", 7)])
+          for n in (1, 2) for v in ("per_prime", "full_modulus")]),
+        (["thm2", "--n", "1..2", "--r", "1", "--s", "1", "--t", "1..2"],
+         [(claim, [("n", n), ("r", 1), ("s", 1), ("t", t)])
+          for n in (1, 2) for t in (1, 2) for claim in ("t2c1", "t2c2", "t2c3")]),
+        (["lemmas", "--n", "1..2", "--p", "3,2", "--r", "1..2"],
+         [("lemmas", [("n", n), ("p", p), ("r", r)])
+          for n in (1, 2) for p in (3, 2) for r in (1, 2)]),
+        (["gcd-window", "--n", "1..2", "--m", "3", "--window", "5"],
+         [("conj1_window", [("n", n), ("m", 3), ("w", 5)]) for n in (1, 2)]),
+    ])
+    def test_build_cases_order_of_every_verb(self, argv, expected):
+        cases = build_cases(build_parser().parse_args(["verify", *argv]))
+        assert [(claim, list(params.items())) for claim, params in cases] == expected
 
     def test_conj2_modes(self):
         args = build_parser().parse_args(
@@ -128,6 +156,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["calkin", "--n", "1..1000000000000", "--r", "1"],
+        ["calkin", "--n", "1..1000", "--r", f"1..{10**30}"],  # past sys.maxsize
+        ["thm2", "--n", "1..100", "--r", "1..100", "--s", "1..4", "--t", "1"],
+        ["gjz", "--h", "1..1000000000000", "--ni", "1..2"],
+        ["gjz", "--h", "1..1000000000000", "--ni", "1"],
+        ["gjzq", "--h", "1000000000000", "--ni", "1..2"],  # |ni|^h is never computed
+    ])
+    def test_sweep_above_cap_exit_two_before_any_case(self, capsys, monkeypatch, argv):
+        def no_product(*args, **kwargs):
+            raise AssertionError("a case list was built")
+
+        monkeypatch.setattr(cli, "product", no_product)
+        assert run(["verify", *argv]) == 2
+        assert capsys.readouterr().err == "error: the sweep has more than MAX_CASES = 100000 cases\n"
+
+    @pytest.mark.parametrize("argv, last_over_cap", [
+        (["calkin", "--n", "1..3", "--r", "1..2"], "1..3"),
+        (["thm2", "--n", "1", "--r", "1..2", "--s", "1", "--t", "1"], "1..2"),
+        (["gjz", "--h", "1..2", "--ni", "1..2"], "1..3"),
+    ])
+    def test_cap_is_inclusive(self, monkeypatch, argv, last_over_cap):
+        monkeypatch.setattr(cli, "MAX_CASES", 6)
+        assert len(build_cases(build_parser().parse_args(["verify", *argv]))) == 6
+        over = ["verify", *argv[:-1], last_over_cap]
+        with pytest.raises(InvalidArgument, match="MAX_CASES = 6"):
+            build_cases(build_parser().parse_args(over))
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_two(self, capsys, jobs):
         assert run(["verify", "calkin", "--n", "1", "--r", "1", "--jobs", jobs]) == 2
@@ -191,6 +247,68 @@ class TestDeterminism:
         serial = [rep.record() for rep in run_sweep(cases, jobs=1)]
         parallel = [rep.record() for rep in run_sweep(cases, jobs=2)]
         assert _normalize(serial) == _normalize(parallel)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched sum reaches the workers only when they are forked",
+    )
+    def test_failure_stops_at_same_case_at_every_jobs(self, monkeypatch):
+        real = sums.alt_power_sum
+
+        def perturbed(n, r):
+            return real(n, r) + (1 if (n, r) == (2, 1) else 0)
+
+        monkeypatch.setattr(sums, "alt_power_sum", perturbed)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cases = build_cases(
+            build_parser().parse_args(["verify", "calkin", "--n", "1..6", "--r", "1..5"])
+        )
+        serial = [rep.record() for rep in run_sweep(cases, jobs=1)]
+        parallel = [rep.record() for rep in run_sweep(cases, jobs=2)]
+        assert len(serial) == 6 and serial[-1]["holds"] is False
+        assert _normalize(serial) == _normalize(parallel)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestWorkerBound:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "created", [])
+        return _SerialPool.created
+
+    @pytest.mark.parametrize("n_range, cpus, workers", [
+        ("1..2", 8, [2]),  # one per case
+        ("1..5", 3, [3]),  # one per CPU
+        ("1..5", 1, []),  # one CPU: serial, no pool
+        ("1", 8, []),  # one case: serial, no pool
+    ])
+    def test_workers_bounded_by_cases_and_cpus(self, pools, monkeypatch, capsys,
+                                               n_range, cpus, workers):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert run(["verify", "calkin", "--n", n_range, "--r", "1",
+                    "--jobs", "100000", "--output", "json"]) == 0
+        assert pools == workers
+        assert len(parse_report_json(capsys.readouterr().out)) == len(parse_range(n_range))
+
+    def test_jobs_one_starts_no_pool(self, pools):
+        cases = [("calkin", {"n": 1, "r": 1}), ("calkin", {"n": 2, "r": 1})]
+        assert len(run_sweep(cases, jobs=1)) == 2
+        assert pools == []
 
 
 class TestInspect:
