@@ -92,6 +92,8 @@ def _grid(claims: list[str], **axes) -> list[tuple[str, dict]]:
 
 
 def _compositions(verb: str, h_range, ni_range) -> list[tuple[str, dict]]:
+    if h_range.start < 1:
+        raise InvalidArgument(f"composition length must be >= 1, got {h_range.start}")
     count = 0
     for h in h_range:
         # |ni|^h passes the cap for every h beyond the cap's bit length

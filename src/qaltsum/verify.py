@@ -1,17 +1,19 @@
 """Claim-level drivers: build the expected modulus, check, report.
 
-Each driver materializes one verifiable claim instance -- an identity, a
-congruence in Z or Z[q], or a valuation equality -- as a TheoremCase and
-performs the exact check, giving an outcome (case, holds, witness).  One
-runner, _timed, turns outcomes into VerificationReports and times them:
-a report's elapsed covers everything computed for it, from the dividend
-and the modulus to the check.  A report with holds=False means the
-implementation is broken (every asserted claim is a proven statement),
-so batch runners must surface it as a counterexample and stop;
-holds=None marks a case whose side condition is not met (not
-applicable), which is a normal outcome.
+Each claim family is one generator of outcomes (case, holds, witness):
+it materializes claim instances -- identities, congruences in Z or Z[q]
+(_congruence), valuation equalities and bounds (_valuation) -- as
+TheoremCases and performs the exact checks.  One table, _CLAIMS, maps
+every claim id to its generator, called as build(claim_id, **params),
+and run_case is the only dispatcher.  One runner, _timed, turns outcomes
+into VerificationReports and times them: a report's elapsed covers
+everything computed for it, from the dividend and the modulus to the
+check.  A report with holds=False means the implementation is broken
+(every asserted claim is a proven statement), so batch runners must
+surface it as a counterexample and stop; holds=None marks a case whose
+side condition is not met (not applicable), which is a normal outcome.
 
-Claim identifiers:
+Claim identifiers (the keys of _CLAIMS):
 
   eq1, eq2        closed forms of the squared / cubed alternating sums
   calkin          central-binomial divisibility of the power sums
@@ -19,8 +21,8 @@ Claim identifiers:
   cj2c1..cj2c3    integer triple-sum congruences (eight_four_two for c3)
   cj2c1q..cj2c3q  their q-analogues
   thm1            exact valuation of power sums at tuned exponents
-  t2c1..t2c3      sharpened q moduli with the two- and three-power factors
-  lemma21..24     the filtered / pattern-restricted sum bounds
+  t2c1..t2c3      cj2c1q..cj2c3q sharpened by two- and three-power factors
+  lemmas          lemma21..lemma24, the filtered / pattern-restricted bounds
   conj1_window    finite gcd-window evidence (never a proof)
   qlucas          one instance of the q-Lucas congruence
 """
@@ -30,8 +32,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import cyclo, qcomb, sums
 from .polycore import (
@@ -157,14 +160,25 @@ def _timed(outcomes: Iterator[Outcome]) -> list[VerificationReport]:
     return reports
 
 
-def _once(build, *args) -> Iterator[Outcome]:
-    """The single outcome of build(*args), computed when asked for."""
-    yield build(*args)
-
-
 def _congruence(claim_id, params, dividend, modulus, note="") -> Outcome:
     witness = check_congruence(dividend, modulus)
     return TheoremCase(claim_id, params, witness.modulus, note), witness.holds, witness
+
+
+_BOUND = "nu_{p}={nu} >= {expected}"
+
+
+def _valuation(claim_id, params, value, p, expected, note, *, exact) -> Outcome:
+    """Outcome of nu_p(value) == expected (exact) or nu_p(value) >= expected.
+
+    The modulus is p^expected; note is formatted with p, expected and the
+    computed valuation nu.
+    """
+    nu = nu_p_int(value, p)
+    holds = nu.value == expected if exact else nu.value >= expected
+    case = TheoremCase(claim_id, params, IntPoly(p**expected),
+                       note.format(p=p, nu=nu.value, expected=expected))
+    return case, holds, (nu, ValuationRecord(p, expected))
 
 
 # -- named identities and congruences ------------------------------------------
@@ -176,38 +190,27 @@ def verify_identity(claim: str, **params) -> VerificationReport:
     eq1/eq2 take n; calkin takes n and r; gjz/gjzq take ns (composition);
     the cj2 family takes n, r, s, t.
     """
-    return _timed(_once(_identity, claim, params))[0]
+    return run_case(claim, params)[0]
 
 
-def _identity(claim: str, params: dict) -> Outcome:
-    if claim == "eq1":
-        n = params["n"]
-        lhs = sums.alt_power_sum(n, 2)
-        rhs = (-1) ** n * binom(2 * n, n)
-        case = TheoremCase(claim, {"n": n}, None, f"sum={lhs}, closed_form={rhs}")
-        return case, lhs == rhs, None
-    if claim == "eq2":
-        n = params["n"]
-        lhs = sums.alt_power_sum(n, 3)
-        rhs = (-1) ** n * binom(2 * n, n) * binom(3 * n, n)
-        case = TheoremCase(claim, {"n": n}, None, f"sum={lhs}, closed_form={rhs}")
-        return case, lhs == rhs, None
-    if claim == "calkin":
-        n, r = params["n"], params["r"]
-        return _congruence(claim, {"n": n, "r": r}, sums.alt_power_sum(n, r), binom(2 * n, n))
-    if claim == "gjz":
-        ns = tuple(params["ns"])
-        dividend = sums.gjz_sum(ns, "integer")
-        modulus = binom(ns[0] + ns[-1], ns[0])
-        return _congruence(claim, {"ns": list(ns)}, dividend, modulus)
-    if claim == "gjzq":
-        return _gjzq(tuple(params["ns"]))
-    if claim in _CONJ2:
-        return _conj2(claim, params["n"], params["r"], params["s"], params["t"])
-    raise InvalidArgument(f"unknown identity claim {claim!r}")
+def _closed_form(claim_id: str, n: int, power: int) -> Iterator[Outcome]:
+    # sum_k (-1)^k C(2n, k)^power = (-1)^n (power*n)! / n!^power for power 2, 3
+    lhs = sums.alt_power_sum(n, power)
+    rhs = (-1) ** n * math.prod(binom(j * n, n) for j in range(2, power + 1))
+    case = TheoremCase(claim_id, {"n": n}, None, f"sum={lhs}, closed_form={rhs}")
+    yield case, lhs == rhs, None
 
 
-def _gjzq(ns: tuple[int, ...]) -> Outcome:
+def _calkin(claim_id: str, n: int, r: int) -> Iterator[Outcome]:
+    yield _congruence(claim_id, {"n": n, "r": r}, sums.alt_power_sum(n, r), binom(2 * n, n))
+
+
+def _gjz(claim_id: str, ns) -> Iterator[Outcome]:
+    dividend = sums.gjz_sum(ns, "integer")
+    yield _congruence(claim_id, {"ns": list(ns)}, dividend, binom(ns[0] + ns[-1], ns[0]))
+
+
+def _gjzq(claim_id: str, ns) -> Iterator[Outcome]:
     dividend = sums.gjz_sum(ns, "q")
     n1 = ns[0]
     modulus = qbinom(n1 + ns[-1], n1)
@@ -219,41 +222,28 @@ def _gjzq(ns: tuple[int, ...]) -> Outcome:
         "modulus subscript ambiguity: asserted last-part variant; "
         f"component subscripts whose modulus divides: {variants}"
     )
-    return _congruence("gjzq", {"ns": list(ns)}, dividend, modulus, note)
+    yield _congruence(claim_id, {"ns": list(ns)}, dividend, modulus, note)
 
 
+# claim -> (triple-sum family, mode, modulus as a function of n)
 _CONJ2 = {
-    "cj2c1": ("six_four_two", "integer"),
-    "cj2c2": ("six_four_two", "integer"),
-    "cj2c3": ("eight_four_two", "integer"),
-    "cj2c1q": ("six_four_two", "q"),
-    "cj2c2q": ("six_four_two", "q"),
-    "cj2c3q": ("eight_four_two", "q"),
+    "cj2c1": ("six_four_two", "integer", lambda n: 2 * binom(6 * n, n)),
+    "cj2c2": ("six_four_two", "integer", lambda n: 6 * binom(6 * n, 3 * n)),
+    "cj2c3": ("eight_four_two", "integer", lambda n: 2 * binom(8 * n, 3 * n)),
+    "cj2c1q": ("six_four_two", "q", lambda n: qbinom(6 * n, n)),
+    "cj2c2q": ("six_four_two", "q", lambda n: qbinom(6 * n, 3 * n)),
+    "cj2c3q": ("eight_four_two", "q", lambda n: qbinom(8 * n, 3 * n)),
 }
 
 
-def _conj2_modulus(claim: str, n: int) -> IntPoly:
-    if claim == "cj2c1":
-        return IntPoly(2 * binom(6 * n, n))
-    if claim == "cj2c2":
-        return IntPoly(6 * binom(6 * n, 3 * n))
-    if claim == "cj2c3":
-        return IntPoly(2 * binom(8 * n, 3 * n))
-    if claim == "cj2c1q":
-        return qbinom(6 * n, n)
-    if claim == "cj2c2q":
-        return qbinom(6 * n, 3 * n)
-    return qbinom(8 * n, 3 * n)
-
-
-def _conj2(claim: str, n: int, r: int, s: int, t: int) -> Outcome:
+def _conj2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
     params = {"n": n, "r": r, "s": s, "t": t}
-    if claim == "cj2c3" and (r, s, t) == (1, 1, 1):
+    if claim_id == "cj2c3" and (r, s, t) == (1, 1, 1):
         note = "not applicable: the claim excludes (r, s, t) = (1, 1, 1)"
-        return TheoremCase(claim, params, None, note), None, None
-    family, mode = _CONJ2[claim]
-    dividend = sums.triple_sum(family, n, r, s, t, mode)
-    return _congruence(claim, params, dividend, _conj2_modulus(claim, n))
+        yield TheoremCase(claim_id, params, None, note), None, None
+        return
+    family, mode, modulus = _CONJ2[claim_id]
+    yield _congruence(claim_id, params, sums.triple_sum(family, n, r, s, t, mode), modulus(n))
 
 
 # -- valuation-equality driver ---------------------------------------------------
@@ -285,10 +275,12 @@ def verify_thm1(
     r > 2 with r == 2 (mod phi(C(2n, n)) * C(2n, n)); raises
     InfeasibleScale when that exponent exceeds the budget.
     """
-    return _timed(_thm1(n, variant, exponent_budget))
+    return _timed(_thm1("thm1", n, variant, exponent_budget))
 
 
-def _thm1(n, variant="per_prime", exponent_budget=DEFAULT_EXPONENT_BUDGET) -> Iterator[Outcome]:
+def _thm1(
+    claim_id: str, n: int, variant="per_prime", exponent_budget=DEFAULT_EXPONENT_BUDGET
+) -> Iterator[Outcome]:
     if n < 1:
         raise InvalidArgument(f"verify_thm1 requires n >= 1, got {n}")
     if variant not in ("per_prime", "full_modulus"):
@@ -312,14 +304,9 @@ def _thm1(n, variant="per_prime", exponent_budget=DEFAULT_EXPONENT_BUDGET) -> It
     for p, gamma, r in checks:
         if r != total_r:  # full_modulus checks one sum at every prime
             total, total_r = sums.alt_power_sum(n, r), r
-        computed = nu_p_int(total, p)
-        case = TheoremCase(
-            "thm1",
-            {"n": n, "variant": variant, "p": p, "r": r},
-            IntPoly(p**gamma),
-            f"nu_{p}(sum)={computed.value}, expected gamma={gamma}",
-        )
-        yield case, computed.value == gamma, (computed, ValuationRecord(p, gamma))
+        params = {"n": n, "variant": variant, "p": p, "r": r}
+        note = "nu_{p}(sum)={nu}, expected gamma={expected}"
+        yield _valuation(claim_id, params, total, p, gamma, note, exact=True)
 
 
 # -- sharpened q-moduli for the triple sums ---------------------------------------
@@ -339,35 +326,30 @@ def verify_thm2(n: int, r: int, s: int, t: int, claim: str) -> VerificationRepor
       t2c3  [2] over q^{2^a} / q^{2^(a+1)} / q^{2^(a+2)} -- picked by the
             exponent guards in their stated order -- times qb(8n, 3n)
 
+    The family and the base q-binomial modulus are those of cj2c1q..cj2c3q.
     t2c2 asserts the modulus the case analysis actually produces (the
     three-factor carried at q^{3^b}); the printed form with [3] at
     q^{2^a} is checked too and recorded in the note, never asserted.
     t2c3 with no guard satisfied is reported as not applicable.
     """
-    return _timed(_once(_thm2, n, r, s, t, claim))[0]
+    return run_case(claim, {"n": n, "r": r, "s": s, "t": t})[0]
 
 
-def _thm2(n: int, r: int, s: int, t: int, claim: str) -> Outcome:
+def _thm2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
     if min(n, r, s, t) < 1:
         raise InvalidArgument(f"requires n, r, s, t >= 1, got ({n}, {r}, {s}, {t})")
     params = {"n": n, "r": r, "s": s, "t": t}
+    family, mode, base = _CONJ2[claim_id.replace("t2", "cj2") + "q"]
     alpha = nu_p_int(n, 2).value
-    if claim == "t2c1":
-        dividend = sums.triple_sum("six_four_two", n, r, s, t, "q")
-        modulus = _two_factor(alpha) * qbinom(6 * n, n)
-        return _congruence(claim, params, dividend, modulus, f"alpha={alpha}")
-    if claim == "t2c2":
+    printed = None
+    if claim_id == "t2c1":
+        factor, note = _two_factor(alpha), f"alpha={alpha}"
+    elif claim_id == "t2c2":
         beta = nu_p_int(n, 3).value
-        dividend = sums.triple_sum("six_four_two", n, r, s, t, "q")
-        modulus = _two_factor(alpha) * cyclo.q_int(3, step=3**beta) * qbinom(6 * n, 3 * n)
-        printed = _two_factor(alpha) * cyclo.q_int(3, step=2**alpha) * qbinom(6 * n, 3 * n)
-        printed_ok = divides(dividend, printed)
-        note = (
-            f"alpha={alpha}, beta={beta}; printed-form modulus with [3] at "
-            f"q^(2^alpha) {'also divides' if printed_ok else 'does NOT divide'}"
-        )
-        return _congruence(claim, params, dividend, modulus, note)
-    if claim == "t2c3":
+        factor = _two_factor(alpha) * cyclo.q_int(3, step=3**beta)
+        printed = _two_factor(alpha) * cyclo.q_int(3, step=2**alpha)
+        note = f"alpha={alpha}, beta={beta}; printed-form modulus with [3] at q^(2^alpha)"
+    else:
         window = 2 ** (alpha + 2)
         if t >= 2:
             step, branch = alpha, "t >= 2"
@@ -377,12 +359,15 @@ def _thm2(n: int, r: int, s: int, t: int, claim: str) -> Outcome:
             step, branch = alpha + 2, "r >= 2 with n = 2^a mod 2^(a+2)"
         else:
             note = "not applicable: no branch guard matched"
-            return TheoremCase(claim, params, None, note), None, None
-        dividend = sums.triple_sum("eight_four_two", n, r, s, t, "q")
-        modulus = _two_factor(step) * qbinom(8 * n, 3 * n)
+            yield TheoremCase(claim_id, params, None, note), None, None
+            return
+        factor = _two_factor(step)
         note = f"alpha={alpha}; branch: {branch}; two-factor at q^(2^{step})"
-        return _congruence(claim, params, dividend, modulus, note)
-    raise InvalidArgument(f"unknown claim {claim!r}")
+    dividend = sums.triple_sum(family, n, r, s, t, mode)
+    if printed is not None:
+        divided = "also divides" if divides(dividend, printed * base(n)) else "does NOT divide"
+        note += f" {divided}"
+    yield _congruence(claim_id, params, dividend, factor * base(n), note)
 
 
 # -- filtered and pattern-restricted sum bounds -----------------------------------
@@ -408,10 +393,11 @@ def verify_lemmas(n: int, p: int, r: int) -> list[VerificationReport]:
     lemma24: each pattern-restricted q sum is divisible by the matching
              product of prime-power cyclotomics.
     """
-    return _timed(_lemmas(n, p, r))
+    return _timed(_lemmas("lemmas", n, p, r))
 
 
-def _lemmas(n: int, p: int, r: int) -> Iterator[Outcome]:
+def _lemmas(claim_id: str, n: int, p: int, r: int) -> Iterator[Outcome]:
+    """The outcomes of lemma21..lemma24, each under its own claim id."""
     if n < 1 or r < 1:
         raise InvalidArgument(f"requires n, r >= 1, got n={n}, r={r}")
     if not cyclo.is_prime(p):
@@ -419,39 +405,20 @@ def _lemmas(n: int, p: int, r: int) -> Iterator[Outcome]:
     gamma = nu_p_binom(2 * n, n, p).value
 
     coprime = sums.alt_power_sum_filtered(n, 2, p, "p_ndivides")
-    nu = nu_p_int(coprime, p)
-    case = TheoremCase(
-        "lemma21",
-        {"n": n, "p": p},
-        IntPoly(p**gamma),
-        f"exponent fixed at 2; nu_{p}={nu.value}, gamma={gamma}",
-    )
-    yield case, nu.value == gamma, (nu, ValuationRecord(p, gamma))
+    note = "exponent fixed at 2; nu_{p}={nu}, gamma={expected}"
+    yield _valuation("lemma21", {"n": n, "p": p}, coprime, p, gamma, note, exact=True)
 
     divisible_part = sums.alt_power_sum_filtered(n, r, p, "p_divides")
-    nu = nu_p_int(divisible_part, p)
-    bound = r - 1 + gamma
-    case = TheoremCase(
-        "lemma22",
-        {"n": n, "p": p, "r": r},
-        IntPoly(p**bound),
-        f"nu_{p}={nu.value} >= {bound}",
-    )
-    yield case, nu.value >= bound, (nu, ValuationRecord(p, bound))
+    params = {"n": n, "p": p, "r": r}
+    yield _valuation("lemma22", params, divisible_part, p, r - 1 + gamma, _BOUND, exact=False)
 
     h = _pattern_height(n, p)
     for size in range(1, h + 1):
         for subset in combinations(range(1, h + 1), size):
+            params = {"n": n, "p": p, "r": r, "I": list(subset)}
             value = sums.pattern_sum(n, r, p, subset, "integer")
-            nu = nu_p_int(value, p)
             bound = (r - 1) * len(subset) + gamma
-            case = TheoremCase(
-                "lemma23",
-                {"n": n, "p": p, "r": r, "I": list(subset)},
-                IntPoly(p**bound),
-                f"nu_{p}={nu.value} >= {bound}",
-            )
-            yield case, nu.value >= bound, (nu, ValuationRecord(p, bound))
+            yield _valuation("lemma23", params, value, p, bound, _BOUND, exact=False)
 
             dividend = sums.pattern_sum(n, r, p, subset, "q")
             modulus = IntPoly(1)
@@ -460,9 +427,7 @@ def _lemmas(n: int, p: int, r: int) -> Iterator[Outcome]:
             for b in range(1, h + 1):
                 if b not in subset and qcomb._carry_at(2 * n, n, p**b):
                     modulus = modulus * cyclo.prime_power_form(p, b)
-            yield _congruence(
-                "lemma24", {"n": n, "p": p, "r": r, "I": list(subset)}, dividend, modulus
-            )
+            yield _congruence("lemma24", dict(params), dividend, modulus)
 
 
 # -- gcd-window evidence ------------------------------------------------------------
@@ -486,66 +451,58 @@ def gcd_window(n: int, m: int, w: int) -> tuple[int, bool]:
 
 
 def verify_gcd_window(n: int, m: int, w: int) -> VerificationReport:
-    return _timed(_once(_gcd_window, n, m, w))[0]
+    return run_case("conj1_window", {"n": n, "m": m, "w": w})[0]
 
 
-def _gcd_window(n: int, m: int, w: int) -> Outcome:
+def _gcd_window(claim_id: str, n: int, m: int, w: int) -> Iterator[Outcome]:
     g, central_divides = gcd_window(n, m, w)
-    central = binom(2 * n, n)
-    case = TheoremCase(
-        "conj1_window",
-        {"n": n, "m": m, "w": w},
-        IntPoly(central),
-        f"evidence, not proof (finite window r={m}..{m + w - 1}); gcd={g}",
-    )
-    return case, central_divides, None
+    note = f"evidence, not proof (finite window r={m}..{m + w - 1}); gcd={g}"
+    case = TheoremCase(claim_id, {"n": n, "m": m, "w": w}, IntPoly(binom(2 * n, n)), note)
+    yield case, central_divides, None
 
 
 def verify_qlucas(d: int, x1: int, x2: int, y1: int, y2: int) -> VerificationReport:
-    return _timed(_once(_qlucas, d, x1, x2, y1, y2))[0]
+    return run_case("qlucas", {"d": d, "x1": x1, "x2": x2, "y1": y1, "y2": y2})[0]
 
 
-def _qlucas(d: int, x1: int, x2: int, y1: int, y2: int) -> Outcome:
+def _qlucas(claim_id: str, d: int, x1: int, x2: int, y1: int, y2: int) -> Iterator[Outcome]:
     holds = qcomb.qlucas_check(d, x1, x2, y1, y2)
-    case = TheoremCase(
-        "qlucas",
-        {"d": d, "x1": x1, "x2": x2, "y1": y1, "y2": y2},
-        cyclo.cyclotomic(d),
-        "",
-    )
-    return case, holds, None
+    params = {"d": d, "x1": x1, "x2": x2, "y1": y1, "y2": y2}
+    yield TheoremCase(claim_id, params, cyclo.cyclotomic(d)), holds, None
 
 
 # -- dispatch ------------------------------------------------------------------------
 
-_IDENTITY_CLAIMS = frozenset(_CONJ2) | {"eq1", "eq2", "calkin", "gjz", "gjzq"}
+# claim id -> generator of its outcomes, called as build(claim_id, **params)
+_CLAIMS: dict[str, Callable[..., Iterator[Outcome]]] = {
+    "eq1": partial(_closed_form, power=2),
+    "eq2": partial(_closed_form, power=3),
+    "calkin": _calkin,
+    "gjz": _gjz,
+    "gjzq": _gjzq,
+    **dict.fromkeys(_CONJ2, _conj2),
+    "thm1": _thm1,
+    **dict.fromkeys(("t2c1", "t2c2", "t2c3"), _thm2),
+    "lemmas": _lemmas,
+    "conj1_window": _gcd_window,
+    "qlucas": _qlucas,
+}
 
 
 def run_case(claim_id: str, params: dict) -> list[VerificationReport]:
     """Run one claim instance by id; always returns a list of reports.
 
-    A case whose exponent exceeds its budget is reported as not
-    evaluated (holds None) instead of raising InfeasibleScale, so that
-    it does not sink the rest of a sweep.
+    The only dispatcher.  A case whose exponent exceeds its budget is
+    reported as not evaluated (holds None) instead of raising
+    InfeasibleScale, so that it does not sink the rest of a sweep.
     """
     return _timed(_case(claim_id, params))
 
 
 def _case(claim_id: str, params: dict) -> Iterator[Outcome]:
+    if claim_id not in _CLAIMS:
+        raise InvalidArgument(f"unknown claim id {claim_id!r}")
     try:
-        if claim_id in _IDENTITY_CLAIMS:
-            yield _identity(claim_id, params)
-        elif claim_id == "thm1":
-            yield from _thm1(**params)
-        elif claim_id in ("t2c1", "t2c2", "t2c3"):
-            yield _thm2(claim=claim_id, **params)
-        elif claim_id == "lemmas":
-            yield from _lemmas(**params)
-        elif claim_id == "conj1_window":
-            yield _gcd_window(**params)
-        elif claim_id == "qlucas":
-            yield _qlucas(**params)
-        else:
-            raise InvalidArgument(f"unknown claim id {claim_id!r}")
+        yield from _CLAIMS[claim_id](claim_id, **params)
     except InfeasibleScale as exc:
         yield TheoremCase(claim_id, params, None, f"not evaluated: {exc}"), None, None

@@ -1,7 +1,9 @@
 """CLI: sweeps, output formats, exit codes, determinism."""
 
+import argparse
 import copy
 import importlib
+import inspect
 import multiprocessing
 import os
 import shutil
@@ -60,8 +62,8 @@ class TestParsing:
         (["calkin", "--n", "1..2", "--r", "3"],
          [("calkin", [("n", 1), ("r", 3)]), ("calkin", [("n", 2), ("r", 3)])]),
         (["gjz", "--ns", "2,1"], [("gjz", [("ns", [2, 1])])]),
-        (["gjzq", "--h", "0..2", "--ni", "1"],
-         [("gjzq", [("ns", [])]), ("gjzq", [("ns", [1])]), ("gjzq", [("ns", [1, 1])])]),
+        (["gjzq", "--h", "1..3", "--ni", "1"],
+         [("gjzq", [("ns", [1])]), ("gjzq", [("ns", [1, 1])]), ("gjzq", [("ns", [1, 1, 1])])]),
         (["conj2", "--n", "1", "--r", "1..2", "--s", "1", "--t", "1", "--claim", "cj2c2",
           "--mode", "both"],
          [(claim, [("n", 1), ("r", r), ("s", 1), ("t", 1)])
@@ -172,6 +174,16 @@ class TestExitCodes:
         assert run(["verify", *argv]) == 2
         assert capsys.readouterr().err == "error: the sweep has more than MAX_CASES = 100000 cases\n"
 
+    @pytest.mark.parametrize("h", ["-1..1", "0..1", "0"])
+    def test_composition_length_below_one_exit_two(self, capsys, monkeypatch, h):
+        def no_product(*args, **kwargs):
+            raise AssertionError("a case list was built")
+
+        monkeypatch.setattr(cli, "product", no_product)  # rejected before any case is built
+        assert run(["verify", "gjz", f"--h={h}", "--ni", "1..2", "--jobs", "1"]) == 2
+        start = h.split("..")[0]
+        assert capsys.readouterr().err == f"error: composition length must be >= 1, got {start}\n"
+
     @pytest.mark.parametrize("argv, last_over_cap", [
         (["calkin", "--n", "1..3", "--r", "1..2"], "1..3"),
         (["thm2", "--n", "1", "--r", "1..2", "--s", "1", "--t", "1"], "1..2"),
@@ -270,9 +282,11 @@ class TestDeterminism:
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    shutdown arguments, runs in-process."""
 
     created: list[int] = []
+    shutdowns: list[dict] = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -281,7 +295,7 @@ class _SerialPool:
         return map(fn, iterable)
 
     def shutdown(self, wait=True, cancel_futures=False):
-        pass
+        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
 
 
 class TestWorkerBound:
@@ -289,7 +303,19 @@ class TestWorkerBound:
     def pools(self, monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "created", [])
+        monkeypatch.setattr(_SerialPool, "shutdowns", [])
         return _SerialPool.created
+
+    def test_failed_batch_cancels_queued_cases(self, pools, monkeypatch):
+        real = sums.alt_power_sum
+        monkeypatch.setattr(sums, "alt_power_sum",
+                            lambda n, r: real(n, r) + (1 if n == 2 else 0))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cases = [("calkin", {"n": n, "r": 1}) for n in range(1, 5)]
+        reports = run_sweep(cases, jobs=2)
+        assert [rep.holds for rep in reports] == [True, False]
+        assert pools == [2]
+        assert _SerialPool.shutdowns == [{"wait": True, "cancel_futures": True}]
 
     @pytest.mark.parametrize("n_range, cpus, workers", [
         ("1..2", 8, [2]),  # one per case
@@ -309,6 +335,52 @@ class TestWorkerBound:
         cases = [("calkin", {"n": 1, "r": 1}), ("calkin", {"n": 2, "r": 1})]
         assert len(run_sweep(cases, jobs=1)) == 2
         assert pools == []
+
+
+def _verify_verbs():
+    """The subcommands of qaltsum verify, read from the parser."""
+    def subcommands(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    return set(subcommands(subcommands(build_parser())["verify"]))
+
+
+EVERY_VERB = [
+    ["eq1", "--n", "1"],
+    ["eq2", "--n", "1"],
+    ["calkin", "--n", "1", "--r", "1"],
+    ["gjz", "--ns", "1,2"],
+    ["gjzq", "--h", "1..2", "--ni", "1"],
+    ["conj2", "--n", "1", "--r", "1", "--s", "1", "--t", "1", "--claim", "all",
+     "--mode", "both"],
+    ["thm2", "--n", "1", "--r", "1", "--s", "1", "--t", "1", "--claim", "all"],
+    ["thm1", "--n", "1", "--variant", "both"],
+    ["lemmas", "--n", "1", "--r", "1"],
+    ["gcd-window", "--n", "1"],
+]
+
+
+class TestCasesMatchClaimTable:
+    """Every case the CLI builds names a claim verify knows, with its parameters."""
+
+    def test_every_verb_is_covered(self):
+        assert {argv[0] for argv in EVERY_VERB} == _verify_verbs()
+
+    @pytest.mark.parametrize("argv", EVERY_VERB, ids=lambda argv: argv[0])
+    def test_claim_ids_and_params_fit_the_table(self, argv):
+        cases = build_cases(build_parser().parse_args(["verify", *argv]))
+        assert cases
+        for claim, params in cases:
+            assert claim in verify._CLAIMS
+            inspect.signature(verify._CLAIMS[claim]).bind(claim, **params)
+
+    def test_every_claim_but_qlucas_is_reachable(self):
+        claims = set()
+        for argv in EVERY_VERB:
+            claims |= {claim for claim, _ in build_cases(build_parser().parse_args(
+                ["verify", *argv]))}
+        assert claims == set(verify._CLAIMS) - {"qlucas"}  # qlucas has no verb
 
 
 class TestInspect:
