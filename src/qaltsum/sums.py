@@ -49,6 +49,14 @@ half of the denominators one step round the cycle gives
 
 and T(k) = 0 once |k| > min_i n_i.  The q modes keep every k, because
 q^C(k,2) is not even in k; the packed sum shares the products of +-k.
+
+The power sum also has a residue form, alt_power_sum_mod(n, r, m) =
+alt_power_sum(n, r) mod m: the same half-range sum with pow(C(2n, k), r, m)
+in place of C(2n, k)^r.  Its cost grows with the bits of r and of m, not
+with r times the bits of C(2n, n), so it reaches exponents whose full sum
+would have millions of digits.  It takes the same n and r as
+alt_power_sum, rejects the same bad ones with the same message, and
+needs m >= 1.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from .qcomb import _carry_at, qbinom
 
 __all__ = [
     "alt_power_sum",
+    "alt_power_sum_mod",
     "alt_power_sum_filtered",
     "gjz_sum",
     "pattern_sum",
@@ -119,9 +128,28 @@ def alt_power_sum(n: int, r: int) -> int:
     >>> alt_power_sum(1, 2), alt_power_sum(2, 3), alt_power_sum(2, 4)
     (-2, 90, 786)
     """
+    _check_power(n, r)
+    return _sign(n) * _even_sum(lambda j: comb(2 * n, n - j) ** r, n)
+
+
+def alt_power_sum_mod(n: int, r: int, m: int) -> int:
+    """alt_power_sum(n, r) % m, with every power taken modulo m.
+
+    The same half-range sum as alt_power_sum, with pow(C(2n, k), r, m)
+    for C(2n, k)^r, so no power is built in full.
+
+    >>> alt_power_sum_mod(2, 4, 7), alt_power_sum(2, 4) % 7
+    (2, 2)
+    """
+    _check_power(n, r)
+    if m < 1:
+        raise InvalidArgument(f"alt_power_sum_mod requires m >= 1, got m={m}")
+    return _sign(n) * _even_sum(lambda j: pow(comb(2 * n, n - j), r, m), n) % m
+
+
+def _check_power(n: int, r: int) -> None:
     if n < 1 or r < 1:
         raise InvalidArgument(f"alt_power_sum requires n, r >= 1, got n={n}, r={r}")
-    return _sign(n) * _even_sum(lambda j: comb(2 * n, n - j) ** r, n)
 
 
 def _p_divides(N: int, k: int, p: int) -> bool:

@@ -1,9 +1,9 @@
 """Claim-level drivers: build the expected modulus, check, report.
 
-Each claim family is one generator of outcomes (case, holds, witness):
-it materializes claim instances -- identities, congruences in Z or Z[q]
-(_congruence), valuation equalities and bounds (_valuation) -- as
-TheoremCases and performs the exact checks.  One table, _CLAIMS, maps
+Each claim family is one generator of Outcomes (case, holds, witness,
+quotient degree): it materializes claim instances -- identities,
+congruences in Z or Z[q] (_congruence), valuation equalities and bounds
+(_valuation) -- as TheoremCases and performs the exact checks.  One table, _CLAIMS, maps
 every claim id to its generator, called as build(claim_id, **params),
 and run_case is the only dispatcher.  One runner, _timed, turns outcomes
 into VerificationReports and times them: a report's elapsed covers
@@ -12,6 +12,21 @@ check.  A report with holds=False means the implementation is broken
 (every asserted claim is a proven statement), so batch runners must
 surface it as a counterexample and stop; holds=None marks a case whose
 side condition is not met (not applicable), which is a normal outcome.
+
+Two integer claims are decided from residues of the power sum
+S = sum_k (-1)^k C(2n, k)^r (sums.alt_power_sum_mod), so their cost does
+not grow with r times the bits of C(2n, n):
+
+  calkin  R = S mod C(2n, n) * (2^61 - 1).  R != 0 with C(2n, n) | R
+          holds, quotient degree 0.  R = 0 (every r = 1, where S = 0)
+          or C(2n, n) not dividing R runs the full sum, which decides
+          whether S = 0 and supplies the NotDivisible witness.
+  thm1    S mod p^(gamma+1) per prime.  A nonzero residue has the exact
+          valuation nu_p(S) that the note prints; a zero one runs the
+          full sum.
+
+Every other claim, and every note that prints a value of S (eq1, eq2,
+the gcd window), computes the full value.
 
 Claim identifiers (the keys of _CLAIMS):
 
@@ -34,7 +49,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import cyclo, qcomb, sums
 from .polycore import (
@@ -133,7 +148,18 @@ def check_congruence(dividend, modulus) -> CongruenceWitness:
     return CongruenceWitness(dividend, modulus, quotient, True)
 
 
-Outcome = tuple[TheoremCase, Optional[bool], Witness]
+class Outcome(NamedTuple):
+    """What a claim generator yields for one report.
+
+    quotient_degree is that of a holding congruence's quotient.  The
+    generator states it, so a check decided without building the
+    quotient (the calkin residue path) needs no witness to carry it.
+    """
+
+    case: TheoremCase
+    holds: Optional[bool]
+    witness: Witness = None
+    quotient_degree: Optional[int] = None
 
 
 def _timed(outcomes: Iterator[Outcome]) -> list[VerificationReport]:
@@ -150,10 +176,8 @@ def _timed(outcomes: Iterator[Outcome]) -> list[VerificationReport]:
     """
     reports = []
     start = time.perf_counter()
-    for case, holds, witness in outcomes:
+    for case, holds, witness, degree in outcomes:
         now = time.perf_counter()
-        quotient = getattr(witness, "quotient", None)
-        degree = None if quotient is None else len(quotient) - 1
         kept = witness if holds is False else None
         reports.append(VerificationReport(case, holds, kept, now - start, quotient_degree=degree))
         start = now
@@ -162,7 +186,9 @@ def _timed(outcomes: Iterator[Outcome]) -> list[VerificationReport]:
 
 def _congruence(claim_id, params, dividend, modulus, note="") -> Outcome:
     witness = check_congruence(dividend, modulus)
-    return TheoremCase(claim_id, params, witness.modulus, note), witness.holds, witness
+    degree = None if witness.quotient is None else len(witness.quotient) - 1
+    case = TheoremCase(claim_id, params, witness.modulus, note)
+    return Outcome(case, witness.holds, witness, degree)
 
 
 _BOUND = "nu_{p}={nu} >= {expected}"
@@ -178,7 +204,7 @@ def _valuation(claim_id, params, value, p, expected, note, *, exact) -> Outcome:
     holds = nu.value == expected if exact else nu.value >= expected
     case = TheoremCase(claim_id, params, IntPoly(p**expected),
                        note.format(p=p, nu=nu.value, expected=expected))
-    return case, holds, (nu, ValuationRecord(p, expected))
+    return Outcome(case, holds, (nu, ValuationRecord(p, expected)))
 
 
 # -- named identities and congruences ------------------------------------------
@@ -198,11 +224,26 @@ def _closed_form(claim_id: str, n: int, power: int) -> Iterator[Outcome]:
     lhs = sums.alt_power_sum(n, power)
     rhs = (-1) ** n * math.prod(binom(j * n, n) for j in range(2, power + 1))
     case = TheoremCase(claim_id, {"n": n}, None, f"sum={lhs}, closed_form={rhs}")
-    yield case, lhs == rhs, None
+    yield Outcome(case, lhs == rhs)
+
+
+# a fixed prime (the Mersenne prime 2^61 - 1) for the calkin residue
+_CALKIN_PRIME = 2**61 - 1
 
 
 def _calkin(claim_id: str, n: int, r: int) -> Iterator[Outcome]:
-    yield _congruence(claim_id, {"n": n, "r": r}, sums.alt_power_sum(n, r), binom(2 * n, n))
+    # Decided by R = S mod C(2n, n) * _CALKIN_PRIME, S the power sum:
+    # C(2n, n) | R exactly when C(2n, n) | S, and R != 0 proves S != 0,
+    # so the quotient has degree 0.  R = 0 (every r = 1, where S = 0) or
+    # a failed check runs the full sum, which decides whether S = 0 and
+    # supplies the NotDivisible witness.  n < 1 is left to the sum to reject.
+    params = {"n": n, "r": r}
+    central = binom(2 * n, n) if n >= 1 else 1
+    residue = sums.alt_power_sum_mod(n, r, central * _CALKIN_PRIME)
+    if residue and residue % central == 0:
+        yield Outcome(TheoremCase(claim_id, params, IntPoly(central)), True, None, 0)
+        return
+    yield _congruence(claim_id, params, sums.alt_power_sum(n, r), central)
 
 
 def _gjz(claim_id: str, ns) -> Iterator[Outcome]:
@@ -240,7 +281,7 @@ def _conj2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
     params = {"n": n, "r": r, "s": s, "t": t}
     if claim_id == "cj2c3" and (r, s, t) == (1, 1, 1):
         note = "not applicable: the claim excludes (r, s, t) = (1, 1, 1)"
-        yield TheoremCase(claim_id, params, None, note), None, None
+        yield Outcome(TheoremCase(claim_id, params, None, note), None)
         return
     family, mode, modulus = _CONJ2[claim_id]
     yield _congruence(claim_id, params, sums.triple_sum(family, n, r, s, t, mode), modulus(n))
@@ -300,13 +341,27 @@ def _thm1(
                 f"full_modulus exponent {r} exceeds the budget {exponent_budget} (n={n})"
             )
         checks = [(p, gamma, r) for p, gamma in primes]
-    total_r = None
+    # nu_p(S) == gamma is decided by S mod p^(gamma+1): a nonzero residue
+    # has the valuation of S, so the note prints the exact nu_p(S).  The
+    # checks at one r share one residue, modulo the product of their
+    # p^(gamma+1) (full_modulus checks one r at every prime).  A zero
+    # residue runs the full sum, whose valuation is gamma + 1 or more.
+    moduli: dict[int, int] = {}
     for p, gamma, r in checks:
-        if r != total_r:  # full_modulus checks one sum at every prime
-            total, total_r = sums.alt_power_sum(n, r), r
+        moduli[r] = moduli.get(r, 1) * p ** (gamma + 1)
+    residues: dict[int, int] = {}
+    totals: dict[int, int] = {}
+    for p, gamma, r in checks:
+        if r not in residues:
+            residues[r] = sums.alt_power_sum_mod(n, r, moduli[r])
+        value = residues[r] % p ** (gamma + 1)
+        if not value:
+            if r not in totals:
+                totals[r] = sums.alt_power_sum(n, r)
+            value = totals[r]
         params = {"n": n, "variant": variant, "p": p, "r": r}
         note = "nu_{p}(sum)={nu}, expected gamma={expected}"
-        yield _valuation(claim_id, params, total, p, gamma, note, exact=True)
+        yield _valuation(claim_id, params, value, p, gamma, note, exact=True)
 
 
 # -- sharpened q-moduli for the triple sums ---------------------------------------
@@ -359,7 +414,7 @@ def _thm2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
             step, branch = alpha + 2, "r >= 2 with n = 2^a mod 2^(a+2)"
         else:
             note = "not applicable: no branch guard matched"
-            yield TheoremCase(claim_id, params, None, note), None, None
+            yield Outcome(TheoremCase(claim_id, params, None, note), None)
             return
         factor = _two_factor(step)
         note = f"alpha={alpha}; branch: {branch}; two-factor at q^(2^{step})"
@@ -458,7 +513,7 @@ def _gcd_window(claim_id: str, n: int, m: int, w: int) -> Iterator[Outcome]:
     g, central_divides = gcd_window(n, m, w)
     note = f"evidence, not proof (finite window r={m}..{m + w - 1}); gcd={g}"
     case = TheoremCase(claim_id, {"n": n, "m": m, "w": w}, IntPoly(binom(2 * n, n)), note)
-    yield case, central_divides, None
+    yield Outcome(case, central_divides)
 
 
 def verify_qlucas(d: int, x1: int, x2: int, y1: int, y2: int) -> VerificationReport:
@@ -468,7 +523,7 @@ def verify_qlucas(d: int, x1: int, x2: int, y1: int, y2: int) -> VerificationRep
 def _qlucas(claim_id: str, d: int, x1: int, x2: int, y1: int, y2: int) -> Iterator[Outcome]:
     holds = qcomb.qlucas_check(d, x1, x2, y1, y2)
     params = {"d": d, "x1": x1, "x2": x2, "y1": y1, "y2": y2}
-    yield TheoremCase(claim_id, params, cyclo.cyclotomic(d)), holds, None
+    yield Outcome(TheoremCase(claim_id, params, cyclo.cyclotomic(d)), holds)
 
 
 # -- dispatch ------------------------------------------------------------------------
@@ -505,4 +560,4 @@ def _case(claim_id: str, params: dict) -> Iterator[Outcome]:
     try:
         yield from _CLAIMS[claim_id](claim_id, **params)
     except InfeasibleScale as exc:
-        yield TheoremCase(claim_id, params, None, f"not evaluated: {exc}"), None, None
+        yield Outcome(TheoremCase(claim_id, params, None, f"not evaluated: {exc}"), None)

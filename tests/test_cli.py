@@ -137,6 +137,24 @@ class TestExitCodes:
         assert "[2]" in err  # the remainder polynomial
         assert "[1, 1]" in err
 
+    def test_failed_calkin_residue_dumps_the_full_path_witness(self, capsys, monkeypatch):
+        # S = 7 on both paths: C(4, 2) = 6 does not divide the residue, and
+        # the full path supplies the witness
+        monkeypatch.setattr(sums, "alt_power_sum_mod", lambda n, r, m: 7 % m)
+        monkeypatch.setattr(sums, "alt_power_sum", lambda n, r: 7)
+        assert run(["verify", "calkin", "--n", "2", "--r", "2", "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert 'COUNTEREXAMPLE claim=calkin params={"n": 2, "r": 2}' in err
+        assert "modulus   = [6]" in err
+        assert "dividend  = [7]" in err and "remainder = [7]" in err
+
+    @pytest.mark.parametrize("n, r, got", [("0..1", "1", "n=0, r=1"), ("1", "0..1", "n=1, r=0")])
+    def test_power_sum_arguments_below_one_exit_two(self, capsys, n, r, got):
+        assert run(["verify", "calkin", "--n", n, "--r", r, "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: alt_power_sum requires n, r >= 1, got {got}\n"
+        assert captured.out == ""
+
     def test_internal_error_exit_three(self, capsys, monkeypatch):
         def broken_run_case(claim_id, params):
             raise RuntimeError("boom")

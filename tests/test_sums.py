@@ -10,6 +10,7 @@ from qaltsum.qcomb import binom, qbinom
 from qaltsum.sums import (
     alt_power_sum,
     alt_power_sum_filtered,
+    alt_power_sum_mod,
     gjz_sum,
     pattern_sum,
     triple_sum,
@@ -117,6 +118,34 @@ class TestAltPowerSum:
             alt_power_sum(0, 2)
         with pytest.raises(InvalidArgument):
             alt_power_sum(2, 0)
+
+
+class TestAltPowerSumMod:
+    @given(st.integers(1, 12), st.integers(1, 30), st.integers(1, 10**40))
+    @example(3, 4, 1)
+    @example(2, 4, 6 * (2**61 - 1))  # C(4, 2) times the calkin prime
+    @example(5, 7, 2**10)
+    @example(1, 62, 2 * (2**61 - 1))  # the residue vanishes, the sum does not
+    def test_is_the_sum_mod_m(self, n, r, m):
+        assert alt_power_sum_mod(n, r, m) == alt_power_sum(n, r) % m
+
+    def test_huge_exponent(self):
+        # closed form for n = 1: 2 - 2^r
+        m = 10**30 + 57
+        assert alt_power_sum_mod(1, 10**50, m) == (2 - pow(2, 10**50, m)) % m
+
+    @pytest.mark.parametrize("n, r", [(0, 2), (2, 0), (-1, 1)])
+    def test_rejects_what_the_full_sum_rejects(self, n, r):
+        with pytest.raises(InvalidArgument) as full:
+            alt_power_sum(n, r)
+        with pytest.raises(InvalidArgument) as mod:
+            alt_power_sum_mod(n, r, 7)
+        assert str(mod.value) == str(full.value)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_modulus_below_one(self, m):
+        with pytest.raises(InvalidArgument, match="m >= 1"):
+            alt_power_sum_mod(2, 2, m)
 
 
 class TestFilteredSums:

@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaltsum import verify
 from qaltsum.cyclo import q_int
@@ -175,6 +177,129 @@ class TestThm1:
             verify_thm1(1, "fastest")
 
 
+def _without_elapsed(reports):
+    return [{k: v for k, v in rep.record().items() if k != "elapsed_ms"} for rep in reports]
+
+
+def _full_calkin(n, r):
+    """The calkin report of the full path: the whole sum, divided exactly."""
+    params = {"n": n, "r": r}
+    return verify._timed(iter([
+        verify._congruence("calkin", params, alt_power_sum(n, r), binom(2 * n, n))
+    ]))
+
+
+_FULL_SUMS = {}
+
+
+def _full_sum(n, r):
+    if (n, r) not in _FULL_SUMS:
+        _FULL_SUMS[n, r] = alt_power_sum(n, r)
+    return _FULL_SUMS[n, r]
+
+
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call of verify.sums.<name>, which still runs."""
+    calls = []
+    real = getattr(verify.sums, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify.sums, name, counted)
+    return calls
+
+
+class TestResiduePaths:
+    """calkin and thm1 decide by residues; the full sum is the fallback."""
+
+    @given(st.integers(1, 12), st.integers(1, 30))
+    def test_calkin_matches_the_full_path(self, n, r):
+        reports = run_case("calkin", {"n": n, "r": r})
+        assert _without_elapsed(reports) == _without_elapsed(_full_calkin(n, r))
+
+    @pytest.mark.parametrize("variant", ["per_prime", "full_modulus"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_thm1_nu_is_that_of_the_full_sum(self, n, variant):
+        reports = verify_thm1(n, variant, exponent_budget=10**6)
+        assert reports and all(rep.holds for rep in reports)
+        for rep in reports:
+            p, r = rep.case.params["p"], rep.case.params["r"]
+            nu = nu_p_int(_full_sum(n, r), p).value
+            assert rep.case.derivation_note.startswith(f"nu_{p}(sum)={nu},")
+
+    def test_holding_residues_build_no_full_sum(self, monkeypatch):
+        full = _count_calls(monkeypatch, "alt_power_sum")
+        rep = run_case("calkin", {"n": 3, "r": 5})[0]
+        assert rep.holds and rep.quotient_degree == 0
+        assert all(rep.holds for rep in verify_thm1(4, "per_prime"))
+        assert all(rep.holds for rep in verify_thm1(4, "full_modulus"))
+        assert full == []
+
+    def test_zero_sum_takes_the_full_path(self, monkeypatch):
+        full = _count_calls(monkeypatch, "alt_power_sum")
+        for n in range(1, 6):
+            rep = run_case("calkin", {"n": n, "r": 1})[0]  # S = (1 - 1)^(2n) = 0
+            assert rep.holds and rep.quotient_degree == -1
+        assert full == [(n, 1) for n in range(1, 6)]
+
+    def test_zero_residue_of_a_nonzero_sum_takes_the_full_path(self, monkeypatch):
+        # n = 1: S = 2 - 2^r = -2 (2^(r-1) - 1), and 2^61 = 1 mod 2^61 - 1
+        assert verify._CALKIN_PRIME == 2**61 - 1
+        assert verify.sums.alt_power_sum_mod(1, 62, 2 * verify._CALKIN_PRIME) == 0
+        assert alt_power_sum(1, 62) != 0
+        full = _count_calls(monkeypatch, "alt_power_sum")
+        rep = run_case("calkin", {"n": 1, "r": 62})[0]
+        assert rep.holds and rep.quotient_degree == 0
+        assert full == [(1, 62)]
+
+    def test_failed_residue_check_reruns_the_full_path(self, monkeypatch):
+        # C(4, 2) = 6 does not divide the stubbed residue; the true sum,
+        # S = 6, decides the claim
+        monkeypatch.setattr(verify.sums, "alt_power_sum_mod", lambda n, r, m: 7 % m)
+        full = _count_calls(monkeypatch, "alt_power_sum")
+        rep = run_case("calkin", {"n": 2, "r": 2})[0]
+        assert rep.holds and rep.quotient_degree == 0 and rep.witness is None
+        assert full == [(2, 2)]
+
+    @pytest.mark.parametrize("variant", ["per_prime", "full_modulus"])
+    def test_zero_thm1_residue_takes_the_full_sum(self, monkeypatch, variant):
+        expected = _without_elapsed(verify_thm1(3, variant))
+        monkeypatch.setattr(verify.sums, "alt_power_sum_mod", lambda n, r, m: 0)
+        full = _count_calls(monkeypatch, "alt_power_sum")
+        assert _without_elapsed(verify_thm1(3, variant)) == expected
+        # one full sum per exponent, shared by the primes checked at it
+        assert full == list(dict.fromkeys((3, rep["params"]["r"]) for rep in expected))
+
+
+class TestReach:
+    """Exponents whose full sums are out of reach, decided by residues alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_full_sum(self, monkeypatch):
+        # a fallback here would run for hours: fail at once instead
+        def refuse(n, r):
+            raise AssertionError(f"full sum built at n={n}, r={r}")
+
+        monkeypatch.setattr(verify.sums, "alt_power_sum", refuse)
+
+    def test_calkin_at_a_million(self):
+        rep = run_case("calkin", {"n": 20, "r": 10**6})[0]
+        assert rep.holds and rep.quotient_degree == 0
+        assert rep.elapsed < 1.0
+
+    def test_thm1_full_modulus_to_sixty(self):
+        checked = 0
+        for n in range(1, 61):
+            reports = verify_thm1(n, "full_modulus", exponent_budget=10**80)
+            primes = [p for p, _ in verify._prime_divisors_central(n)]
+            assert [rep.case.params["p"] for rep in reports] == primes
+            assert all(rep.holds for rep in reports), n
+            checked += len(reports)
+        assert checked == 715
+
+
 class TestThm2:
     def test_t2c1_example(self):
         rep = verify_thm2(1, 1, 1, 1, "t2c1")
@@ -329,6 +454,8 @@ class TestRunCaseAndRecords:
         zero = run_case("calkin", {"n": 3, "r": 1})[0]  # S = (1 - 1)^6 = 0
         assert zero.holds and zero.record()["quotient_degree"] == -1
         assert run_case("thm1", {"n": 2, "variant": "per_prime"})[0].quotient_degree is None
+        # S = 7 on both paths: the residue check fails, the full path decides
+        monkeypatch.setattr(verify.sums, "alt_power_sum_mod", lambda n, r, m: 7 % m)
         monkeypatch.setattr(verify.sums, "alt_power_sum", lambda n, r: 7)
         failed = run_case("calkin", {"n": 2, "r": 2})[0]
         assert failed.holds is False and failed.quotient_degree is None
@@ -372,6 +499,7 @@ class TestElapsedCoversWholeCase:
 
     def test_calkin_and_thm1_per_prime(self, slow):
         slow("alt_power_sum")
+        slow("alt_power_sum_mod")
         assert run_case("calkin", {"n": 3, "r": 4})[0].elapsed >= self.DELAY
         reports = run_case("thm1", {"n": 2, "variant": "per_prime"})
         assert len(reports) == 4
@@ -386,6 +514,7 @@ class TestElapsedCoversWholeCase:
 
     def test_shared_sum_charged_once_and_reports_add_up(self, slow):
         slow("alt_power_sum")
+        slow("alt_power_sum_mod")
         start = time.perf_counter()
         reports = run_case("thm1", {"n": 2, "variant": "full_modulus"})
         wall = time.perf_counter() - start
