@@ -1,5 +1,6 @@
 """Theorem-level drivers: moduli, branch selection, witnesses, reports."""
 
+import functools
 import time
 
 import pytest
@@ -189,13 +190,7 @@ def _full_calkin(n, r):
     ]))
 
 
-_FULL_SUMS = {}
-
-
-def _full_sum(n, r):
-    if (n, r) not in _FULL_SUMS:
-        _FULL_SUMS[n, r] = alt_power_sum(n, r)
-    return _FULL_SUMS[n, r]
+_full_sum = functools.cache(alt_power_sum)
 
 
 def _count_calls(monkeypatch, name):
