@@ -66,7 +66,7 @@ from typing import Callable, Iterable, Literal, Sequence, Union
 
 from .cyclo import is_prime
 from .polycore import IntPoly, InvalidArgument, packed_sum
-from .qcomb import _carry_at, qbinom
+from .qcomb import _carry_at, nu_p_binom, qbinom
 
 __all__ = [
     "alt_power_sum",
@@ -152,16 +152,6 @@ def _check_power(n: int, r: int) -> None:
         raise InvalidArgument(f"alt_power_sum requires n, r >= 1, got n={n}, r={r}")
 
 
-def _p_divides(N: int, k: int, p: int) -> bool:
-    """p | C(N, k), detected by a base-p carry at some power of p."""
-    power = p
-    while power <= N:
-        if _carry_at(N, k, power):
-            return True
-        power *= p
-    return False
-
-
 def alt_power_sum_filtered(
     n: int, r: int, p: int, filter: Literal["p_divides", "p_ndivides"]
 ) -> int:
@@ -176,9 +166,11 @@ def alt_power_sum_filtered(
     if filter not in ("p_divides", "p_ndivides"):
         raise InvalidArgument(f"unknown filter {filter!r}")
     want = filter == "p_divides"
-    return _sign(n) * _even_sum(
-        lambda j: comb(2 * n, n - j) ** r if _p_divides(2 * n, n - j, p) == want else 0, n
-    )
+
+    def kept(k):
+        return (nu_p_binom(2 * n, k, p).value > 0) == want
+
+    return _sign(n) * _even_sum(lambda j: comb(2 * n, n - j) ** r if kept(n - j) else 0, n)
 
 
 def pattern_sum(

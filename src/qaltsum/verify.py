@@ -22,11 +22,12 @@ not grow with r times the bits of C(2n, n):
           or C(2n, n) not dividing R runs the full sum, which decides
           whether S = 0 and supplies the NotDivisible witness.
   thm1    S mod p^(gamma+1) per prime.  A nonzero residue has the exact
-          valuation nu_p(S) that the note prints; a zero one runs the
-          full sum.
+          valuation nu_p(S) that the note prints; a zero one proves
+          nu_p(S) >= gamma + 1 and fails the check, with no witness.
 
-Every other claim, and every note that prints a value of S (eq1, eq2,
-the gcd window), computes the full value.
+The full value of S (sums.alt_power_sum) is built only where a value is
+printed or a witness is needed: eq1 and eq2, the calkin fallback and the
+gcd window.
 
 Claim identifiers (the keys of _CLAIMS):
 
@@ -342,33 +343,28 @@ def _thm1(
             )
         checks = [(p, gamma, r) for p, gamma in primes]
     # nu_p(S) == gamma is decided by S mod p^(gamma+1): a nonzero residue
-    # has the valuation of S, so the note prints the exact nu_p(S).  The
-    # checks at one r share one residue, modulo the product of their
-    # p^(gamma+1) (full_modulus checks one r at every prime).  A zero
-    # residue runs the full sum, whose valuation is gamma + 1 or more.
+    # has the valuation of S, so the note prints the exact nu_p(S); a zero
+    # one proves nu_p(S) >= gamma + 1, a failed check with no exact nu to
+    # witness.  The checks at one r share one residue, modulo the product
+    # of their p^(gamma+1) (full_modulus checks one r at every prime).
     moduli: dict[int, int] = {}
     for p, gamma, r in checks:
         moduli[r] = moduli.get(r, 1) * p ** (gamma + 1)
     residues: dict[int, int] = {}
-    totals: dict[int, int] = {}
     for p, gamma, r in checks:
         if r not in residues:
             residues[r] = sums.alt_power_sum_mod(n, r, moduli[r])
         value = residues[r] % p ** (gamma + 1)
-        if not value:
-            if r not in totals:
-                totals[r] = sums.alt_power_sum(n, r)
-            value = totals[r]
         params = {"n": n, "variant": variant, "p": p, "r": r}
+        if not value:
+            note = f"nu_{p}(sum)>={gamma + 1}, expected gamma={gamma}"
+            yield Outcome(TheoremCase(claim_id, params, IntPoly(p**gamma), note), False)
+            continue
         note = "nu_{p}(sum)={nu}, expected gamma={expected}"
         yield _valuation(claim_id, params, value, p, gamma, note, exact=True)
 
 
 # -- sharpened q-moduli for the triple sums ---------------------------------------
-
-
-def _two_factor(step_exp: int) -> IntPoly:
-    return cyclo.q_int(2, step=2**step_exp)
 
 
 def verify_thm2(n: int, r: int, s: int, t: int, claim: str) -> VerificationReport:
@@ -396,13 +392,16 @@ def _thm2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
     params = {"n": n, "r": r, "s": s, "t": t}
     family, mode, base = _CONJ2[claim_id.replace("t2", "cj2") + "q"]
     alpha = nu_p_int(n, 2).value
+    # [2]_{q^(2^a)} = Phi_{2^(a+1)} and [3]_{q^(3^b)} = Phi_{3^(b+1)}; the
+    # printed [3] at q^(2^a) is no single Phi_d for a >= 1
+    two = cyclo.cyclotomic(2 ** (alpha + 1))
     printed = None
     if claim_id == "t2c1":
-        factor, note = _two_factor(alpha), f"alpha={alpha}"
+        factor, note = two, f"alpha={alpha}"
     elif claim_id == "t2c2":
         beta = nu_p_int(n, 3).value
-        factor = _two_factor(alpha) * cyclo.q_int(3, step=3**beta)
-        printed = _two_factor(alpha) * cyclo.q_int(3, step=2**alpha)
+        factor = two * cyclo.cyclotomic(3 ** (beta + 1))
+        printed = two * cyclo.q_int(3, step=2**alpha)
         note = f"alpha={alpha}, beta={beta}; printed-form modulus with [3] at q^(2^alpha)"
     else:
         window = 2 ** (alpha + 2)
@@ -416,7 +415,7 @@ def _thm2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
             note = "not applicable: no branch guard matched"
             yield Outcome(TheoremCase(claim_id, params, None, note), None)
             return
-        factor = _two_factor(step)
+        factor = cyclo.cyclotomic(2 ** (step + 1))
         note = f"alpha={alpha}; branch: {branch}; two-factor at q^(2^{step})"
     dividend = sums.triple_sum(family, n, r, s, t, mode)
     if printed is not None:
@@ -455,9 +454,7 @@ def _lemmas(claim_id: str, n: int, p: int, r: int) -> Iterator[Outcome]:
     """The outcomes of lemma21..lemma24, each under its own claim id."""
     if n < 1 or r < 1:
         raise InvalidArgument(f"requires n, r >= 1, got n={n}, r={r}")
-    if not cyclo.is_prime(p):
-        raise InvalidArgument(f"{p} is not prime")
-    gamma = nu_p_binom(2 * n, n, p).value
+    gamma = nu_p_binom(2 * n, n, p).value  # raises for a p that is not prime
 
     coprime = sums.alt_power_sum_filtered(n, 2, p, "p_ndivides")
     note = "exponent fixed at 2; nu_{p}={nu}, gamma={expected}"
@@ -476,12 +473,11 @@ def _lemmas(claim_id: str, n: int, p: int, r: int) -> Iterator[Outcome]:
             yield _valuation("lemma23", params, value, p, bound, _BOUND, exact=False)
 
             dividend = sums.pattern_sum(n, r, p, subset, "q")
-            modulus = IntPoly(1)
-            for a in subset:
-                modulus = modulus * cyclo.prime_power_form(p, a) ** r
-            for b in range(1, h + 1):
-                if b not in subset and qcomb._carry_at(2 * n, n, p**b):
-                    modulus = modulus * cyclo.prime_power_form(p, b)
+            # Phi_{p^a}^r for a in I, and Phi_{p^b} for each carry b outside I
+            factors = {p**a: r for a in subset}
+            factors.update((p**b, 1) for b in range(1, h + 1)
+                           if b not in subset and qcomb._carry_at(2 * n, n, p**b))
+            modulus = cyclo.expand(cyclo.CycloFactorization(factors))
             yield _congruence("lemma24", dict(params), dividend, modulus)
 
 

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,21 @@ class TestExitCodes:
         assert 'COUNTEREXAMPLE claim=calkin params={"n": 2, "r": 2}' in err
         assert "modulus   = [6]" in err
         assert "dividend  = [7]" in err and "remainder = [7]" in err
+
+    def test_zero_thm1_residue_fails_at_once(self, capsys, monkeypatch):
+        # C(40, 20) = 2^2 * 3^2 * 5 * ...; the exponent has 22 digits, so a
+        # full sum would never finish
+        monkeypatch.setattr(sums, "alt_power_sum_mod", lambda n, r, m: 0)
+        start = time.perf_counter()
+        code = run(["verify", "thm1", "--n", "20", "--variant", "full_modulus",
+                    "--exponent-budget", str(10**80), "--jobs", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "COUNTEREXAMPLE claim=thm1" in err
+        assert "note      = nu_2(sum)>=3, expected gamma=2" in err
+        assert "modulus   = [4]" in err
+        assert "dividend" not in err and "valuation =" not in err
 
     @pytest.mark.parametrize("n, r, got", [("0..1", "1", "n=0, r=1"), ("1", "0..1", "n=1, r=0")])
     def test_power_sum_arguments_below_one_exit_two(self, capsys, n, r, got):

@@ -3,7 +3,8 @@
 Each row is one report's record() in REPORT_FIELDS order without
 elapsed_ms, the only field that varies between runs.  The rows cover the
 exact notes of every claim, the not-applicable cases of cj2c3 and t2c3,
-and a thm1 case over its exponent budget.
+a thm1 case over its exponent budget, and a thm1 full_modulus case that
+only the residue path reaches.
 """
 
 import pytest
@@ -195,6 +196,41 @@ GOLDEN = [
     ]),
     ("qlucas", {"d": 3, "x1": 1, "x2": 2, "y1": 0, "y2": 2}, [
         ("qlucas", {"d": 3, "x1": 1, "x2": 2, "y1": 0, "y2": 2}, "[1, 1, 1]", True, None, ""),
+    ]),
+    # the first n whose full_modulus exponent the default budget refuses
+    ("thm1", {"n": 6, "variant": "full_modulus", "exponent_budget": 10**80}, [
+        (
+            "thm1",
+            {"n": 6, "variant": "full_modulus", "p": 2, "r": 221762},
+            "[4]",
+            True,
+            None,
+            "nu_2(sum)=2, expected gamma=2",
+        ),
+        (
+            "thm1",
+            {"n": 6, "variant": "full_modulus", "p": 3, "r": 221762},
+            "[3]",
+            True,
+            None,
+            "nu_3(sum)=1, expected gamma=1",
+        ),
+        (
+            "thm1",
+            {"n": 6, "variant": "full_modulus", "p": 7, "r": 221762},
+            "[7]",
+            True,
+            None,
+            "nu_7(sum)=1, expected gamma=1",
+        ),
+        (
+            "thm1",
+            {"n": 6, "variant": "full_modulus", "p": 11, "r": 221762},
+            "[11]",
+            True,
+            None,
+            "nu_11(sum)=1, expected gamma=1",
+        ),
     ]),
 ]
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qaltsum import verify
-from qaltsum.cyclo import q_int
+from qaltsum.cyclo import cyclotomic, q_int
 from qaltsum.polycore import IntPoly, InvalidArgument, _divexact_kronecker, divides, monomial
 from qaltsum.qcomb import binom, nu_p_int, qbinom
 from qaltsum.sums import alt_power_sum, triple_sum
@@ -50,7 +50,8 @@ def _printed_t2c2(n, r, s, t):
     """(dividend, printed modulus) of the t2c2 case, [3] at q^(2^alpha)."""
     alpha = nu_p_int(n, 2).value
     dividend = triple_sum("six_four_two", n, r, s, t, "q")
-    return dividend, verify._two_factor(alpha) * q_int(3, step=2**alpha) * qbinom(6 * n, 3 * n)
+    two = cyclotomic(2 ** (alpha + 1))
+    return dividend, two * q_int(3, step=2**alpha) * qbinom(6 * n, 3 * n)
 
 
 def _divides_pairs():
@@ -207,7 +208,7 @@ def _count_calls(monkeypatch, name):
 
 
 class TestResiduePaths:
-    """calkin and thm1 decide by residues; the full sum is the fallback."""
+    """calkin and thm1 decide by residues; calkin falls back to the full sum."""
 
     @given(st.integers(1, 12), st.integers(1, 30))
     def test_calkin_matches_the_full_path(self, n, r):
@@ -259,13 +260,26 @@ class TestResiduePaths:
         assert full == [(2, 2)]
 
     @pytest.mark.parametrize("variant", ["per_prime", "full_modulus"])
-    def test_zero_thm1_residue_takes_the_full_sum(self, monkeypatch, variant):
-        expected = _without_elapsed(verify_thm1(3, variant))
+    def test_zero_thm1_residue_fails_without_the_full_sum(self, monkeypatch, variant):
+        # a zero S mod p^(gamma+1) proves nu_p(S) > gamma: the check fails
+        # on the residue alone, with no exact valuation to witness
+        def refuse(n, r):
+            raise AssertionError(f"full sum built at n={n}, r={r}")
+
         monkeypatch.setattr(verify.sums, "alt_power_sum_mod", lambda n, r, m: 0)
-        full = _count_calls(monkeypatch, "alt_power_sum")
-        assert _without_elapsed(verify_thm1(3, variant)) == expected
-        # one full sum per exponent, shared by the primes checked at it
-        assert full == list(dict.fromkeys((3, rep["params"]["r"]) for rep in expected))
+        monkeypatch.setattr(verify.sums, "alt_power_sum", refuse)
+        reports = verify_thm1(3, variant)
+        assert [rep.case.params["p"] for rep in reports] == (
+            [2, 2, 5, 5] if variant == "per_prime" else [2, 5]
+        )
+        for rep in reports:
+            p = rep.case.params["p"]
+            gamma = 2 if p == 2 else 1  # C(6, 3) = 20 = 2^2 * 5
+            assert rep.holds is False and rep.witness is None
+            assert rep.case.expected_modulus == IntPoly(p**gamma)
+            assert rep.case.derivation_note == (
+                f"nu_{p}(sum)>={gamma + 1}, expected gamma={gamma}"
+            )
 
 
 class TestReach:
