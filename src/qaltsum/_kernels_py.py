@@ -2,8 +2,9 @@
 
 divexact_steps is the long division behind polycore._divide: it decides
 every division that Kronecker division does not prove and supplies the
-witness of a failed one.  qcomb takes from it the remainders modulo
-Phi_d that the q-Lucas check compares.  polycore multiplies without mul_schoolbook, which
+witness of a failed one.  qcomb and sums take from it the remainders
+modulo Phi_d^e of the q-Lucas check and of the q triple sum's residue
+path.  polycore multiplies without mul_schoolbook, which
 stays as the benchmark harness's reference convolution in perfbench/.
 """
 

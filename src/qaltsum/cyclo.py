@@ -24,6 +24,7 @@ from .polycore import IntPoly, InvalidArgument, divexact, divexact_qm1, mul_qm1,
 __all__ = [
     "CycloFactorization",
     "cyclotomic",
+    "cyclotomic_power",
     "expand",
     "is_prime",
     "prime_power_form",
@@ -70,14 +71,33 @@ def cyclotomic(d: int) -> IntPoly:
     >>> str(cyclotomic(6))
     '1 - q + q^2'
     """
+    return _cyclotomic_power(d, 1)
+
+
+def cyclotomic_power(d: int, e: int) -> IntPoly:
+    """Phi_d^e for e >= 1: the cached cyclotomic(d) for e = 1.
+
+    A higher power is built the same way as Phi_d and not cached: the
+    factors (q^m - 1)^e with mu = 1, and those with mu = -1, multiplied
+    up by the q^m - 1 step, and one exact division.
+
+    >>> cyclotomic_power(6, 2) == cyclotomic(6) ** 2
+    True
+    """
+    if e < 1:
+        raise InvalidArgument(f"cyclotomic power must be >= 1, got {e}")
+    return cyclotomic(d) if e == 1 else _cyclotomic_power(d, e)
+
+
+def _cyclotomic_power(d: int, e: int) -> IntPoly:
     if d < 1:
         raise InvalidArgument(f"cyclotomic index must be positive, got {d}")
-    factors = [(d, 1)]  # (e, mu(d/e)) for every e with d/e squarefree
+    factors = [(d, 1)]  # (m, mu(d/m)) for every m with d/m squarefree
     for p in range(2, d + 1):
         if d % p == 0 and is_prime(p):
-            factors += [(e // p, -mu) for e, mu in factors]
-    num = functools.reduce(mul_qm1, [e for e, mu in factors if mu > 0], [1])
-    den = functools.reduce(mul_qm1, [e for e, mu in factors if mu < 0], [1])
+            factors += [(m // p, -mu) for m, mu in factors]
+    num = functools.reduce(mul_qm1, [m for m, mu in factors if mu > 0] * e, [1])
+    den = functools.reduce(mul_qm1, [m for m, mu in factors if mu < 0] * e, [1])
     return divexact(IntPoly(num), IntPoly(den))
 
 

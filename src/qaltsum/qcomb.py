@@ -142,42 +142,100 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
     return CycloFactorization({d: 1 for d in dset(n, k)})
 
 
-# -- q-Lucas reduction ---------------------------------------------------------
+# -- residues modulo Phi_d^e ----------------------------------------------------
 #
-# qlucas_check compares residues modulo Phi_d, both taken from the long
-# division that decides divisibility in polycore (divexact_steps).  No
-# Kronecker divmod is tried first: it settles only an exact division, and
-# most residues are nonzero.  The left side reads q-Pascal rows kept
-# modulo Phi_d, built in a loop with q^k applied as a shift by k mod d
-# (q^d == 1 mod Phi_d); the right side reduces an actual product-formula
-# q-binomial, so the two share no code path above that division.
-# Reduction modulo a monic polynomial is Z-linear, so the right side
-# reduces qbinom(x2, y2) and scales the residue by C(x1, y1).
+# Two independent routes to the residue of a q-binomial modulo a power of
+# a cyclotomic polynomial, both ending in the long division that decides
+# divisibility in polycore (divexact_steps).  No Kronecker divmod is tried
+# first: it settles only an exact division, and most residues are nonzero.
+#
+#   q-Pascal rows   qb(n, k) = qb(n-1, k-1) + q^k qb(n-1, k), every entry
+#                   reduced modulo Phi_d^e (_qbinom_mod, _rows_mod).  For
+#                   e = 1, q^k is applied as a shift by k mod d, since
+#                   q^d == 1 modulo Phi_d; for e >= 2 the shift is by k.
+#   q-Lucas         qb(x1 d + x2, y1 d + y2) == C(x1, y1) qb(x2, y2)
+#                   modulo Phi_d, with the residue of the small qb(x2, y2)
+#                   taken from an actual product-formula q-binomial, folded
+#                   modulo q^d - 1 and reduced (_digit_residue).  Reduction
+#                   modulo a monic polynomial is Z-linear, so the scale
+#                   C(x1, y1) is applied to the residue.
+#
+# qlucas_check compares the two, so they share no code path above the
+# division.  The sums' residue path (sums.triple_sum(..., modulo=F)) takes
+# q-Lucas for the simple factors of F and the rows for the repeated ones.
 
-
-# d -> q-Pascal rows 0..n modulo Phi_d, extended under the lock so that
-# concurrent callers never append the same row twice.
-_ROWS: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+# (d, e) -> the last q-Pascal row built modulo Phi_d^e, at most _CURSORS
+# of them, the least recently used dropped first.  A request continues
+# from that row, or starts again from row 0 when it asks for an earlier
+# row, so rows asked for in ascending order are each built once and no
+# more than one row per (d, e) is kept between requests.  The rows are
+# extended under the lock, so concurrent callers never see a half-built
+# cursor.
+_ROWS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 _ROWS_LOCK = threading.Lock()
+_CURSORS = 16
 
 
-@functools.lru_cache(maxsize=None)
-def _qbinom_mod(n: int, k: int, d: int) -> tuple[int, ...]:
-    """Residue of the q-binomial (n, k) modulo Phi_d, from q-Pascal rows."""
+def _next_row(prev, d: int, e: int, mod) -> tuple[tuple[int, ...], ...]:
+    """Row n = len(prev) from row n - 1, modulo mod = Phi_d^e.
+
+    Only the entries k <= n/2 are computed; the rest mirror them, since
+    qb(n, k) = qb(n, n - k), and are the same tuple objects.
+    """
+    n = len(prev)
+    half = [(1,)]
+    for k in range(1, n // 2 + 1):
+        lower = (0,) * (k % d if e == 1 else k) + prev[k]
+        both = [a + b for a, b in zip_longest(prev[k - 1], lower, fillvalue=0)]
+        half.append(tuple(divexact_steps(both, mod)[1]))
+    return tuple(half + [half[n - k] for k in range(n // 2 + 1, n + 1)])
+
+
+@functools.lru_cache(maxsize=8)
+def _rows_mod(ns: tuple[int, ...], d: int, e: int = 1) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The q-Pascal rows n in ns (ascending) modulo Phi_d^e, in one pass."""
+    mod = cyclo.cyclotomic_power(d, e).coeffs
+    with _ROWS_LOCK:
+        row = _ROWS.pop((d, e), None)
+        if row is None or len(row) > ns[0] + 1:
+            row = ((1,),)
+        out = []
+        for n in ns:
+            while len(row) <= n:
+                row = _next_row(row, d, e, mod)
+            out.append(row)
+        _ROWS[d, e] = row  # most recently used last
+        while len(_ROWS) > _CURSORS:
+            del _ROWS[next(iter(_ROWS))]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _qbinom_mod(n: int, k: int, d: int, e: int = 1) -> tuple[int, ...]:
+    """Residue of the q-binomial (n, k) modulo Phi_d^e, from q-Pascal rows."""
     if k < 0 or k > n:
         return ()
-    mod = cyclo.cyclotomic(d).coeffs
-    with _ROWS_LOCK:
-        rows = _ROWS.setdefault(d, [((1,),)])
-        while len(rows) <= n:
-            prev = rows[-1]
-            row = [(1,)]
-            for j in range(1, len(prev)):
-                lower = (0,) * (j % d) + prev[j]
-                both = [a + b for a, b in zip_longest(prev[j - 1], lower, fillvalue=0)]
-                row.append(tuple(divexact_steps(both, mod)[1]))
-            rows.append(tuple(row) + ((1,),))
-    return rows[n][k]
+    return _rows_mod((n,), d, e)[0][k]
+
+
+def _digit_residue(d: int, x: int, y: int) -> tuple[int, ...]:
+    """Residue of the q-binomial (x, y) modulo Phi_d, from the product formula.
+
+    The q-binomial is folded modulo q^d - 1, which Phi_d divides, and the
+    fold is reduced by long division.  The residues are cached (bounded),
+    qb(x, y) and qb(x, x - y) as one entry, so that equal residues are
+    one tuple object.  Empty (zero) outside 0 <= y <= x.
+    """
+    if y < 0 or y > x:
+        return ()
+    return _folded_residue(d, x, min(y, x - y))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _folded_residue(d: int, x: int, y: int) -> tuple[int, ...]:
+    coeffs = qbinom(x, y).coeffs
+    folded = [sum(coeffs[i::d]) for i in range(min(d, len(coeffs)))]
+    return tuple(divexact_steps(folded, cyclo.cyclotomic(d).coeffs)[1])
 
 
 def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:
@@ -194,7 +252,7 @@ def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:
         raise InvalidArgument("quotient parts must be nonnegative")
     lhs = _qbinom_mod(x1 * d + x2, y1 * d + y2, d)
     scale = binom(x1, y1)
-    residue = divexact_steps(qbinom(x2, y2).coeffs, cyclo.cyclotomic(d).coeffs)[1] if scale else ()
+    residue = _digit_residue(d, x2, y2) if scale else ()
     return lhs == tuple(scale * c for c in residue)
 
 

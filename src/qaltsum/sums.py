@@ -57,16 +57,35 @@ with r times the bits of C(2n, n), so it reaches exponents whose full sum
 would have millions of digits.  It takes the same n and r as
 alt_power_sum, rejects the same bad ones with the same message, and
 needs m >= 1.
+
+The q-mode triple sum has a residue form too: triple_sum(..., "q",
+modulo=F), F a cyclotomic factorization, maps each d of F to the sum's
+residue modulo Phi_d^e, e = F's multiplicity of d, and never builds the
+sum.  It reads the same factors qb(N, N/2 + k), N = A, 4n, 2n:
+
+  e = 1   q-Lucas: qb(N, K) == C(N // d, K // d) qb(N mod d, K mod d)
+          modulo Phi_d, the small q-binomial's residue taken from a
+          bounded cache in qcomb.  One packed_sum multiplies the factors,
+          q^C(k,2) a shift by C(k,2) mod d; the total is folded modulo
+          q^d - 1 and reduced modulo Phi_d once.  A term with a zero
+          factor (a carry at d, or a zero scale) is skipped.
+  e >= 2  q-Pascal rows 2n, 4n and A modulo Phi_d^e (qcomb), in one
+          ascending pass; one packed_sum, one reduction modulo Phi_d^e.
+
+The sum's degree, r (A/2)^2 + 4 s n^2 + t n^2, is that of its k = 0 term
+alone, whose leading coefficient is 1 (triple_sum_degree).
 """
 
 from __future__ import annotations
 
+import functools
 from math import comb, prod
-from typing import Callable, Iterable, Literal, Sequence, Union
+from typing import Callable, Iterable, Literal, Optional, Sequence, Union
 
-from .cyclo import is_prime
+from ._kernels_py import divexact_steps
+from .cyclo import CycloFactorization, cyclotomic, cyclotomic_power, is_prime
 from .polycore import IntPoly, InvalidArgument, packed_sum
-from .qcomb import _carry_at, nu_p_binom, qbinom
+from .qcomb import _carry_at, _digit_residue, _rows_mod, qbinom
 
 __all__ = [
     "alt_power_sum",
@@ -75,6 +94,7 @@ __all__ = [
     "gjz_sum",
     "pattern_sum",
     "triple_sum",
+    "triple_sum_degree",
 ]
 
 Mode = Literal["integer", "q"]
@@ -144,7 +164,14 @@ def alt_power_sum_mod(n: int, r: int, m: int) -> int:
     _check_power(n, r)
     if m < 1:
         raise InvalidArgument(f"alt_power_sum_mod requires m >= 1, got m={m}")
-    return _sign(n) * _even_sum(lambda j: pow(comb(2 * n, n - j), r, m), n) % m
+    row = _central_row(n)
+    return _sign(n) * _even_sum(lambda j: pow(row[j], r, m), n) % m
+
+
+@functools.lru_cache(maxsize=128)
+def _central_row(n: int) -> tuple[int, ...]:
+    """C(2n, n - j) for j = 0..n, shared by the residues at every exponent."""
+    return tuple(comb(2 * n, n - j) for j in range(n + 1))
 
 
 def _check_power(n: int, r: int) -> None:
@@ -168,7 +195,13 @@ def alt_power_sum_filtered(
     want = filter == "p_divides"
 
     def kept(k):
-        return (nu_p_binom(2 * n, k, p).value > 0) == want
+        # p | C(2n, k) exactly when adding k and 2n - k carries at some p^a
+        power = p
+        while power <= 2 * n:
+            if _carry_at(2 * n, k, power):
+                return want
+            power *= p
+        return not want
 
     return _sign(n) * _even_sum(lambda j: comb(2 * n, n - j) ** r if kept(n - j) else 0, n)
 
@@ -246,14 +279,22 @@ def triple_sum(
     s: int,
     t: int,
     mode: Mode = "integer",
-) -> Union[int, IntPoly]:
+    *,
+    modulo: Optional[CycloFactorization] = None,
+) -> Union[int, IntPoly, dict[int, IntPoly]]:
     """Three-factor alternating sum with exponents (r, s, t).
 
     sum_{k=-n}^{n} (-1)^k [q^C(k,2)] qb(A, A/2+k)^r qb(4n, 2n+k)^s qb(2n, n+k)^t
     where A = 6n for the six_four_two family and 8n for eight_four_two.
 
+    With modulo=F (q mode only) the sum is not built: the result maps each
+    d of F to the residue of the q-mode sum modulo Phi_d^e, e = F's
+    multiplicity of d (see the module docstring).
+
     >>> triple_sum("six_four_two", 1, 1, 1, 1)
     120
+    >>> triple_sum("six_four_two", 1, 1, 1, 1, "q", modulo=CycloFactorization({2: 2, 8: 1}))
+    {2: IntPoly('0'), 8: IntPoly('6 + 4*q - 4*q^3')}
     """
     if family not in _TRIPLE_WIDTH:
         raise InvalidArgument(f"unknown family {family!r}")
@@ -263,6 +304,14 @@ def triple_sum(
         )
     _check_mode(mode)
     A = _TRIPLE_WIDTH[family] * n
+    if modulo is not None:
+        if mode != "q":
+            raise InvalidArgument("modulo= needs mode 'q'")
+        rows = ((A, r), (4 * n, s), (2 * n, t))
+        return {
+            d: IntPoly(_lucas_residue(rows, n, d) if e == 1 else _rows_residue(rows, n, d, e))
+            for d, e in sorted(modulo.factors.items())
+        }
     if mode == "integer":
         return _even_sum(
             lambda k: comb(A, A // 2 + k) ** r * comb(4 * n, 2 * n + k) ** s
@@ -275,3 +324,63 @@ def triple_sum(
              (qbinom(2 * n, n + k), t)])
         for k in range(-n, n + 1)
     )
+
+
+def triple_sum_degree(
+    family: Literal["six_four_two", "eight_four_two"], n: int, r: int, s: int, t: int
+) -> int:
+    """Degree of the q-mode triple sum: r (A/2)^2 + 4 s n^2 + t n^2.
+
+    Term k has degree D0 - (r + s + t) k^2 + C(k, 2), with D0 that of the
+    k = 0 term, which is below D0 for every k != 0; so the k = 0 term
+    alone reaches D0, and the sum's leading coefficient is 1.
+
+    >>> triple_sum_degree("six_four_two", 1, 1, 1, 1) == triple_sum(
+    ...     "six_four_two", 1, 1, 1, 1, "q").degree
+    True
+    """
+    half = _TRIPLE_WIDTH[family] * n // 2
+    return r * half**2 + 4 * s * n**2 + t * n**2
+
+
+def _lucas_residue(rows, n: int, d: int) -> list[int]:
+    """The q-mode triple sum modulo Phi_d, its factors reduced by q-Lucas.
+
+    rows lists (N, e) for the factors qb(N, N/2 + k)^e.  Each factor is
+    C(N // d, K // d) times the residue of qb(N mod d, K mod d); the
+    scales of a term make one constant factor.  The terms k and -k have
+    the same factors, so one list serves both and packed_sum multiplies
+    it once.  The weight q^C(k,2) is a shift by C(k,2) mod d; the packed
+    total is folded modulo q^d - 1 and reduced modulo Phi_d once.
+    """
+    terms = []
+    for k in range(n + 1):
+        scale, factors = 1, []
+        for N, e in rows:
+            K = N // 2 + k
+            residue = _digit_residue(d, N % d, K % d)
+            scale *= comb(N // d, K // d) ** e
+            if not scale or not residue:
+                break
+            factors.append((residue, e))
+        else:
+            factors.append(((scale,), 1))
+            terms += [(_sign(j), _weight(j) % d, factors) for j in ((k, -k) if k else (0,))]
+    coeffs = packed_sum(terms)
+    folded = [sum(coeffs[i::d]) for i in range(min(d, len(coeffs)))]
+    return divexact_steps(folded, cyclotomic(d).coeffs)[1]
+
+
+def _rows_residue(rows, n: int, d: int, e: int) -> list[int]:
+    """The q-mode triple sum modulo Phi_d^e, from q-Pascal rows modulo Phi_d^e.
+
+    rows is as for _lucas_residue; the rows 2n, 4n and A are built in
+    one ascending pass.
+    """
+    wanted = tuple(sorted({N for N, _ in rows}))
+    table = dict(zip(wanted, _rows_mod(wanted, d, e)))
+    terms = [
+        (_sign(k), _weight(k), [(table[N][N // 2 + k], x) for N, x in rows])
+        for k in range(-n, n + 1)
+    ]
+    return divexact_steps(packed_sum(terms), cyclotomic_power(d, e).coeffs)[1]

@@ -29,6 +29,20 @@ The full value of S (sums.alt_power_sum) is built only where a value is
 printed or a witness is needed: eq1 and eq2, the calkin fallback and the
 gcd window.
 
+The q triple-sum claims, t2c1..t2c3 and cj2c1q..cj2c3q, are decided from
+residues too (_q_triple).  Each modulus is a cyclotomic factorization:
+qbinom_factored(base) times [2]_{q^(2^a)} = Phi_{2^(a+1)} and, for t2c2,
+[3]_{q^(3^b)} = Phi_{3^(b+1)}, multiplicities added; t2c2's printed form
+has [3]_{q^(2^a)} = prod_{j<=a} Phi_{3*2^j} instead.  One
+sums.triple_sum(..., modulo=F) call, F covering both forms, gives the
+residue modulo every Phi_d^e.  The Phi_d are monic and pairwise coprime,
+so the sum is divisible exactly when every residue is zero; the printed
+form's "also divides" / "does NOT divide" is read from the same residues.
+A holding check reports deg(sum) - deg(modulus) as its quotient degree
+(sums.triple_sum_degree) and prints the expanded modulus.  A nonzero
+asserted residue reruns the full path (the whole q sum, divided exactly),
+which supplies the NotDivisible witness.
+
 Claim identifiers (the keys of _CLAIMS):
 
   eq1, eq2        closed forms of the squared / cubed alternating sums
@@ -53,6 +67,7 @@ from itertools import combinations
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import cyclo, qcomb, sums
+from .cyclo import CycloFactorization
 from .polycore import (
     CongruenceWitness,
     IntPoly,
@@ -61,7 +76,15 @@ from .polycore import (
     divexact,
     divides,
 )
-from .qcomb import ValuationRecord, binom, euler_phi, nu_p_binom, nu_p_int, qbinom
+from .qcomb import (
+    ValuationRecord,
+    binom,
+    euler_phi,
+    nu_p_binom,
+    nu_p_int,
+    qbinom,
+    qbinom_factored,
+)
 
 __all__ = [
     "InfeasibleScale",
@@ -267,14 +290,15 @@ def _gjzq(claim_id: str, ns) -> Iterator[Outcome]:
     yield _congruence(claim_id, {"ns": list(ns)}, dividend, modulus, note)
 
 
-# claim -> (triple-sum family, mode, modulus as a function of n)
+# claim -> (triple-sum family, mode, modulus as a function of n); a q
+# modulus is the q-binomial (N, K) given as the pair, decided by _q_triple
 _CONJ2 = {
     "cj2c1": ("six_four_two", "integer", lambda n: 2 * binom(6 * n, n)),
     "cj2c2": ("six_four_two", "integer", lambda n: 6 * binom(6 * n, 3 * n)),
     "cj2c3": ("eight_four_two", "integer", lambda n: 2 * binom(8 * n, 3 * n)),
-    "cj2c1q": ("six_four_two", "q", lambda n: qbinom(6 * n, n)),
-    "cj2c2q": ("six_four_two", "q", lambda n: qbinom(6 * n, 3 * n)),
-    "cj2c3q": ("eight_four_two", "q", lambda n: qbinom(8 * n, 3 * n)),
+    "cj2c1q": ("six_four_two", "q", lambda n: (6 * n, n)),
+    "cj2c2q": ("six_four_two", "q", lambda n: (6 * n, 3 * n)),
+    "cj2c3q": ("eight_four_two", "q", lambda n: (8 * n, 3 * n)),
 }
 
 
@@ -285,7 +309,54 @@ def _conj2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
         yield Outcome(TheoremCase(claim_id, params, None, note), None)
         return
     family, mode, modulus = _CONJ2[claim_id]
+    if mode == "q":
+        yield _q_triple(claim_id, params, family, modulus(n), {})
+        return
     yield _congruence(claim_id, params, sums.triple_sum(family, n, r, s, t, mode), modulus(n))
+
+
+def _q_triple(claim_id, params, family, base, extra, note="", printed=None) -> Outcome:
+    """Outcome of "the q triple sum == 0 mod modulus", decided by residues.
+
+    The modulus is the q-binomial base = (N, K) times prod Phi_d^m over
+    extra's (d, m); printed, if given, is the extra of a printed-form
+    modulus that a note records.  As cyclotomic factorizations their Phi_d
+    are monic and pairwise coprime, so the sum is divisible exactly when
+    its residue modulo each Phi_d^e is zero; one sums.triple_sum(...,
+    modulo=...) call gives those residues for both moduli, and the sum
+    itself is not built.  The printed form adds " also divides" or
+    " does NOT divide" to the note.  A holding check takes its quotient
+    degree from sums.triple_sum_degree; a nonzero residue reruns the full
+    path, which supplies the NotDivisible witness.
+    """
+    n, r, s, t = params["n"], params["r"], params["s"], params["t"]
+    carries = qbinom_factored(*base).factors
+    moduli = [extra] if printed is None else [extra, printed]
+    top: dict[int, int] = {}
+    for factors in moduli:
+        for d, m in factors.items():
+            top[d] = max(top.get(d, 0), m)
+    for d, m in carries.items():
+        top[d] = top.get(d, 0) + m
+    residues = sums.triple_sum(family, n, r, s, t, "q", modulo=CycloFactorization(top))
+
+    def holds(factors):
+        powers = {d: carries.get(d, 0) + factors.get(d, 0) for d in {*carries, *factors}}
+        return all(
+            not residues[d] if e == top[d] else divides(residues[d], cyclo.cyclotomic_power(d, e))
+            for d, e in powers.items()
+        )
+
+    if printed is not None:
+        note += " also divides" if holds(printed) else " does NOT divide"
+    modulus = qbinom(*base)
+    for d, m in extra.items():
+        modulus = modulus * cyclo.cyclotomic_power(d, m)
+    if not holds(extra):
+        dividend = sums.triple_sum(family, n, r, s, t, "q")
+        return _congruence(claim_id, params, dividend, modulus, note)
+    degree = sums.triple_sum_degree(family, n, r, s, t) - modulus.degree
+    return Outcome(TheoremCase(claim_id, params, modulus, note), True, None, degree)
 
 
 # -- valuation-equality driver ---------------------------------------------------
@@ -390,18 +461,18 @@ def _thm2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
     if min(n, r, s, t) < 1:
         raise InvalidArgument(f"requires n, r, s, t >= 1, got ({n}, {r}, {s}, {t})")
     params = {"n": n, "r": r, "s": s, "t": t}
-    family, mode, base = _CONJ2[claim_id.replace("t2", "cj2") + "q"]
+    family, _, base = _CONJ2[claim_id.replace("t2", "cj2") + "q"]
     alpha = nu_p_int(n, 2).value
     # [2]_{q^(2^a)} = Phi_{2^(a+1)} and [3]_{q^(3^b)} = Phi_{3^(b+1)}; the
-    # printed [3] at q^(2^a) is no single Phi_d for a >= 1
-    two = cyclo.cyclotomic(2 ** (alpha + 1))
+    # printed [3] at q^(2^a) is prod_{j<=a} Phi_{3*2^j}
+    two = {2 ** (alpha + 1): 1}
     printed = None
     if claim_id == "t2c1":
         factor, note = two, f"alpha={alpha}"
     elif claim_id == "t2c2":
         beta = nu_p_int(n, 3).value
-        factor = two * cyclo.cyclotomic(3 ** (beta + 1))
-        printed = two * cyclo.q_int(3, step=2**alpha)
+        factor = {**two, 3 ** (beta + 1): 1}
+        printed = {**two, **{3 * 2**j: 1 for j in range(alpha + 1)}}
         note = f"alpha={alpha}, beta={beta}; printed-form modulus with [3] at q^(2^alpha)"
     else:
         window = 2 ** (alpha + 2)
@@ -415,13 +486,9 @@ def _thm2(claim_id: str, n: int, r: int, s: int, t: int) -> Iterator[Outcome]:
             note = "not applicable: no branch guard matched"
             yield Outcome(TheoremCase(claim_id, params, None, note), None)
             return
-        factor = cyclo.cyclotomic(2 ** (step + 1))
+        factor = {2 ** (step + 1): 1}
         note = f"alpha={alpha}; branch: {branch}; two-factor at q^(2^{step})"
-    dividend = sums.triple_sum(family, n, r, s, t, mode)
-    if printed is not None:
-        divided = "also divides" if divides(dividend, printed * base(n)) else "does NOT divide"
-        note += f" {divided}"
-    yield _congruence(claim_id, params, dividend, factor * base(n), note)
+    yield _q_triple(claim_id, params, family, base(n), factor, note, printed)
 
 
 # -- filtered and pattern-restricted sum bounds -----------------------------------

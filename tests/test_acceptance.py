@@ -6,8 +6,13 @@ tune, only equality and divisibility.  The stated runtimes are targets
 on desk hardware, not assertions.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations, product
+from pathlib import Path
 
 from qaltsum import cyclo, qcomb, sums, verify
 from qaltsum.polycore import IntPoly, NotDivisible, divexact
@@ -218,3 +223,23 @@ def test_criterion_10_gcd_window_evidence():
         if "evidence, not proof" not in rep.case.derivation_note:
             failures.append(("marking", n))
     _report(10, "gcd-window evidence for n <= 12, marked as evidence", failures, started)
+
+
+def test_sharpened_q_moduli_at_n8_through_the_cli():
+    # the residue path: every Phi_d^e of the modulus, no dividend built
+    started = time.perf_counter()
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qaltsum", "verify", "thm2", "--n", "8", "--r", "3", "--s", "3",
+         "--t", "3", "--claim", "all", "--output", "json", "--jobs", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(proc.stdout)
+    failures = [rec for rec in records if rec["holds"] is not True]
+    if [rec["claim_id"] for rec in records] != ["t2c1", "t2c2", "t2c3"]:
+        failures.append("claims")
+    _report(11, "sharpened q-moduli at n = 8, (r, s, t) = (3, 3, 3), via the CLI",
+            failures, started)

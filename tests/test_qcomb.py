@@ -210,9 +210,10 @@ class TestQPascalRowsModPhi:
                     want = tuple(poly_rem_brute(qbinom(n, k).coeffs, mod))
                     assert qcomb._qbinom_mod(n, k, d) == want, (n, k, d)
 
-    def test_concurrent_callers_append_each_row_once(self, monkeypatch):
+    def test_concurrent_callers_get_exact_rows(self, monkeypatch):
         monkeypatch.setattr(qcomb, "_ROWS", {})
         qcomb._qbinom_mod.cache_clear()
+        qcomb._rows_mod.cache_clear()
         steps = qcomb.divexact_steps
 
         def yielding_steps(coeffs, mod):
@@ -232,10 +233,52 @@ class TestQPascalRowsModPhi:
         finally:
             sys.setswitchinterval(interval)
             qcomb._qbinom_mod.cache_clear()
-        assert [len(row) for row in qcomb._ROWS[d]] == list(range(1, top + 1))
+            qcomb._rows_mod.cache_clear()
         mod = cyclotomic(d).coeffs
         for n, residue in got:
             assert residue == tuple(steps(qbinom(n, n // 2).coeffs, mod)[1]), n
+        # the cursor left behind is one whole, exact row
+        row = qcomb._ROWS[d, 1]
+        n = len(row) - 1
+        assert row == tuple(tuple(steps(qbinom(n, k).coeffs, mod)[1]) for k in range(n + 1))
+
+    def test_cursor_keeps_one_row_per_modulus(self, monkeypatch):
+        # a deep row leaves one row behind, not the whole table of rows
+        monkeypatch.setattr(qcomb, "_ROWS", {})
+        qcomb._rows_mod.cache_clear()
+        assert qcomb._qbinom_mod(200, 100, 2, 2) == tuple(
+            qcomb.divexact_steps(qbinom(200, 100).coeffs, (1, 2, 1))[1])
+        assert list(qcomb._ROWS) == [(2, 2)] and len(qcomb._ROWS[2, 2]) == 201
+        for d in range(3, 3 + qcomb._CURSORS):
+            qcomb._rows_mod((5,), d, 1)
+        assert len(qcomb._ROWS) == qcomb._CURSORS and (2, 2) not in qcomb._ROWS
+
+
+class TestReducedQBinomials:
+    """Each reduced q-binomial against the plain one, reduced by long division."""
+
+    def test_qlucas_reduction(self):
+        for d in range(1, 13):
+            mod = cyclotomic(d).coeffs
+            for n in range(31):
+                for k in range(n + 1):
+                    scale = binom(n // d, k // d)
+                    got = [scale * c for c in qcomb._digit_residue(d, n % d, k % d)]
+                    want = poly_rem_brute(qbinom(n, k).coeffs, mod)
+                    assert (got if scale else []) == want, (n, k, d)
+
+    @pytest.mark.parametrize("e", [2, 3])
+    def test_rows_modulo_a_cyclotomic_power(self, e):
+        for d in range(1, 13):
+            mod = expand(CycloFactorization({d: e})).coeffs
+            for n in range(25):
+                for k in range(n + 1):
+                    want = tuple(poly_rem_brute(qbinom(n, k).coeffs, mod))
+                    assert qcomb._qbinom_mod(n, k, d, e) == want, (n, k, d, e)
+
+    def test_digit_residue_outside_the_range_is_zero(self):
+        assert qcomb._digit_residue(5, 2, 3) == () == qcomb._digit_residue(5, 2, -1)
+        assert qcomb._digit_residue(7, 6, 2) is qcomb._digit_residue(7, 6, 4)
 
 
 def _divides(a, b):

@@ -1,12 +1,14 @@
 """The alternating-sum families and their cross-identities."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaltsum import sums
+from qaltsum._kernels_py import divexact_steps
+from qaltsum.cyclo import CycloFactorization, expand
 from qaltsum.polycore import ZERO, IntPoly, InvalidArgument
-from qaltsum.qcomb import binom, qbinom
+from qaltsum.qcomb import binom, dset, nu_p_int, qbinom
 from qaltsum.sums import (
     alt_power_sum,
     alt_power_sum_filtered,
@@ -14,6 +16,7 @@ from qaltsum.sums import (
     gjz_sum,
     pattern_sum,
     triple_sum,
+    triple_sum_degree,
 )
 
 from oracles import (
@@ -293,6 +296,62 @@ class TestTripleSum:
             triple_sum("five_four_two", 1, 1, 1, 1)
         with pytest.raises(InvalidArgument):
             triple_sum("six_four_two", 0, 1, 1, 1)
+
+
+def _claim_ds(n):
+    """Every d of a thm2 or cj2 q modulus at n, printed t2c2 form included."""
+    alpha, beta = nu_p_int(n, 2).value, nu_p_int(n, 3).value
+    ds = {*dset(6 * n, n), *dset(6 * n, 3 * n), *dset(8 * n, 3 * n)}
+    ds |= {2 ** (a + 1) for a in range(alpha + 3)} | {3 ** (beta + 1)}
+    return ds | {3 * 2**j for j in range(alpha + 1)}
+
+
+class TestTripleSumResidues:
+    """triple_sum(..., "q", modulo=F) against the full q sum, reduced."""
+
+    @given(st.sampled_from(["six_four_two", "eight_four_two"]), st.integers(1, 4),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 2]))
+    @example("six_four_two", 1, 1, 1, 1, 2).via("Phi_2^2 divides, Phi_4^2 does not")
+    @example("eight_four_two", 4, 3, 3, 3, 2).via("the largest d and rows")
+    @settings(deadline=None, max_examples=60)
+    def test_residues_are_the_full_sum_reduced(self, family, n, r, s, t, e):
+        full = triple_sum(family, n, r, s, t, "q")
+        ds = _claim_ds(n)
+        got = triple_sum(family, n, r, s, t, "q", modulo=CycloFactorization(dict.fromkeys(ds, e)))
+        assert sorted(got) == sorted(ds)
+        for d in ds:
+            mod = expand(CycloFactorization({d: e})).coeffs
+            assert list(got[d].coeffs) == divexact_steps(list(full.coeffs), mod)[1], d
+
+    @given(st.sampled_from(["six_four_two", "eight_four_two"]), st.integers(1, 4),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    def test_degree_is_that_of_the_k0_term(self, family, n, r, s, t):
+        full = triple_sum(family, n, r, s, t, "q")
+        assert triple_sum_degree(family, n, r, s, t) == full.degree
+        assert full.coeffs[-1] == 1
+
+    def test_phi_1_is_the_value_at_one(self):
+        got = triple_sum("six_four_two", 2, 1, 2, 1, "q", modulo=CycloFactorization({1: 1}))
+        assert got == {1: IntPoly(triple_sum("six_four_two", 2, 1, 2, 1, "integer"))}
+
+    def test_rejects_a_modulus_outside_q_mode(self):
+        with pytest.raises(InvalidArgument):
+            triple_sum("six_four_two", 1, 1, 1, 1, "integer", modulo=CycloFactorization({2: 1}))
+
+
+class TestPowerSumRow:
+    def test_row_is_built_once_per_n(self, monkeypatch):
+        m = 10**9 + 7
+        want = [alt_power_sum(7, r) % m for r in range(1, 51)]
+        calls = []
+        real = sums.comb
+        monkeypatch.setattr(sums, "comb", lambda n, k: calls.append((n, k)) or real(n, k))
+        sums._central_row.cache_clear()
+        try:
+            assert [alt_power_sum_mod(7, r, m) for r in range(1, 51)] == want
+        finally:
+            sums._central_row.cache_clear()
+        assert len(calls) == 8  # C(14, 7 - j) for j = 0..7, once
 
 
 class TestPackedQSums:

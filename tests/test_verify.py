@@ -11,7 +11,7 @@ from qaltsum import verify
 from qaltsum.cyclo import cyclotomic, q_int
 from qaltsum.polycore import IntPoly, InvalidArgument, _divexact_kronecker, divides, monomial
 from qaltsum.qcomb import binom, nu_p_int, qbinom
-from qaltsum.sums import alt_power_sum, triple_sum
+from qaltsum.sums import alt_power_sum, triple_sum, triple_sum_degree
 from qaltsum.verify import (
     InfeasibleScale,
     check_congruence,
@@ -307,6 +307,78 @@ class TestReach:
             assert all(rep.holds for rep in reports), n
             checked += len(reports)
         assert checked == 715
+
+
+def _full_q_report(claim_id, params):
+    """The report of the full path: the whole q sum, divided exactly."""
+    n, r, s, t = (params[key] for key in "nrst")
+    family = "eight_four_two" if claim_id in ("t2c3", "cj2c3q") else "six_four_two"
+    rep = run_case(claim_id, params)[0]
+    dividend = triple_sum(family, n, r, s, t, "q")
+    w = check_congruence(dividend, rep.case.expected_modulus)
+    return w.holds, len(w.quotient) - 1 if w.holds else None, dividend
+
+
+class TestQResiduePath:
+    """thm2 and the cj2 q claims decide by residues modulo each Phi_d^e."""
+
+    @pytest.fixture
+    def no_full_division(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("check_congruence called on a holding case")
+
+        def residues_only(family, n, r, s, t, mode="integer", *, modulo=None):
+            assert modulo is not None, "the full q sum was built"
+            return triple_sum(family, n, r, s, t, mode, modulo=modulo)
+
+        monkeypatch.setattr(verify, "check_congruence", refuse)
+        monkeypatch.setattr(verify.sums, "triple_sum", residues_only)
+
+    @pytest.mark.parametrize("claim", ["t2c1", "t2c2", "t2c3", "cj2c1q", "cj2c2q", "cj2c3q"])
+    @pytest.mark.parametrize("rst", [(3, 3, 3), (2, 1, 1), (1, 2, 1)])
+    def test_holding_cases_at_n8_never_divide(self, no_full_division, claim, rst):
+        rep = run_case(claim, dict(zip("nrst", (8, *rst))))[0]
+        assert rep.holds and rep.witness is None
+        family = "eight_four_two" if claim in ("t2c3", "cj2c3q") else "six_four_two"
+        degree = triple_sum_degree(family, 8, *rst) - rep.case.expected_modulus.degree
+        assert rep.quotient_degree == degree
+
+    @pytest.mark.parametrize("claim", ["t2c1", "t2c2", "t2c3", "cj2c1q", "cj2c2q", "cj2c3q"])
+    def test_reports_match_the_full_path(self, claim):
+        for n in range(1, 4):
+            for rst in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 2, 3)):
+                params = dict(zip("nrst", (n, *rst)))
+                rep = run_case(claim, params)[0]
+                if rep.holds is None:
+                    continue
+                holds, degree, dividend = _full_q_report(claim, params)
+                assert (rep.holds, rep.quotient_degree) == (holds, degree), params
+                if claim == "t2c2":
+                    printed = divides(dividend, _printed_t2c2(n, *rst)[1])
+                    assert rep.case.derivation_note.endswith(
+                        " also divides" if printed else " does NOT divide"), params
+
+    def test_printed_t2c2_form_decided_from_residues(self, no_full_division):
+        # 3 * 2^j for j <= alpha: at n = 8 the printed modulus has four more factors
+        rep = run_case("t2c2", {"n": 8, "r": 1, "s": 1, "t": 1})[0]
+        dividend, printed = _printed_t2c2(8, 1, 1, 1)
+        want = "also divides" if divides(dividend, printed) else "does NOT divide"
+        assert rep.holds and rep.case.derivation_note.endswith(want)
+
+    def test_nonzero_residue_reruns_the_full_path(self, monkeypatch):
+        # a wrong alpha = 2 at n = 1 asserts Phi_8 * qb(6, 1), and Phi_8 does
+        # not divide the sum: the full path decides and keeps its witness
+        calls = []
+        real = verify.check_congruence
+        monkeypatch.setattr(verify, "check_congruence",
+                            lambda a, b: calls.append(b) or real(a, b))
+        monkeypatch.setattr(verify, "nu_p_int", lambda m, p: verify.ValuationRecord(p, 2))
+        rep = run_case("t2c1", {"n": 1, "r": 1, "s": 1, "t": 1})[0]
+        assert rep.holds is False and rep.quotient_degree is None
+        assert rep.case.expected_modulus == cyclotomic(8) * qbinom(6, 1)
+        assert calls == [rep.case.expected_modulus]
+        assert rep.witness.dividend == triple_sum("six_four_two", 1, 1, 1, 1, "q")
+        assert rep.witness.remainder and not rep.witness.holds
 
 
 class TestThm2:
