@@ -192,7 +192,7 @@ def _next_row(prev, d: int, e: int, mod) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def _rows_mod(ns: tuple[int, ...], d: int, e: int = 1) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _rows_mod(ns: tuple[int, ...], d: int, e: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The q-Pascal rows n in ns (ascending) modulo Phi_d^e, in one pass."""
     mod = cyclo.cyclotomic_power(d, e).coeffs
     with _ROWS_LOCK:

@@ -331,28 +331,27 @@ def _q_triple(claim_id, params, family, base, extra, note="", printed=None) -> O
     """
     n, r, s, t = params["n"], params["r"], params["s"], params["t"]
     carries = qbinom_factored(*base).factors
-    moduli = [extra] if printed is None else [extra, printed]
-    top: dict[int, int] = {}
-    for factors in moduli:
-        for d, m in factors.items():
-            top[d] = max(top.get(d, 0), m)
-    for d, m in carries.items():
-        top[d] = top.get(d, 0) + m
+
+    def powers(factors):
+        return {d: carries.get(d, 0) + factors.get(d, 0) for d in {*carries, *factors}}
+
+    moduli = [powers(extra)] + ([] if printed is None else [powers(printed)])
+    top = {d: max(f.get(d, 0) for f in moduli) for f in moduli for d in f}
     residues = sums.triple_sum(family, n, r, s, t, "q", modulo=CycloFactorization(top))
 
     def holds(factors):
-        powers = {d: carries.get(d, 0) + factors.get(d, 0) for d in {*carries, *factors}}
+        # a residue modulo Phi_d^top[d] is divisible by that power only when 0
         return all(
             not residues[d] if e == top[d] else divides(residues[d], cyclo.cyclotomic_power(d, e))
-            for d, e in powers.items()
+            for d, e in factors.items()
         )
 
     if printed is not None:
-        note += " also divides" if holds(printed) else " does NOT divide"
+        note += " also divides" if holds(moduli[1]) else " does NOT divide"
     modulus = qbinom(*base)
     for d, m in extra.items():
         modulus = modulus * cyclo.cyclotomic_power(d, m)
-    if not holds(extra):
+    if not holds(moduli[0]):
         dividend = sums.triple_sum(family, n, r, s, t, "q")
         return _congruence(claim_id, params, dividend, modulus, note)
     degree = sums.triple_sum_degree(family, n, r, s, t) - modulus.degree
