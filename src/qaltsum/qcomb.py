@@ -192,9 +192,10 @@ def _next_row(prev, d: int, e: int, mod) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def _rows_mod(ns: tuple[int, ...], d: int, e: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The q-Pascal rows n in ns (ascending) modulo Phi_d^e, in one pass."""
-    mod = cyclo.cyclotomic_power(d, e).coeffs
+def _rows_mod(
+    ns: tuple[int, ...], d: int, e: int, mod: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The q-Pascal rows n in ns (ascending) modulo mod = Phi_d^e, in one pass."""
     with _ROWS_LOCK:
         row = _ROWS.pop((d, e), None)
         if row is None or len(row) > ns[0] + 1:
@@ -215,7 +216,7 @@ def _qbinom_mod(n: int, k: int, d: int, e: int = 1) -> tuple[int, ...]:
     """Residue of the q-binomial (n, k) modulo Phi_d^e, from q-Pascal rows."""
     if k < 0 or k > n:
         return ()
-    return _rows_mod((n,), d, e)[0][k]
+    return _rows_mod((n,), d, e, cyclo.cyclotomic_power(d, e).coeffs)[0][k]
 
 
 def _digit_residue(d: int, x: int, y: int) -> tuple[int, ...]:

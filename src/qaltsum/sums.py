@@ -377,10 +377,11 @@ def _rows_residue(rows, n: int, d: int, e: int) -> list[int]:
     rows is as for _lucas_residue; the rows 2n, 4n and A are built in
     one ascending pass.
     """
+    mod = cyclotomic_power(d, e).coeffs
     wanted = tuple(sorted({N for N, _ in rows}))
-    table = dict(zip(wanted, _rows_mod(wanted, d, e)))
+    table = dict(zip(wanted, _rows_mod(wanted, d, e, mod)))
     terms = [
         (_sign(k), _weight(k), [(table[N][N // 2 + k], x) for N, x in rows])
         for k in range(-n, n + 1)
     ]
-    return divexact_steps(packed_sum(terms), cyclotomic_power(d, e).coeffs)[1]
+    return divexact_steps(packed_sum(terms), mod)[1]

@@ -250,7 +250,7 @@ class TestQPascalRowsModPhi:
             qcomb.divexact_steps(qbinom(200, 100).coeffs, (1, 2, 1))[1])
         assert list(qcomb._ROWS) == [(2, 2)] and len(qcomb._ROWS[2, 2]) == 201
         for d in range(3, 3 + qcomb._CURSORS):
-            qcomb._rows_mod((5,), d, 1)
+            qcomb._rows_mod((5,), d, 1, cyclotomic(d).coeffs)
         assert len(qcomb._ROWS) == qcomb._CURSORS and (2, 2) not in qcomb._ROWS
 
 
