@@ -4,7 +4,9 @@ Phi_d = prod_{e | d} (q^e - 1)^mu(d/e) (Arnold & Monagan, Math. Comp. 80,
 2011): the factors with mu = 1 and those with mu = -1 are multiplied up by
 polycore's q^m - 1 step, and one exact division of the two proves the
 result.  Results are memoized; two threads racing to fill the same cache
-entry simply duplicate an idempotent computation.
+entry simply duplicate an idempotent computation.  cyclotomic_power builds
+Phi_d^e the same way, from the e-th powers of the factors, and does not
+memoize e >= 2.
 
 For prime powers there is also the direct construction
 Phi_{p^a} = 1 + q^{p^(a-1)} + ... + q^{(p-1) p^(a-1)}, i.e. the

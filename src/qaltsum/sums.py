@@ -78,7 +78,6 @@ alone, whose leading coefficient is 1 (triple_sum_degree).
 
 from __future__ import annotations
 
-import functools
 from math import comb, prod
 from typing import Callable, Iterable, Literal, Optional, Sequence, Union
 
@@ -164,14 +163,7 @@ def alt_power_sum_mod(n: int, r: int, m: int) -> int:
     _check_power(n, r)
     if m < 1:
         raise InvalidArgument(f"alt_power_sum_mod requires m >= 1, got m={m}")
-    row = _central_row(n)
-    return _sign(n) * _even_sum(lambda j: pow(row[j], r, m), n) % m
-
-
-@functools.lru_cache(maxsize=128)
-def _central_row(n: int) -> tuple[int, ...]:
-    """C(2n, n - j) for j = 0..n, shared by the residues at every exponent."""
-    return tuple(comb(2 * n, n - j) for j in range(n + 1))
+    return _sign(n) * _even_sum(lambda j: pow(comb(2 * n, n - j), r, m), n) % m
 
 
 def _check_power(n: int, r: int) -> None:

@@ -339,21 +339,6 @@ class TestTripleSumResidues:
             triple_sum("six_four_two", 1, 1, 1, 1, "integer", modulo=CycloFactorization({2: 1}))
 
 
-class TestPowerSumRow:
-    def test_row_is_built_once_per_n(self, monkeypatch):
-        m = 10**9 + 7
-        want = [alt_power_sum(7, r) % m for r in range(1, 51)]
-        calls = []
-        real = sums.comb
-        monkeypatch.setattr(sums, "comb", lambda n, k: calls.append((n, k)) or real(n, k))
-        sums._central_row.cache_clear()
-        try:
-            assert [alt_power_sum_mod(7, r, m) for r in range(1, 51)] == want
-        finally:
-            sums._central_row.cache_clear()
-        assert len(calls) == 8  # C(14, 7 - j) for j = 0..7, once
-
-
 class TestPackedQSums:
     """The packed evaluator against a term-by-term reference on coefficient lists."""
 
