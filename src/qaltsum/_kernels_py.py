@@ -1,10 +1,9 @@
 """Pure-Python arithmetic kernels: dense convolution and long division.
 
 divexact_steps is the long division behind polycore._divide: it decides
-every division that Kronecker division does not prove and supplies the
-witness of a failed one.  qcomb and sums take from it the remainders
-modulo Phi_d^e of the q-Lucas check and of the q triple sum's residue
-path.  polycore multiplies without mul_schoolbook, which
+every division and supplies the witness of a failed one.  cyclo.residue
+ends in it, and so does every remainder modulo Phi_d^e that qcomb,
+sums and verify take.  polycore multiplies without mul_schoolbook, which
 stays as the benchmark harness's reference convolution in perfbench/.
 """
 

@@ -1,12 +1,19 @@
 """Cyclotomic polynomials, q-integers and factored cyclotomic products.
 
 Phi_d = prod_{e | d} (q^e - 1)^mu(d/e) (Arnold & Monagan, Math. Comp. 80,
-2011): the factors with mu = 1 and those with mu = -1 are multiplied up by
-polycore's q^m - 1 step, and one exact division of the two proves the
-result.  Results are memoized; two threads racing to fill the same cache
-entry simply duplicate an idempotent computation.  cyclotomic_power builds
-Phi_d^e the same way, from the e-th powers of the factors, and does not
-memoize e >= 2.
+2011): the factors with mu = 1 are multiplied up by polycore's q^m - 1
+step, and the product is divided exactly by each two-term factor with
+mu = -1 in turn.  Results are memoized; two threads racing to fill the
+same cache entry simply duplicate an idempotent computation.
+cyclotomic_power builds Phi_d^e from the e-th powers of the factors and
+does not memoize e >= 2.
+
+residue, the one reduction modulo Phi_d^e of qcomb, sums and verify,
+uses that Phi_d^e divides (q^d - 1)^e: e divisions by q^d - 1 give the
+lowest e base-(q^d - 1) digits (polycore.divmod_qm1; the last digit is
+the fold, the sum over each residue class of exponents mod d), Horner's
+rule puts them back together below degree d e, and one long division by
+Phi_d^e finishes.
 
 For prime powers there is also the direct construction
 Phi_{p^a} = 1 + q^{p^(a-1)} + ... + q^{(p-1) p^(a-1)}, i.e. the
@@ -19,9 +26,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Mapping
 
-from .polycore import IntPoly, InvalidArgument, divexact, divexact_qm1, mul_qm1, product
+from ._kernels_py import divexact_steps
+from .polycore import (IntPoly, InvalidArgument, divexact, divexact_qm1, divmod_qm1, monomial,
+                       mul_qm1, product)
 
 __all__ = [
     "CycloFactorization",
@@ -31,6 +41,7 @@ __all__ = [
     "is_prime",
     "prime_power_form",
     "q_int",
+    "residue",
 ]
 
 
@@ -80,8 +91,8 @@ def cyclotomic_power(d: int, e: int) -> IntPoly:
     """Phi_d^e for e >= 1: the cached cyclotomic(d) for e = 1.
 
     A higher power is built the same way as Phi_d and not cached: the
-    factors (q^m - 1)^e with mu = 1, and those with mu = -1, multiplied
-    up by the q^m - 1 step, and one exact division.
+    product of the factors (q^m - 1)^e with mu = 1, divided exactly by
+    each factor with mu = -1.
 
     >>> cyclotomic_power(6, 2) == cyclotomic(6) ** 2
     True
@@ -98,9 +109,33 @@ def _cyclotomic_power(d: int, e: int) -> IntPoly:
     for p in range(2, d + 1):
         if d % p == 0 and is_prime(p):
             factors += [(m // p, -mu) for m, mu in factors]
-    num = functools.reduce(mul_qm1, [m for m, mu in factors if mu > 0] * e, [1])
-    den = functools.reduce(mul_qm1, [m for m, mu in factors if mu < 0] * e, [1])
-    return divexact(IntPoly(num), IntPoly(den))
+    power = IntPoly(functools.reduce(mul_qm1, [m for m, mu in factors if mu > 0] * e, [1]))
+    # the largest first, so that each division shortens what the next passes over
+    for m in sorted([m for m, mu in factors if mu < 0] * e, reverse=True):
+        power = divexact(power, monomial(m) - 1)
+    return power
+
+
+def residue(coeffs, d: int, e: int = 1, mod=None) -> list[int]:
+    """The coefficient list coeffs modulo Phi_d^e, canonical (module docstring).
+
+    mod is Phi_d^e's coefficients, built by cyclotomic_power when omitted
+    (cached only for e = 1).
+
+    >>> residue([1, 2, 3, 4, 5], 3), residue([1, 2, 3, 4, 5], 2, 2)
+    ([2, 4], [-9, -12])
+    """
+    digits = []
+    for _ in range(e - 1):
+        coeffs, digit = divmod_qm1(coeffs, d)
+        digits.append(digit)
+    digits.append([sum(coeffs[i::d]) for i in range(min(d, len(coeffs)))])  # the fold
+    low = []
+    for digit in reversed(digits):
+        low = [a + b for a, b in zip_longest(mul_qm1(low, d), digit, fillvalue=0)]
+    if mod is None:
+        mod = cyclotomic_power(d, e).coeffs
+    return divexact_steps(low, mod)[1]
 
 
 def prime_power_form(p: int, alpha: int) -> IntPoly:

@@ -29,23 +29,12 @@ a cyclotomic factorization, can cancel far below that bound, so product
 multiplies it by a tree whose slots follow the size of the actual
 coefficients.  The packing format is private to this module.
 
-Exact division by a dense divisor works the same way (Kronecker
-division), wherever a cost estimate says it beats long division: one
-big-integer divmod of a(2^w) by b(2^w).  If b divides a in Z[q], then
-b(2^w) divides a(2^w), so an inexact divmod shows that b does not divide
-a.  An exact one yields a candidate quotient q, decoded from balanced
-slots, which is accepted only with a proof: either the digit bound
-min(len b, len q) * max|b| * max|q| < 2^(w-1), which puts every
-coefficient of b*q (like every one of a) inside a balanced slot, so b*q
-and a, equal at 2^w, are equal; or, failing that, the multiply-back
-b*q == a.  In every other case long division (divexact_steps) decides,
-and it alone supplies the remainder and the failing step that
-NotDivisible carries; the q-Lucas check in qcomb takes its residues
-modulo Phi_d from the same long division.  One private routine,
-_divide, makes every divisibility decision; divexact and divides only
-read its answer.  divides needs no witness, so an inexact divmod is its
-"no", and long division runs only where Kronecker division decided
-nothing.
+Every divisibility decision is made by one private routine, _divide,
+which is long division (divexact_steps): it supplies the quotient of an
+exact division and the remainder and failing step that NotDivisible
+carries.  divexact and divides only read its answer.  Division by
+q^m - 1 has its own step (divmod_qm1), per-residue-class suffix sums,
+and cyclo reduces modulo Phi_d^e through it.
 
 Two text forms are supported and emitted bit-exactly:
 
@@ -79,6 +68,7 @@ __all__ = [
     "divexact",
     "divexact_qm1",
     "divides",
+    "divmod_qm1",
     "mul_qm1",
     "packed_sum",
     "product",
@@ -115,13 +105,6 @@ class NotDivisible(ArithmeticError):
 # A factor with at most this many nonzero terms is multiplied by sparse
 # accumulation regardless of degree.
 _SPARSE_TERMS = 6
-
-# Kronecker division runs only where it is expected to beat long division.
-# Per quotient coefficient with w-bit slots, its divmod costs about
-# len(b) * w^2 bit products and long division about nnz(b) * (w + 256)
-# bit operations, and one such operation was measured to cost as much as
-# 174 bit products (CPython 3.11, x86-64).
-_KRONECKER_DIV_RATIO = 174
 
 
 class IntPoly:
@@ -323,17 +306,27 @@ def mul_qm1(coeffs, m: int) -> list[int]:
     return list(map(operator.sub, [0] * m + list(coeffs), list(coeffs) + [0] * m))
 
 
-def divexact_qm1(coeffs, m: int) -> list[int]:
-    """Exact quotient coeffs / (q^m - 1) for m >= 1; raises NotDivisible.
+def divmod_qm1(coeffs, m: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of coeffs by q^m - 1 for m >= 1.
 
-    Q[j] = P[j+m] + Q[j+m] is a suffix sum along each residue class mod m;
-    the division is exact iff the remainder P[i] + Q[i], i < m, vanishes.
+    Q[j] = P[j+m] + Q[j+m] is a suffix sum along each residue class mod m,
+    and R[i] = P[i] + Q[i], i < m, the sum of the class of i, has
+    min(m, len(coeffs)) coefficients, trailing zeros kept.
+
+    >>> divmod_qm1([1, 2, 3, 4, 5], 2)
+    ([8, 4, 5], [9, 6])
     """
     n = len(coeffs) - m
     quot = [0] * max(n, 0)
     for r in range(min(m, n)):
         quot[r::m] = list(accumulate(coeffs[r + m :: m][::-1]))[::-1]
     rem = [c + (quot[i] if i < n else 0) for i, c in enumerate(coeffs[:m])]
+    return quot, rem
+
+
+def divexact_qm1(coeffs, m: int) -> list[int]:
+    """Exact quotient coeffs / (q^m - 1) by divmod_qm1; raises NotDivisible."""
+    quot, rem = divmod_qm1(coeffs, m)
     if any(rem):
         raise NotDivisible(IntPoly(coeffs), monomial(m) - 1, remainder=IntPoly(rem))
     return quot
@@ -541,7 +534,7 @@ def divides(a, b) -> bool:
     >>> divides(IntPoly("[-1, 0, 0, 0, 1]"), IntPoly("[-1, 1]")), divides(Q, IntPoly(2))
     (True, False)
     """
-    quot, rem, _ = _divide(_poly(a).coeffs, _poly(b).coeffs, witness=False)
+    quot, rem, _ = _divide(_poly(a).coeffs, _poly(b).coeffs)
     return quot is not None and not rem
 
 
@@ -549,61 +542,17 @@ def _poly(value) -> IntPoly:
     return value if isinstance(value, IntPoly) else IntPoly(value)
 
 
-def _divide(a, b, witness=True):
-    """Long division of the coefficient list a by b, as divexact_steps does it.
+def _divide(a, b):
+    """Long division of the coefficient list a by b: every divisibility decision.
 
-    Every divisibility decision is made here, and the triple
-    (quot, rem, step) means what it means for divexact_steps: b divides a
-    exactly when quot is not None and rem is empty.  b must be canonical
-    and nonzero; a may be zero, shorter than b (then quot == [] and
-    rem == a, trimmed) or end in zeros.  A dense divisor is first tried by
-    Kronecker division where the cost model allows: a proved quotient
-    returns (quot, [], -1).  An inexact divmod proves "no" without a
-    remainder, so it returns (None, None, None) when no witness is
-    wanted; otherwise long division runs for the remainder and the
-    failing step.
+    The triple (quot, rem, step) is divexact_steps': b divides a exactly
+    when quot is not None and rem is empty.  b must be canonical and
+    nonzero; a may be zero, shorter than b (then quot == [] and rem == a,
+    trimmed) or end in zeros.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(a) >= len(b):
-        quot = _divexact_kronecker(a, b)
-        if quot:
-            return quot, [], -1
-        if quot is False and not witness:
-            return None, None, None
     return divexact_steps(a, b)
-
-
-def _divexact_kronecker(a, b):
-    """The quotient a / b by Kronecker division, False, or None.
-
-    See the module docstring for the proof.  The slot width leaves room
-    for a quotient as large as a itself under the digit bound.  False
-    means the divmod left a remainder, which proves that b does not
-    divide a.  None means "not tried" or "not proved", never "not
-    divisible": divisors that are sparse, or for which long division is
-    expected to be faster, are not tried.
-    """
-    nnz = len(b) - b.count(0)
-    if nnz <= _SPARSE_TERMS:
-        return None
-    nq = len(a) - len(b) + 1
-    bmax = _max_abs(b)
-    bits = _slot_bits(
-        _max_abs(a).bit_length() + bmax.bit_length() + min(len(b), nq).bit_length() + 1
-    )
-    if len(b) * bits * bits > _KRONECKER_DIV_RATIO * nnz * (bits + 256):
-        return None
-    nbytes = bits >> 3
-    value, rem = divmod(_pack(a, bits, nbytes), _pack(b, bits, nbytes))
-    if rem:
-        return False
-    quot = _unpack(value, bits, nbytes, nq)
-    if quot is None:
-        return None
-    if min(len(b), nq) * bmax * _max_abs(quot) < 1 << (bits - 1):
-        return quot
-    return quot if _mul_coeffs(b, quot) == list(a) else None
 
 
 # -- congruence witnesses ------------------------------------------------------

@@ -146,8 +146,7 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 #
 # Two independent routes to the residue of a q-binomial modulo a power of
 # a cyclotomic polynomial, both ending in the long division that decides
-# divisibility in polycore (divexact_steps).  No Kronecker divmod is tried
-# first: it settles only an exact division, and most residues are nonzero.
+# divisibility in polycore (divexact_steps).
 #
 #   q-Pascal rows   qb(n, k) = qb(n-1, k-1) + q^k qb(n-1, k), every entry
 #                   reduced modulo Phi_d^e (_qbinom_mod, _rows_mod).  For
@@ -155,8 +154,8 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 #                   q^d == 1 modulo Phi_d; for e >= 2 the shift is by k.
 #   q-Lucas         qb(x1 d + x2, y1 d + y2) == C(x1, y1) qb(x2, y2)
 #                   modulo Phi_d, with the residue of the small qb(x2, y2)
-#                   taken from an actual product-formula q-binomial, folded
-#                   modulo q^d - 1 and reduced (_digit_residue).  Reduction
+#                   taken from an actual product-formula q-binomial,
+#                   reduced by cyclo.residue (_digit_residue).  Reduction
 #                   modulo a monic polynomial is Z-linear, so the scale
 #                   C(x1, y1) is applied to the residue.
 #
@@ -222,10 +221,10 @@ def _qbinom_mod(n: int, k: int, d: int, e: int = 1) -> tuple[int, ...]:
 def _digit_residue(d: int, x: int, y: int) -> tuple[int, ...]:
     """Residue of the q-binomial (x, y) modulo Phi_d, from the product formula.
 
-    The q-binomial is folded modulo q^d - 1, which Phi_d divides, and the
-    fold is reduced by long division.  The residues are cached (bounded),
-    qb(x, y) and qb(x, x - y) as one entry, so that equal residues are
-    one tuple object.  Empty (zero) outside 0 <= y <= x.
+    The q-binomial is reduced by cyclo.residue: folded modulo q^d - 1,
+    which Phi_d divides, and the fold divided by Phi_d.  The residues are
+    cached (bounded), qb(x, y) and qb(x, x - y) as one entry, so that
+    equal residues are one tuple object.  Empty (zero) outside 0 <= y <= x.
     """
     if y < 0 or y > x:
         return ()
@@ -234,9 +233,7 @@ def _digit_residue(d: int, x: int, y: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=1 << 14)
 def _folded_residue(d: int, x: int, y: int) -> tuple[int, ...]:
-    coeffs = qbinom(x, y).coeffs
-    folded = [sum(coeffs[i::d]) for i in range(min(d, len(coeffs)))]
-    return tuple(divexact_steps(folded, cyclo.cyclotomic(d).coeffs)[1])
+    return tuple(cyclo.residue(qbinom(x, y).coeffs, d))
 
 
 def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:

@@ -81,8 +81,7 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Callable, Iterable, Literal, Optional, Sequence, Union
 
-from ._kernels_py import divexact_steps
-from .cyclo import CycloFactorization, cyclotomic, cyclotomic_power, is_prime
+from .cyclo import CycloFactorization, cyclotomic_power, is_prime, residue
 from .polycore import IntPoly, InvalidArgument, packed_sum
 from .qcomb import _carry_at, _digit_residue, _rows_mod, qbinom
 
@@ -350,17 +349,15 @@ def _lucas_residue(rows, n: int, d: int) -> list[int]:
         scale, factors = 1, []
         for N, e in rows:
             K = N // 2 + k
-            residue = _digit_residue(d, N % d, K % d)
+            small = _digit_residue(d, N % d, K % d)
             scale *= comb(N // d, K // d) ** e
-            if not scale or not residue:
+            if not scale or not small:
                 break
-            factors.append((residue, e))
+            factors.append((small, e))
         else:
             factors.append(((scale,), 1))
             terms += [(_sign(j), _weight(j) % d, factors) for j in ((k, -k) if k else (0,))]
-    coeffs = packed_sum(terms)
-    folded = [sum(coeffs[i::d]) for i in range(min(d, len(coeffs)))]
-    return divexact_steps(folded, cyclotomic(d).coeffs)[1]
+    return residue(packed_sum(terms), d)
 
 
 def _rows_residue(rows, n: int, d: int, e: int) -> list[int]:
@@ -376,4 +373,4 @@ def _rows_residue(rows, n: int, d: int, e: int) -> list[int]:
         (_sign(k), _weight(k), [(table[N][N // 2 + k], x) for N, x in rows])
         for k in range(-n, n + 1)
     ]
-    return divexact_steps(packed_sum(terms), mod)[1]
+    return residue(packed_sum(terms), d, e, mod)

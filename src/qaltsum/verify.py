@@ -29,19 +29,22 @@ The full value of S (sums.alt_power_sum) is built only where a value is
 printed or a witness is needed: eq1 and eq2, the calkin fallback and the
 gcd window.
 
-The q triple-sum claims, t2c1..t2c3 and cj2c1q..cj2c3q, are decided from
-residues too (_q_triple).  Each modulus is a cyclotomic factorization:
-qbinom_factored(base) times [2]_{q^(2^a)} = Phi_{2^(a+1)} and, for t2c2,
-[3]_{q^(3^b)} = Phi_{3^(b+1)}, multiplicities added; t2c2's printed form
-has [3]_{q^(2^a)} = prod_{j<=a} Phi_{3*2^j} instead.  One
-sums.triple_sum(..., modulo=F) call, F covering both forms, gives the
-residue modulo every Phi_d^e.  The Phi_d are monic and pairwise coprime,
-so the sum is divisible exactly when every residue is zero; the printed
-form's "also divides" / "does NOT divide" is read from the same residues.
-A holding check reports deg(sum) - deg(modulus) as its quotient degree
-(sums.triple_sum_degree) and prints the expanded modulus.  A nonzero
-asserted residue reruns the full path (the whole q sum, divided exactly),
-which supplies the NotDivisible witness.
+Every q-congruence -- t2c1..t2c3, cj2c1q..cj2c3q, gjzq and lemma24 -- is
+decided from residues too, by one decider (_by_residues).  Each modulus
+is a cyclotomic factorization whose Phi_d are monic and pairwise
+coprime, so the dividend is divisible exactly when its residue modulo
+each Phi_d^e is zero.  A holding check reports deg(dividend) -
+deg(modulus) as its quotient degree (-1 for a zero dividend) and prints
+the expanded modulus; a nonzero asserted residue reruns the full path
+(the q sum, divided exactly) for the NotDivisible witness.  The triple
+sums take their residues from sums.triple_sum(..., modulo=F) and never
+build the sum (_q_triple): the modulus is qbinom_factored(base) times
+[2]_{q^(2^a)} = Phi_{2^(a+1)} and, for t2c2, [3]_{q^(3^b)} =
+Phi_{3^(b+1)}, multiplicities added, and F also covers t2c2's printed
+[3]_{q^(2^a)} = prod_{j<=a} Phi_{3*2^j}.  gjzq and lemma24 reduce the q
+sum they build by cyclo.residue; gjzq's note, the components i whose
+qb(n1 + n_i, n1) also divides, is read from the residues over the union
+of their carry sets.
 
 Claim identifiers (the keys of _CLAIMS):
 
@@ -74,7 +77,6 @@ from .polycore import (
     InvalidArgument,
     NotDivisible,
     divexact,
-    divides,
 )
 from .qcomb import (
     ValuationRecord,
@@ -278,16 +280,20 @@ def _gjz(claim_id: str, ns) -> Iterator[Outcome]:
 def _gjzq(claim_id: str, ns) -> Iterator[Outcome]:
     dividend = sums.gjz_sum(ns, "q")
     n1 = ns[0]
-    modulus = qbinom(n1 + ns[-1], n1)
     # The modulus subscript is printed ambiguously (last part vs an
     # undefined index r); assert the last-part reading and record, for
     # every component i, whether qb(n1 + n_i, n1) also divides.
-    variants = [i + 1 for i, ni in enumerate(ns) if divides(dividend, qbinom(n1 + ni, n1))]
+    components = [qbinom_factored(n1 + ni, n1).factors for ni in ns]
+    top = {d: 1 for factors in components for d in factors}
+    residues = {d: cyclo.residue(dividend.coeffs, d) for d in top}
+    variants = [i + 1 for i, factors in enumerate(components)
+                if _divides_by(residues, top, factors)]
     note = (
         "modulus subscript ambiguity: asserted last-part variant; "
         f"component subscripts whose modulus divides: {variants}"
     )
-    yield _congruence(claim_id, {"ns": list(ns)}, dividend, modulus, note)
+    yield _by_residues(claim_id, {"ns": list(ns)}, residues, top, components[-1],
+                       qbinom(n1 + ns[-1], n1), note, dividend.degree, lambda: dividend)
 
 
 # claim -> (triple-sum family, mode, modulus as a function of n); a q
@@ -320,14 +326,10 @@ def _q_triple(claim_id, params, family, base, extra, note="", printed=None) -> O
 
     The modulus is the q-binomial base = (N, K) times prod Phi_d^m over
     extra's (d, m); printed, if given, is the extra of a printed-form
-    modulus that a note records.  As cyclotomic factorizations their Phi_d
-    are monic and pairwise coprime, so the sum is divisible exactly when
-    its residue modulo each Phi_d^e is zero; one sums.triple_sum(...,
-    modulo=...) call gives those residues for both moduli, and the sum
-    itself is not built.  The printed form adds " also divides" or
-    " does NOT divide" to the note.  A holding check takes its quotient
-    degree from sums.triple_sum_degree; a nonzero residue reruns the full
-    path, which supplies the NotDivisible witness.
+    modulus that a note records, with " also divides" or " does NOT
+    divide".  One sums.triple_sum(..., modulo=...) call gives the residues
+    for both moduli, and the sum itself is not built; its degree is
+    sums.triple_sum_degree.
     """
     n, r, s, t = params["n"], params["r"], params["s"], params["t"]
     carries = qbinom_factored(*base).factors
@@ -338,23 +340,38 @@ def _q_triple(claim_id, params, family, base, extra, note="", printed=None) -> O
     moduli = [powers(extra)] + ([] if printed is None else [powers(printed)])
     top = {d: max(f.get(d, 0) for f in moduli) for f in moduli for d in f}
     residues = sums.triple_sum(family, n, r, s, t, "q", modulo=CycloFactorization(top))
-
-    def holds(factors):
-        # a residue modulo Phi_d^top[d] is divisible by that power only when 0
-        return all(
-            not residues[d] if e == top[d] else divides(residues[d], cyclo.cyclotomic_power(d, e))
-            for d, e in factors.items()
-        )
-
     if printed is not None:
-        note += " also divides" if holds(moduli[1]) else " does NOT divide"
+        note += " also divides" if _divides_by(residues, top, moduli[1]) else " does NOT divide"
     modulus = qbinom(*base)
     for d, m in extra.items():
         modulus = modulus * cyclo.cyclotomic_power(d, m)
-    if not holds(moduli[0]):
-        dividend = sums.triple_sum(family, n, r, s, t, "q")
-        return _congruence(claim_id, params, dividend, modulus, note)
-    degree = sums.triple_sum_degree(family, n, r, s, t) - modulus.degree
+    return _by_residues(claim_id, params, residues, top, moduli[0], modulus, note,
+                        sums.triple_sum_degree(family, n, r, s, t),
+                        lambda: sums.triple_sum(family, n, r, s, t, "q"))
+
+
+def _divides_by(residues, top, factors) -> bool:
+    """Whether prod Phi_d^e over factors divides the value of the residues.
+
+    residues[d] is the value modulo Phi_d^top[d], and each e <= top[d]:
+    Phi_d^e divides the value exactly when it divides that residue.
+    """
+    return all(not (residues[d] if e == top[d] else cyclo.residue(residues[d], d, e))
+               for d, e in factors.items())
+
+
+def _by_residues(claim_id, params, residues, top, asserted, modulus, note, degree,
+                 full) -> Outcome:
+    """Outcome of "dividend == 0 mod modulus", decided by the dividend's residues.
+
+    residues[d] is the dividend modulo Phi_d^top[d], asserted the modulus
+    as a factorization (d -> multiplicity) and modulus its expansion, and
+    degree the dividend's (-inf for zero).  A nonzero asserted residue
+    runs the exact division of full(), the dividend, for the witness.
+    """
+    if not _divides_by(residues, top, asserted):
+        return _congruence(claim_id, params, full(), modulus, note)
+    degree = max(degree - modulus.degree, -1)  # -1 for a zero dividend
     return Outcome(TheoremCase(claim_id, params, modulus, note), True, None, degree)
 
 
@@ -531,6 +548,7 @@ def _lemmas(claim_id: str, n: int, p: int, r: int) -> Iterator[Outcome]:
     yield _valuation("lemma22", params, divisible_part, p, r - 1 + gamma, _BOUND, exact=False)
 
     h = _pattern_height(n, p)
+    powers = {p**a: cyclo.cyclotomic_power(p**a, r).coeffs for a in range(1, h + 1)}
     for size in range(1, h + 1):
         for subset in combinations(range(1, h + 1), size):
             params = {"n": n, "p": p, "r": r, "I": list(subset)}
@@ -543,8 +561,11 @@ def _lemmas(claim_id: str, n: int, p: int, r: int) -> Iterator[Outcome]:
             factors = {p**a: r for a in subset}
             factors.update((p**b, 1) for b in range(1, h + 1)
                            if b not in subset and qcomb._carry_at(2 * n, n, p**b))
-            modulus = cyclo.expand(cyclo.CycloFactorization(factors))
-            yield _congruence("lemma24", dict(params), dividend, modulus)
+            residues = {d: cyclo.residue(dividend.coeffs, d, e, powers[d] if e == r else None)
+                        for d, e in factors.items()}
+            yield _by_residues("lemma24", dict(params), residues, factors, factors,
+                               cyclo.expand(CycloFactorization(factors)), "",
+                               dividend.degree, lambda: dividend)
 
 
 # -- gcd-window evidence ------------------------------------------------------------

@@ -149,6 +149,15 @@ class TestExitCodes:
         assert "modulus   = [6]" in err
         assert "dividend  = [7]" in err and "remainder = [7]" in err
 
+    def test_failed_gjzq_residue_dumps_the_full_path_witness(self, capsys, monkeypatch):
+        # one more than the sum, which qb(3, 2) divides: the remainder is 1
+        real = sums.gjz_sum
+        monkeypatch.setattr(sums, "gjz_sum", lambda ns, mode: real(ns, mode) + 1)
+        assert run(["verify", "gjzq", "--ns", "2,1", "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert 'COUNTEREXAMPLE claim=gjzq params={"ns": [2, 1]}' in err
+        assert "modulus   = [1, 1, 1]" in err and "remainder = [1]" in err
+
     def test_zero_thm1_residue_fails_at_once(self, capsys, monkeypatch):
         # C(40, 20) = 2^2 * 3^2 * 5 * ...; the exponent has 22 digits, so a
         # full sum would never finish

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,18 @@ from hypothesis import strategies as st
 from qaltsum.cyclo import (
     CycloFactorization,
     cyclotomic,
+    cyclotomic_power,
     expand,
     is_prime,
     prime_power_form,
     q_int,
+    residue,
 )
 from qaltsum import polycore
 from qaltsum.polycore import ONE, IntPoly, InvalidArgument, monomial
 from qaltsum.qcomb import euler_phi, qbinom, qbinom_factored
 
-from oracles import conv
+from oracles import conv, poly_rem_brute
 
 
 class TestQInt:
@@ -97,6 +100,49 @@ class TestCyclotomic:
         for d in (5, 7, 9, 10, 15, 24, 36, 100):
             cs = cyclotomic(d).coeffs
             assert cs == cs[::-1], d
+
+
+    def test_powers_are_repeated_products(self):
+        for d in range(1, 61):
+            for e in range(1, 4):
+                assert cyclotomic_power(d, e) == cyclotomic(d) ** e, (d, e)
+
+    def test_highly_composite_index_is_reached(self):
+        # 2*3*5*7*11*13: the mu = -1 factors have degree 45,504 in all, and
+        # one long division by their dense product takes 30 s of CPU (x86-64,
+        # CPython 3.11), against well under 1 s one two-term factor at a time
+        start = time.perf_counter()
+        phi = cyclotomic.__wrapped__(30030)  # uncached
+        assert time.perf_counter() - start < 5.0
+        assert phi.degree == 5760 and phi.evaluate(1) == 1
+
+
+def _power(f, e):
+    out = [1]
+    for _ in range(e):
+        out = conv(out, f)
+    return out
+
+
+class TestResidue:
+    """Reduction modulo Phi_d^e by e steps by q^d - 1 and one long division."""
+
+    @settings(deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.data())
+    def test_matches_oracle(self, d, e, data):
+        size = data.draw(st.one_of(st.integers(0, d), st.integers(0, d * e),
+                                   st.integers(0, 300)))
+        cs = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=size, max_size=size))
+        mod = _power(list(cyclotomic(d).coeffs), e)
+        want = poly_rem_brute(cs, mod)
+        assert residue(cs, d, e) == want
+        assert residue(cs, d, e, tuple(mod)) == want
+
+    def test_multiples_reduce_to_zero(self):
+        for d in (1, 2, 6, 12, 30):
+            for e in (1, 2, 3):
+                assert residue(list(cyclotomic_power(d, e).coeffs) + [0] * 5, d, e) == []
+                assert residue(list((cyclotomic_power(d, e) * q_int(7)).coeffs), d, e) == []
 
 
 class TestPrimePowerForm:

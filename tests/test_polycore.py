@@ -15,13 +15,13 @@ from qaltsum.polycore import (
     IntPoly,
     NotDivisible,
     ZeroPolynomial,
-    _divexact_kronecker,
     _mul_kronecker,
     _pack,
     _unpack,
     divexact,
     divexact_qm1,
     divides,
+    divmod_qm1,
     monomial,
     mul_qm1,
     packed_sum,
@@ -140,14 +140,33 @@ class TestQm1Steps:
             divexact_qm1(cs, m)
         assert exc.value.remainder == IntPoly(cs)
 
+    @given(st.lists(st.integers(-(10**6), 10**6), max_size=60), step_m)
+    def test_divmod_matches_oracle(self, cs, m):
+        quot, rem = divmod_qm1(cs, m)
+        assert len(rem) == min(m, len(cs))
+        assert IntPoly(rem).coeffs == tuple(poly_rem_brute(cs, _qm1(m)))
+        assert IntPoly(poly_add(conv(quot, _qm1(m)), rem)) == IntPoly(cs)
+
+    @given(st.lists(st.integers(-(10**6), 10**6), max_size=60), step_m)
+    def test_divexact_raises_with_the_divmod_remainder(self, cs, m):
+        quot, rem = divmod_qm1(cs, m)
+        if not any(rem):
+            assert divexact_qm1(cs, m) == quot
+            return
+        with pytest.raises(NotDivisible) as exc:
+            divexact_qm1(cs, m)
+        assert exc.value.remainder == IntPoly(rem) == IntPoly(poly_rem_brute(cs, _qm1(m)))
+        assert exc.value.dividend == IntPoly(cs) and exc.value.step is None
+
     def test_zero_and_examples(self):
+        assert divmod_qm1([], 3) == ([], [])
+        assert divmod_qm1([1, 2], 3) == ([], [1, 2])
         assert mul_qm1([], 3) == [] and divexact_qm1([], 3) == []
         assert divexact_qm1([-1, 0, 0, 0, 1], 2) == [1, 0, 1]
         assert mul_qm1((1, 1), 1) == [-1, 0, 1]
 
 
-# Divisors with more than polycore._SPARSE_TERMS nonzero terms take the
-# Kronecker division path.
+# Dense divisors: every division is long division, however many terms.
 dense_lists = st.lists(st.integers(-(10**6), 10**6).filter(bool), min_size=7, max_size=30)
 quotient_lists = st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=40).filter(
     lambda cs: cs[-1] != 0
@@ -167,13 +186,12 @@ def _steps_witness(a, b):
     return IntPoly(rem), (step if quot is None else None)
 
 
-class TestKroneckerDivision:
-    """Exact division by one big-integer divmod, proved or handed back."""
+class TestDenseDivision:
+    """divexact by a dense divisor: the exact quotient, or the long-division witness."""
 
     @given(dense_lists, quotient_lists)
     def test_exact_quotient_matches_oracle(self, b, q):
         a = conv(b, q)
-        assert _divexact_kronecker(a, b) in (None, q)
         assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
         assert _kernels_py.divexact_steps(a, b) == (q, [], -1)
 
@@ -183,54 +201,12 @@ class TestKroneckerDivision:
         a = conv(b, q)
         a[where % len(a)] += delta  # b has degree >= 6, so it cannot divide delta q^i
         a = list(IntPoly(a).coeffs)
-        # b is dense, so the divmod is tried; its remainder proves the "no"
-        assert _divexact_kronecker(a, b) is False
         with pytest.raises(NotDivisible) as exc:
             divexact(IntPoly(a), IntPoly(b))
         if len(a) < len(b):
             assert (exc.value.remainder, exc.value.step) == (IntPoly(a), None)
         else:
             assert (exc.value.remainder, exc.value.step) == _steps_witness(a, b)
-
-    @pytest.mark.parametrize("e,n,path", [
-        (7, 3, "bound"), (8, 3, "bound"),
-        (7, 10, "multiply-back"), (8, 8, "multiply-back"),
-        (7, 15, "fallback"), (7, 100, "fallback"), (8, 40, "fallback"),
-    ])
-    def test_each_path_returns_the_true_quotient(self, monkeypatch, e, n, path):
-        # (1 - q)^e divides (1 - q^(n+1))^e with quotient (1 + ... + q^n)^e,
-        # whose coefficients outgrow the slots chosen from a and b as n grows.
-        b = _power([1, -1], e)
-        q = _power([1] * (n + 1), e)
-        a = conv(b, q)
-        products = []
-        mul = polycore._mul_coeffs
-        monkeypatch.setattr(polycore, "_mul_coeffs", lambda x, y: products.append(1) or mul(x, y))
-        got = _divexact_kronecker(a, b)
-        monkeypatch.undo()
-        assert got == (None if path == "fallback" else q)
-        assert len(products) == (0 if path == "bound" else 1)
-        assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
-
-    @given(st.integers(7, 9), st.integers(1, 60),
-           st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(lambda g: g[-1]))
-    def test_outgrown_quotients_fall_back_without_raising(self, e, n, g):
-        b = conv(g, _power([1, -1], e))
-        q = _power([1] * (n + 1), e)
-        a = conv(b, q)
-        assert _divexact_kronecker(a, b) in (None, q)
-        assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
-
-    @pytest.mark.parametrize("b", [
-        [1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6],  # six nonzero terms: sparse
-        [1] + [0] * 998 + [-1] + [0] * 999 + [1] + [0] * 499 + [1, -1, 1, 1],  # long, 7 terms
-        [3**400, -(5**300), 7**200, 1, 2, 3, 4, 5],  # slots of hundreds of bits
-    ])
-    def test_long_division_is_kept_where_it_is_faster(self, b):
-        q = [1, -2, 3, 0, 5] * 20
-        a = conv(b, q)
-        assert _divexact_kronecker(a, b) is None
-        assert divexact(IntPoly(a), IntPoly(b)).coeffs == tuple(q)
 
 
 monic_lists = st.one_of(
@@ -250,7 +226,6 @@ class TestSharedDivision:
 
     @given(monic_lists, quotient_lists, st.lists(st.integers(-(10**3), 10**3), max_size=11))
     def test_multiple_plus_remainder(self, b, q, r):
-        # dense divisors settle the exact multiples by Kronecker division
         r = r[: len(b) - 1]
         a = poly_add(conv(b, q), r)
         assert polycore._divide(conv(b, q), b) == (q, [], -1)

@@ -1,6 +1,7 @@
 """Theorem-level drivers: moduli, branch selection, witnesses, reports."""
 
 import functools
+import itertools
 import time
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from qaltsum import verify
 from qaltsum.cyclo import cyclotomic, q_int
-from qaltsum.polycore import IntPoly, InvalidArgument, _divexact_kronecker, divides, monomial
+from qaltsum.polycore import IntPoly, InvalidArgument, divides, monomial
 from qaltsum.qcomb import binom, nu_p_int, qbinom
-from qaltsum.sums import alt_power_sum, triple_sum, triple_sum_degree
+from qaltsum.sums import alt_power_sum, gjz_sum, pattern_sum, triple_sum, triple_sum_degree
 from qaltsum.verify import (
     InfeasibleScale,
     check_congruence,
@@ -56,12 +57,12 @@ def _printed_t2c2(n, r, s, t):
 
 def _divides_pairs():
     pairs = [_printed_t2c2(n, *rst) for n in range(1, 6) for rst in ((1, 1, 1), (2, 1, 2))]
-    # sparse divisors (at most six terms), which Kronecker division does not try
+    # sparse divisors q^m - 1
     for m in (2, 3, 5):
         qm1 = monomial(m) - 1
         for a in (monomial(6) - 1, qbinom(6, 2), q_int(5) * q_int(3, step=2)):
             pairs += [(a, qm1), (a * qm1, qm1), (a * qm1 + 1, qm1)]
-    # a quotient that outgrows its slots: the divmod is exact but not proved
+    # a dense divisor whose quotient has large coefficients
     b = IntPoly([1, -1]) ** 7
     a = q_int(16) ** 7 * b
     pairs += [(a, b), (a + monomial(3), b), (IntPoly(7), IntPoly(7)), (IntPoly(8), IntPoly(3))]
@@ -69,19 +70,15 @@ def _divides_pairs():
 
 
 class TestDivides:
-    """divides answers as check_congruence does, on every division path."""
+    """divides answers as check_congruence does, on every division outcome."""
 
     @pytest.mark.parametrize("a,b", _divides_pairs())
     def test_agrees_with_check_congruence(self, a, b):
         assert divides(a, b) is check_congruence(a, b).holds
 
     def test_pairs_reach_every_path(self):
-        pairs = _divides_pairs()
-        kron = [_divexact_kronecker(a.coeffs, b.coeffs) for a, b in pairs]
-        assert any(q is False for q in kron)  # decided "no" by the divmod
-        assert any(q for q in kron)  # proved quotient
-        undecided = [check_congruence(a, b).holds for (a, b), q in zip(pairs, kron) if q is None]
-        assert True in undecided and False in undecided  # long division decides
+        holds = [check_congruence(a, b).holds for a, b in _divides_pairs()]
+        assert True in holds and False in holds
 
     def test_printed_t2c2_moduli(self):
         # for n <= 5 the printed form, [3] at q^(2^alpha), fails only at n = 3
@@ -379,6 +376,77 @@ class TestQResiduePath:
         assert calls == [rep.case.expected_modulus]
         assert rep.witness.dividend == triple_sum("six_four_two", 1, 1, 1, 1, "q")
         assert rep.witness.remainder and not rep.witness.holds
+
+
+def _expected(witness):
+    """(holds, quotient_degree) of the report check_congruence would give."""
+    return witness.holds, None if witness.quotient is None else len(witness.quotient) - 1
+
+
+class TestBuiltDividendResidues:
+    """gjzq and lemma24 decide by residues of the dividend they build."""
+
+    @pytest.fixture
+    def real_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("check_congruence called on a holding case")
+
+        monkeypatch.setattr(verify, "check_congruence", refuse)
+        return check_congruence
+
+    def test_gjzq_reports_match_the_full_division(self, real_check):
+        for h in range(1, 4):
+            for ns in itertools.product(range(1, 6), repeat=h):
+                ns = list(ns)
+                dividend, n1 = gjz_sum(ns, "q"), ns[0]
+                modulus = qbinom(n1 + ns[-1], n1)
+                variants = [i + 1 for i, ni in enumerate(ns)
+                            if real_check(dividend, qbinom(n1 + ni, n1)).holds]
+                rep = run_case("gjzq", {"ns": ns})[0]
+                assert rep.case.expected_modulus == modulus
+                assert (rep.holds, rep.quotient_degree) == _expected(
+                    real_check(dividend, modulus)), ns
+                assert rep.case.derivation_note.endswith(f"modulus divides: {variants}"), ns
+                if h == 1:  # the sum over k of (-1)^k q^C(k,2) qb(2n, n + k) vanishes
+                    assert not dividend and rep.quotient_degree == -1
+
+    def test_lemma24_reports_match_the_full_division(self, real_check):
+        checked = 0
+        for n, p, r in itertools.product(range(1, 9), (2, 3, 5), range(1, 4)):
+            for rep in run_case("lemmas", {"n": n, "p": p, "r": r}):
+                if rep.case.claim_id != "lemma24":
+                    continue
+                dividend = pattern_sum(n, r, p, rep.case.params["I"], "q")
+                want = _expected(real_check(dividend, rep.case.expected_modulus))
+                assert (rep.holds, rep.quotient_degree) == want, rep.case.params
+                checked += 1
+        assert checked == 498
+
+    def test_nonzero_residue_ends_with_the_full_division_witness(self, monkeypatch):
+        # one more than the sum: no residue vanishes, and the exact division
+        # of the dividend the case built supplies the witness
+        real = gjz_sum
+        monkeypatch.setattr(verify.sums, "gjz_sum", lambda ns, mode: real(ns, mode) + 1)
+        rep = run_case("gjzq", {"ns": [2, 1]})[0]
+        assert rep.holds is False and rep.quotient_degree is None
+        assert rep.case.derivation_note.endswith("modulus divides: []")
+        assert rep.witness.dividend == real([2, 1], "q") + 1
+        assert rep.witness.modulus == qbinom(3, 2) and rep.witness.remainder == IntPoly(1)
+
+    def test_nonzero_lemma24_residue_reruns_the_full_division(self, monkeypatch):
+        real = pattern_sum
+
+        def shifted(n, r, p, I, mode="integer"):
+            value = real(n, r, p, I, mode)
+            return value + 1 if mode == "q" else value
+
+        monkeypatch.setattr(verify.sums, "pattern_sum", shifted)
+        reports = [rep for rep in run_case("lemmas", {"n": 2, "p": 2, "r": 2})
+                   if rep.case.claim_id == "lemma24"]
+        assert reports and all(rep.holds is False for rep in reports)
+        for rep in reports:
+            assert rep.witness.remainder == IntPoly(1)
+            assert rep.witness.modulus == rep.case.expected_modulus
 
 
 class TestThm2:
