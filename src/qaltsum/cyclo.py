@@ -30,8 +30,8 @@ from itertools import zip_longest
 from typing import Mapping
 
 from ._kernels_py import divexact_steps
-from .polycore import (IntPoly, InvalidArgument, divexact, divexact_qm1, divmod_qm1, monomial,
-                       mul_qm1, product)
+from .polycore import (IntPoly, InvalidArgument, divexact, divexact_qm1, divmod_qm1, mul_qm1,
+                       product)
 
 __all__ = [
     "CycloFactorization",
@@ -112,7 +112,7 @@ def _cyclotomic_power(d: int, e: int) -> IntPoly:
     power = IntPoly(functools.reduce(mul_qm1, [m for m, mu in factors if mu > 0] * e, [1]))
     # the largest first, so that each division shortens what the next passes over
     for m in sorted([m for m, mu in factors if mu < 0] * e, reverse=True):
-        power = divexact(power, monomial(m) - 1)
+        power = divexact(power, IntPoly(mul_qm1([1], m)))
     return power
 
 
@@ -129,8 +129,7 @@ def residue(coeffs, d: int, e: int = 1, mod=None) -> list[int]:
     for _ in range(e - 1):
         coeffs, digit = divmod_qm1(coeffs, d)
         digits.append(digit)
-    digits.append([sum(coeffs[i::d]) for i in range(min(d, len(coeffs)))])  # the fold
-    low = []
+    low = [sum(coeffs[i::d]) for i in range(min(d, len(coeffs)))]  # the top digit: the fold
     for digit in reversed(digits):
         low = [a + b for a, b in zip_longest(mul_qm1(low, d), digit, fillvalue=0)]
     if mod is None:
