@@ -5,8 +5,8 @@ Phi_d = prod_{e | d} (q^e - 1)^mu(d/e) (Arnold & Monagan, Math. Comp. 80,
 step, and the product is divided exactly by each two-term factor with
 mu = -1 in turn.  Results are memoized; two threads racing to fill the
 same cache entry simply duplicate an idempotent computation.
-cyclotomic_power builds Phi_d^e from the e-th powers of the factors and
-does not memoize e >= 2.
+cyclotomic_power builds Phi_d^e from the e-th powers of the factors, a
+sparse divisor of e + 1 terms each, and does not memoize e >= 2.
 
 residue, the one reduction modulo Phi_d^e of qcomb, sums and verify,
 uses that Phi_d^e divides (q^d - 1)^e: e divisions by q^d - 1 give the
@@ -92,7 +92,7 @@ def cyclotomic_power(d: int, e: int) -> IntPoly:
 
     A higher power is built the same way as Phi_d and not cached: the
     product of the factors (q^m - 1)^e with mu = 1, divided exactly by
-    each factor with mu = -1.
+    each (q^m - 1)^e with mu = -1.
 
     >>> cyclotomic_power(6, 2) == cyclotomic(6) ** 2
     True
@@ -111,8 +111,8 @@ def _cyclotomic_power(d: int, e: int) -> IntPoly:
             factors += [(m // p, -mu) for m, mu in factors]
     power = IntPoly(functools.reduce(mul_qm1, [m for m, mu in factors if mu > 0] * e, [1]))
     # the largest first, so that each division shortens what the next passes over
-    for m in sorted([m for m, mu in factors if mu < 0] * e, reverse=True):
-        power = divexact(power, IntPoly(mul_qm1([1], m)))
+    for m in sorted([m for m, mu in factors if mu < 0], reverse=True):
+        power = divexact(power, IntPoly(functools.reduce(mul_qm1, [m] * e, [1])))
     return power
 
 

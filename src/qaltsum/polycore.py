@@ -310,17 +310,19 @@ def divmod_qm1(coeffs, m: int) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of coeffs by q^m - 1 for m >= 1.
 
     Q[j] = P[j+m] + Q[j+m] is a suffix sum along each residue class mod m,
-    and R[i] = P[i] + Q[i], i < m, the sum of the class of i, has
-    min(m, len(coeffs)) coefficients, trailing zeros kept.
+    taken as a prefix sum of the reversed coefficients, and R[i] = P[i] +
+    Q[i], i < m, the sum of the class of i, has min(m, len(coeffs))
+    coefficients, trailing zeros kept.
 
     >>> divmod_qm1([1, 2, 3, 4, 5], 2)
     ([8, 4, 5], [9, 6])
     """
-    n = len(coeffs) - m
-    quot = [0] * max(n, 0)
-    for r in range(min(m, n)):
-        quot[r::m] = list(accumulate(coeffs[r + m :: m][::-1]))[::-1]
-    rem = [c + (quot[i] if i < n else 0) for i, c in enumerate(coeffs[:m])]
+    tail = list(coeffs[m:])[::-1]
+    for r in range(min(m, len(tail))):
+        tail[r::m] = accumulate(tail[r::m])
+    quot = tail[::-1]
+    rem = list(coeffs[:m])
+    rem[: len(quot)] = map(operator.add, rem, quot)
     return quot, rem
 
 
