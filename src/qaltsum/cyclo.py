@@ -8,12 +8,12 @@ same cache entry simply duplicate an idempotent computation.
 cyclotomic_power builds Phi_d^e from the e-th powers of the factors, a
 sparse divisor of e + 1 terms each, and does not memoize e >= 2.
 
-residue, the one reduction modulo Phi_d^e of qcomb, sums and verify,
-uses that Phi_d^e divides (q^d - 1)^e: e divisions by q^d - 1 give the
-lowest e base-(q^d - 1) digits (polycore.divmod_qm1; the last digit is
-the fold, the sum over each residue class of exponents mod d), Horner's
-rule puts them back together below degree d e, and one long division by
-Phi_d^e finishes.
+residue, the reduction behind the q-Lucas residues, the triple sum's
+residue path and verify's q-congruences, uses that Phi_d^e divides
+(q^d - 1)^e: e divisions by q^d - 1 give the lowest e base-(q^d - 1)
+digits (polycore.divmod_qm1; the last digit is the fold, the sum over
+each residue class of exponents mod d), Horner's rule puts them back
+together below degree d e, and one long division by Phi_d^e finishes.
 
 For prime powers there is also the direct construction
 Phi_{p^a} = 1 + q^{p^(a-1)} + ... + q^{(p-1) p^(a-1)}, i.e. the
