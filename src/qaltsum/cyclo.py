@@ -122,9 +122,17 @@ def residue(coeffs, d: int, e: int = 1, mod=None) -> list[int]:
     mod is Phi_d^e's coefficients, built by cyclotomic_power when omitted
     (cached only for e = 1).
 
+    Below degree d e the base-(q^d - 1) digits put back together are
+    coeffs itself, so a list of at most d e coefficients goes straight to
+    the long division.
+
     >>> residue([1, 2, 3, 4, 5], 3), residue([1, 2, 3, 4, 5], 2, 2)
     ([2, 4], [-9, -12])
     """
+    if mod is None:
+        mod = cyclotomic_power(d, e).coeffs
+    if len(coeffs) <= d * e:
+        return divexact_steps(coeffs, mod)[1]
     digits = []
     for _ in range(e - 1):
         coeffs, digit = divmod_qm1(coeffs, d)
@@ -132,8 +140,6 @@ def residue(coeffs, d: int, e: int = 1, mod=None) -> list[int]:
     low = [sum(coeffs[i::d]) for i in range(min(d, len(coeffs)))]  # the top digit: the fold
     for digit in reversed(digits):
         low = [a + b for a, b in zip_longest(mul_qm1(low, d), digit, fillvalue=0)]
-    if mod is None:
-        mod = cyclotomic_power(d, e).coeffs
     return divexact_steps(low, mod)[1]
 
 

@@ -14,10 +14,17 @@ integer per operand and lets the interpreter's native big-integer
 multiplication do the work, which keeps degree-10^4 products with
 thousand-bit coefficients cheap without any custom fast arithmetic.  A
 coefficient c goes into a slot of w bits as a balanced digit,
--2^(w-1) <= c < 2^(w-1): the nonnegative and the negative coefficients
-are packed as two unsigned integers and subtracted, and unpacking adds
-2^(w-1) to every slot and reads unsigned slots, so neither direction
-runs a borrow chain.
+-2^(w-1) <= c < 2^(w-1), so neither direction runs a borrow chain.
+Slots of at most 64 bits are 8, 16, 32 or 64 bits wide, the widths of
+the machine integers of the stdlib array module, and those are packed
+and unpacked by a few C calls per polynomial: array writes each digit
+as a two's-complement word, and flipping each word's top bit turns it
+into c + 2^(w-1), an unsigned slot read by one int.from_bytes less the
+bias sum 2^(w-1) 2^(w i); unpacking adds the bias and runs the same
+steps backwards.  Wider slots are byte-aligned and packed coefficient
+by coefficient: the nonnegative and the negative coefficients as two
+unsigned integers that are subtracted, and unpacking reads biased
+unsigned slots.
 
 A whole signed sum of products, sum sign * q^shift * prod f^e, is
 evaluated the same way by packed_sum (Harvey, J. Symbolic Comput. 44,
@@ -27,7 +34,8 @@ the sum exceeds sum over terms of prod l1(f)^e.  The q-mode alternating
 sums go through packed_sum.  A product of many signed factors, such as
 a cyclotomic factorization, can cancel far below that bound, so product
 multiplies it by a tree whose slots follow the size of the actual
-coefficients.  The packing format is private to this module.
+coefficients and never exceed 64 bits where it packs, the widest slot
+of the array codec.  The packing format is private to this module.
 
 Every divisibility decision is made by one private routine, _divide,
 which is long division (divexact_steps): it supplies the quotient of an
@@ -48,6 +56,8 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import gcd, prod
@@ -131,7 +141,7 @@ class IntPoly:
         elif isinstance(coeffs, int):
             cs = [coeffs]
         else:
-            cs = [int(c) for c in coeffs]
+            cs = list(map(int, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -367,8 +377,21 @@ def _mul_sparse(dense, sparse):
 
 
 def _slot_bits(nbits):
-    """Byte-aligned slot width of at least nbits bits."""
+    """Slot width of at least nbits bits: 8, 16, 32 or 64, else byte-aligned."""
+    if nbits <= 64:
+        return max(8, 1 << (nbits - 1).bit_length())
     return (nbits + 7) & ~7
+
+
+# The array codec of the machine-word slots: the typecode of each width
+# in bytes, and the table that flips the top bit of a byte.
+_WORD_CODES = {array(code).itemsize: code for code in "bhiq"}
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+
+
+def _bias(nbytes, n):
+    """sum 2^(w-1) 2^(w i) over n slots of w = 8 nbytes bits."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
 
 
 def _max_abs(coeffs):
@@ -399,9 +422,20 @@ def _mul_kronecker(a, b):
 def _pack(coeffs, bits, nbytes):
     """The value of the polynomial at 2**bits, each c a balanced digit.
 
-    The nonnegative and the negative parts are packed separately, so no
-    borrow runs from one slot into the next.
+    Slots of 1, 2, 4 or 8 bytes go through array (module docstring):
+    two's-complement words, little-endian on every host, their top bits
+    flipped, read as one unsigned integer less the bias.  Wider slots
+    pack the nonnegative and the negative parts separately, so no borrow
+    runs from one slot into the next.
     """
+    code = _WORD_CODES.get(nbytes)
+    if code is not None:
+        words = array(code, coeffs)
+        if sys.byteorder == "big":
+            words.byteswap()
+        buf = bytearray(words)
+        buf[nbytes - 1 :: nbytes] = buf[nbytes - 1 :: nbytes].translate(_FLIP)
+        return int.from_bytes(buf, "little") - _bias(nbytes, len(coeffs))
     if min(coeffs) >= 0:
         return int.from_bytes(
             b"".join(map(int.to_bytes, coeffs, repeat(nbytes), repeat("little"))), "little"
@@ -418,12 +452,23 @@ def _unpack(value, bits, nbytes, n):
     Adding 2**(bits-1) to every slot (the bias 0x80...80) turns the
     balanced digits in [-2**(bits-1), 2**(bits-1)) into unsigned ones; the
     value is representable exactly when the biased value fits in n slots.
+    Slots of 1, 2, 4 or 8 bytes are then read back by array, after their
+    top bits are flipped to give two's-complement words; wider slots are
+    read one by one.
     """
-    half = 1 << (bits - 1)
-    biased = value + int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    biased = value + _bias(nbytes, n)
     if biased < 0 or biased >> (bits * n):
         return None
+    code = _WORD_CODES.get(nbytes)
+    if code is not None:
+        buf = bytearray(biased.to_bytes(n * nbytes, "little"))
+        buf[nbytes - 1 :: nbytes] = buf[nbytes - 1 :: nbytes].translate(_FLIP)
+        words = array(code, buf)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tolist()
     buf = biased.to_bytes(n * nbytes, "little")
+    half = 1 << (bits - 1)
     from_bytes = int.from_bytes
     return [from_bytes(buf[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
 
@@ -489,24 +534,29 @@ def product(factors) -> list[int]:
 
     The slots are kept narrow however much signed factors cancel: while
     the product of the factors' l1 norms fits a 64-bit slot, the factors
-    are multiplied packed at that width, where its looseness costs
-    little.  Above it the list is split in halves, each multiplied out the
-    same way, and the halves are multiplied by _mul_coeffs at the width
-    their coefficients need.  64 bits was the fastest of 32, 64 and 128
-    both on expanding every qbinom(n, k), n <= 45, from its cyclotomic
-    factors and on n = 80 and 100.  The empty product is [1].
+    are packed at that width, where its looseness costs little, and their
+    packed values are multiplied pairwise, as a balanced tree.  Above it
+    the list is split in halves, each multiplied out the same way, and
+    the halves are multiplied by _mul_coeffs at the width their
+    coefficients need.  64 bits was the fastest of 32, 64 and 128 both on
+    expanding every qbinom(n, k), n <= 45, from its cyclotomic factors and
+    on n = 80 and 100, and it is also the widest slot of the array codec
+    (module docstring), so every packed product here runs on machine
+    words.  The empty product is [1].
 
     >>> product([[1, 1], [-1, 1]]), product([])
     ([-1, 0, 1], [1])
     """
-    if len(factors) == 1:
-        return list(factors[0])
+    if len(factors) <= 1:
+        return list(factors[0]) if factors else [1]
     bound = prod(sum(map(abs, f)) for f in factors)
     if bound.bit_length() < 64:
         bits = _slot_bits(bound.bit_length() + 1)
         nbytes = bits >> 3
-        value = prod(_pack(f, bits, nbytes) for f in factors)
-        return _unpack(value, bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
+        values = [_pack(f, bits, nbytes) for f in factors]
+        while len(values) > 1:  # neighbours in pairs; an odd last one waits a round
+            values = [*map(operator.mul, values[::2], values[1::2]), *values[len(values) & ~1 :]]
+        return _unpack(values[0], bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
     half = len(factors) // 2
     return _mul_coeffs(product(factors[:half]), product(factors[half:]))
 

@@ -251,7 +251,7 @@ def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:
     lhs = _qbinom_mod(x1 * d + x2, y1 * d + y2, d)
     scale = binom(x1, y1)
     residue = _digit_residue(d, x2, y2) if scale else ()
-    return lhs == tuple(scale * c for c in residue)
+    return lhs == (residue if scale == 1 else tuple(map(scale.__mul__, residue)))
 
 
 # -- valuations ----------------------------------------------------------------

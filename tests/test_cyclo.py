@@ -138,6 +138,17 @@ class TestResidue:
         assert residue(cs, d, e) == want
         assert residue(cs, d, e, tuple(mod)) == want
 
+    @settings(deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.data())
+    def test_short_inputs_match_oracle(self, d, e, data):
+        # up to d e coefficients go straight to the long division, past it
+        # through the digits in base q^d - 1
+        size = data.draw(st.one_of(st.integers(max(0, d * e - 1), d * e + 2),
+                                   st.integers(0, d * e + 2)))
+        cs = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=size, max_size=size))
+        mod = _power(list(cyclotomic(d).coeffs), e)
+        assert residue(cs, d, e) == poly_rem_brute(cs, mod)
+
     def test_multiples_reduce_to_zero(self):
         for d in (1, 2, 6, 12, 30):
             for e in (1, 2, 3):

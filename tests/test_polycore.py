@@ -17,6 +17,7 @@ from qaltsum.polycore import (
     ZeroPolynomial,
     _mul_kronecker,
     _pack,
+    _slot_bits,
     _unpack,
     divexact,
     divexact_qm1,
@@ -251,6 +252,12 @@ def _slot_values(bits):
     return st.integers(-half, half - 1)
 
 
+def _edge_or_slot_values(bits):
+    half = 1 << (bits - 1)
+    return st.one_of(st.sampled_from([-half, half - 1, -(half - 1), -1, 0, 1]),
+                     _slot_values(bits))
+
+
 class TestPacking:
     """Borrow-free pack and biased unpack at the edges of a slot."""
 
@@ -282,6 +289,37 @@ class TestPacking:
         assert _unpack(1 << 16, 8, 1, 2) is None
         assert _unpack(-(1 << 7), 8, 1, 1) == [-(1 << 7)]
         assert _unpack((1 << 7) - 1 + (3 << 8), 8, 1, 2) == [127, 3]
+
+    @given(st.integers(1, 17).flatmap(lambda nbytes: st.tuples(
+        st.just(nbytes), st.lists(_edge_or_slot_values(8 * nbytes), min_size=1, max_size=30))))
+    def test_round_trip_at_every_width(self, nbytes_and_coeffs):
+        # 1, 2, 4 and 8 bytes go through the array codec, the rest one slot at a time
+        nbytes, cs = nbytes_and_coeffs
+        bits = 8 * nbytes
+        assert _unpack(_pack(cs, bits, nbytes), bits, nbytes, len(cs)) == cs
+
+    @pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
+    @given(data=st.data())
+    def test_array_widths_pack_the_value_at_two_to_the_slot(self, nbytes, data):
+        # the slot i is worth 2^(w i) whatever the host's byte order
+        bits = 8 * nbytes
+        cs = data.draw(st.lists(_edge_or_slot_values(bits), min_size=1, max_size=30))
+        assert _pack(cs, bits, nbytes) == sum(c << (bits * i) for i, c in enumerate(cs))
+
+    @pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
+    def test_array_widths_decode_unrepresentable_values_to_none(self, nbytes):
+        bits = 8 * nbytes
+        half = 1 << (bits - 1)
+        for value, n in ((half, 1), (-half - 1, 1), (1 << (2 * bits), 2),
+                         (half << bits, 2), (-(half << bits) - half - 1, 2), (-(1 << (3 * bits)), 3)):
+            assert _unpack(value, bits, nbytes, n) is None
+        assert _unpack(-half, bits, nbytes, 1) == [-half]
+        assert _unpack(((half - 1) << bits) - half, bits, nbytes, 2) == [-half, half - 1]
+
+    def test_slot_widths(self):
+        # powers of two up to a machine word, byte-aligned past it
+        assert [_slot_bits(n) for n in (1, 8, 9, 16, 17, 33, 64, 65, 136)] == [
+            8, 8, 16, 16, 32, 64, 64, 72, 136]
 
 
 def _chained(terms):
@@ -356,6 +394,15 @@ class TestProduct:
                     max_size=12))
     def test_matches_chained_convolution(self, factors):
         # past 64 bits of l1 norm the list is split, below it packed whole
+        assert product(factors) == functools.reduce(conv, factors, [1])
+
+    @pytest.mark.parametrize("count", range(10))
+    @given(data=st.data())
+    def test_packed_tree_of_any_count(self, count, data):
+        # small factors keep the l1 bound under 64 bits, so the whole list
+        # is packed and multiplied as a pairwise tree, odd counts included
+        factor = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(lambda f: f[-1])
+        factors = data.draw(st.lists(factor, min_size=count, max_size=count))
         assert product(factors) == functools.reduce(conv, factors, [1])
 
 
