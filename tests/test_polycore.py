@@ -249,19 +249,14 @@ class TestSharedDivision:
 
 def _slot_values(bits):
     half = 1 << (bits - 1)
-    return st.integers(-half, half - 1)
-
-
-def _edge_or_slot_values(bits):
-    half = 1 << (bits - 1)
     return st.one_of(st.sampled_from([-half, half - 1, -(half - 1), -1, 0, 1]),
-                     _slot_values(bits))
+                     st.integers(-half, half - 1))
 
 
 class TestPacking:
     """Borrow-free pack and biased unpack at the edges of a slot."""
 
-    @pytest.mark.parametrize("bits", [8, 16, 64, 136])
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64, 136])
     def test_round_trip_at_slot_edges(self, bits):
         half = 1 << (bits - 1)
         nbytes = bits >> 3
@@ -276,12 +271,17 @@ class TestPacking:
             assert value == sum(c << (bits * i) for i, c in enumerate(cs))
             assert _unpack(value, bits, nbytes, len(cs)) == cs
 
-    @given(st.sampled_from([8, 16, 24, 72]).flatmap(
-        lambda bits: st.tuples(st.just(bits), st.lists(_slot_values(bits), min_size=1,
-                                                         max_size=30))))
-    def test_round_trip(self, bits_and_coeffs):
-        bits, cs = bits_and_coeffs
-        assert _unpack(_pack(cs, bits, bits >> 3), bits, bits >> 3, len(cs)) == cs
+    @given(st.one_of(st.sampled_from([1, 2, 4, 8]), st.integers(1, 17)).flatmap(
+        lambda nbytes: st.tuples(st.just(nbytes), st.lists(_slot_values(8 * nbytes),
+                                                           min_size=1, max_size=30))))
+    def test_round_trip(self, nbytes_and_coeffs):
+        # 1, 2, 4 and 8 bytes go through the array codec, the rest one slot
+        # at a time; slot i is worth 2^(w i) whatever the host's byte order
+        nbytes, cs = nbytes_and_coeffs
+        bits = 8 * nbytes
+        value = _pack(cs, bits, nbytes)
+        assert value == sum(c << (bits * i) for i, c in enumerate(cs))
+        assert _unpack(value, bits, nbytes, len(cs)) == cs
 
     def test_values_without_a_balanced_form_decode_to_none(self):
         assert _unpack(1 << 7, 8, 1, 1) is None
@@ -290,28 +290,12 @@ class TestPacking:
         assert _unpack(-(1 << 7), 8, 1, 1) == [-(1 << 7)]
         assert _unpack((1 << 7) - 1 + (3 << 8), 8, 1, 2) == [127, 3]
 
-    @given(st.integers(1, 17).flatmap(lambda nbytes: st.tuples(
-        st.just(nbytes), st.lists(_edge_or_slot_values(8 * nbytes), min_size=1, max_size=30))))
-    def test_round_trip_at_every_width(self, nbytes_and_coeffs):
-        # 1, 2, 4 and 8 bytes go through the array codec, the rest one slot at a time
-        nbytes, cs = nbytes_and_coeffs
-        bits = 8 * nbytes
-        assert _unpack(_pack(cs, bits, nbytes), bits, nbytes, len(cs)) == cs
-
-    @pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
-    @given(data=st.data())
-    def test_array_widths_pack_the_value_at_two_to_the_slot(self, nbytes, data):
-        # the slot i is worth 2^(w i) whatever the host's byte order
-        bits = 8 * nbytes
-        cs = data.draw(st.lists(_edge_or_slot_values(bits), min_size=1, max_size=30))
-        assert _pack(cs, bits, nbytes) == sum(c << (bits * i) for i, c in enumerate(cs))
-
     @pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
     def test_array_widths_decode_unrepresentable_values_to_none(self, nbytes):
         bits = 8 * nbytes
         half = 1 << (bits - 1)
-        for value, n in ((half, 1), (-half - 1, 1), (1 << (2 * bits), 2),
-                         (half << bits, 2), (-(half << bits) - half - 1, 2), (-(1 << (3 * bits)), 3)):
+        for value, n in ((half, 1), (-half - 1, 1), (1 << (2 * bits), 2), (half << bits, 2),
+                         (-(half << bits) - half - 1, 2), (-(1 << (3 * bits)), 3)):
             assert _unpack(value, bits, nbytes, n) is None
         assert _unpack(-half, bits, nbytes, 1) == [-half]
         assert _unpack(((half - 1) << bits) - half, bits, nbytes, 2) == [-half, half - 1]
