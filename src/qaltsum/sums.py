@@ -51,12 +51,22 @@ and T(k) = 0 once |k| > min_i n_i.  The q modes keep every k, because
 q^C(k,2) is not even in k; the packed sum shares the products of +-k.
 
 The power sum also has a residue form, alt_power_sum_mod(n, r, m) =
-alt_power_sum(n, r) mod m: the same half-range sum with pow(C(2n, k), r, m)
+alt_power_sum(n, r) mod m: the same half-range sum with C(2n, k)^r mod m
 in place of C(2n, k)^r.  Its cost grows with the bits of r and of m, not
 with r times the bits of C(2n, n), so it reaches exponents whose full sum
 would have millions of digits.  It takes the same n and r as
 alt_power_sum, rejects the same bad ones with the same message, and
-needs m >= 1.
+needs m >= 1.  The first two calls for an (n, m) take pow(C(2n, k), r, m)
+term by term, building the row C(2n, k) each time.  From the third on,
+the (n, m) has a power table, fixed 4-bit windows kept per modulus
+(Knuth, TAOCP vol. 2, 4.6.3): the row B_j = C(2n, n - j) mod m, its
+squares B^(2^i) and the window products B^(d 16^i), each filled when an
+exponent first needs it.  A call then multiplies one cached vector per
+nonzero 4-bit digit of r, so its cost grows with those digits: for
+r < 256 at most one product modulo m per term, where pow takes about
+ten.  The tables are kept least recently used first within a budget of
+bits (_TABLE_BITS); a call whose table would not fit it alone runs pow.
+power_table_info() counts the calls each way and what the tables hold.
 
 The q-mode triple sum has a residue form too: triple_sum(..., "q",
 modulo=F), F a cyclotomic factorization, maps each d of F to the sum's
@@ -78,8 +88,10 @@ alone, whose leading coefficient is 1 (triple_sum_degree).
 
 from __future__ import annotations
 
+import threading
 from math import comb, prod
-from typing import Callable, Iterable, Literal, Optional, Sequence, Union
+from operator import mul
+from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence, Union
 
 from .cyclo import CycloFactorization, cyclotomic_power, is_prime, residue
 from .polycore import IntPoly, InvalidArgument, packed_sum
@@ -91,6 +103,7 @@ __all__ = [
     "alt_power_sum_filtered",
     "gjz_sum",
     "pattern_sum",
+    "power_table_info",
     "triple_sum",
     "triple_sum_degree",
 ]
@@ -153,8 +166,12 @@ def alt_power_sum(n: int, r: int) -> int:
 def alt_power_sum_mod(n: int, r: int, m: int) -> int:
     """alt_power_sum(n, r) % m, with every power taken modulo m.
 
-    The same half-range sum as alt_power_sum, with pow(C(2n, k), r, m)
-    for C(2n, k)^r, so no power is built in full.
+    The same half-range sum as alt_power_sum, with C(2n, k)^r mod m for
+    C(2n, k)^r, so no power is built in full.  The first _POW_CALLS calls
+    for an (n, m) take pow(C(2n, k), r, m) term by term; later ones read
+    the power table of that (n, m) (see the module docstring), at one
+    product modulo m per term for each nonzero 4-bit digit of r past the
+    first.
 
     >>> alt_power_sum_mod(2, 4, 7), alt_power_sum(2, 4) % 7
     (2, 2)
@@ -162,7 +179,173 @@ def alt_power_sum_mod(n: int, r: int, m: int) -> int:
     _check_power(n, r)
     if m < 1:
         raise InvalidArgument(f"alt_power_sum_mod requires m >= 1, got m={m}")
-    return _sign(n) * _even_sum(lambda j: pow(comb(2 * n, n - j), r, m), n) % m
+    vectors = _POWER_TABLES.vectors(n, r, m)
+    if vectors is None:
+        return _sign(n) * _even_sum(lambda j: pow(comb(2 * n, n - j), r, m), n) % m
+    terms, *rest = vectors
+    for v in rest[:-1]:
+        terms = [x * y % m for x, y in zip(terms, v)]
+    if rest:
+        terms = list(map(mul, terms, rest[-1]))  # reduced once, in the sum
+    # _even_sum, read from the list
+    return _sign(n) * (terms[0] + 2 * (sum(terms[2::2]) - sum(terms[1::2]))) % m
+
+
+# A modulus is asked for this many exponents by the pow loop before it
+# gets a table: a table costs about 1.5 pow loops to start, and thm1's
+# per_prime moduli are each asked for exactly two exponents.
+_POW_CALLS = 2
+# how many (n, m) are counted toward a table at once; past it all counts
+# are dropped together, which costs less per call than dropping the oldest
+_COUNTED_KEYS = 256
+# what all tables together may hold, in bits (8 MiB)
+_TABLE_BITS = 1 << 26
+
+
+class _PowerTable:
+    """The powers of the row B_j = C(2n, n - j) mod m, j = 0..n, filled lazily.
+
+    squares[i] is B^(2^i) term by term.  windows[i, d] is B^(d 16^i) for
+    a 4-bit d that is not a power of two (those are squares[4i + b]); it
+    is the window of d with its lowest bit cleared times a square, so
+    d = 13 brings 12 = 8 + 4 along.  A stored vector is never changed.
+    """
+
+    __slots__ = ("m", "squares", "windows", "vector_bits")
+
+    def __init__(self, n: int, m: int):
+        self.m = m
+        self.squares = [[comb(2 * n, n - j) % m for j in range(n + 1)]]
+        self.windows: dict[tuple[int, int], list[int]] = {}
+        self.vector_bits = _vector_bits(n, m)
+
+    @property
+    def bits(self) -> int:
+        return (len(self.squares) + len(self.windows)) * self.vector_bits
+
+    def held(self, digits: list[tuple[int, int]]) -> Optional[list[list[int]]]:
+        """B^(d 16^i) for every digit (i, d), or None if one is not built yet."""
+        squares, windows = self.squares, self.windows
+        try:
+            return [windows[i, d] if d & (d - 1) else squares[4 * i + d.bit_length() - 1]
+                    for i, d in digits]
+        except (KeyError, IndexError):
+            return None
+
+    def fill(self, digits: list[tuple[int, int]]) -> list[list[int]]:
+        """B^(d 16^i) for every digit (i, d), building what is missing."""
+        m, squares, windows = self.m, self.squares, self.windows
+        while len(squares) < _squares_needed(digits):
+            squares.append([x * x % m for x in squares[-1]])
+        out = []
+        for i, d in digits:
+            top = d.bit_length() - 1
+            v = squares[4 * i + top]
+            for b in range(top - 1, -1, -1):
+                if d >> b & 1:
+                    w = windows.get((i, d >> b << b))
+                    if w is None:
+                        w = windows[i, d >> b << b] = [
+                            x * y % m for x, y in zip(v, squares[4 * i + b])]
+                    v = w
+            out.append(v)
+        return out
+
+
+def _squares_needed(digits: list[tuple[int, int]]) -> int:
+    i, d = digits[-1]
+    return 4 * i + d.bit_length()
+
+
+def _missing(digits: list[tuple[int, int]], squares: int, windows) -> int:
+    """How many vectors fill(digits) adds to a table of these squares and windows."""
+    # a window (i, d) is built with every window on its chain
+    keys = {(i, d >> b << b) for i, d in digits if (i, d) not in windows for b in range(4)}
+    return max(0, _squares_needed(digits) - squares) + sum(
+        1 for i, d in keys if d & (d - 1) and (i, d) not in windows)
+
+
+def _vector_bits(n: int, m: int) -> int:
+    """What a vector of n + 1 residues mod m takes: each residue with 256
+    bits for its int object and list slot, and 512 bits for the list."""
+    return (n + 1) * (m.bit_length() + 256) + 512
+
+
+def _hex_digits(r: int) -> list[tuple[int, int]]:
+    """The nonzero 4-bit digits of r >= 1 as (position, digit), lowest first."""
+    return [(i, int(c, 16)) for i, c in enumerate(reversed(f"{r:x}")) if c != "0"]
+
+
+class PowerTableInfo(NamedTuple):
+    hits: int       # calls answered from a table, the call that built it included
+    pow_calls: int  # calls that ran the pow loop
+    tables: int     # tables held
+    bits: int       # bits held, objects included (_vector_bits per vector)
+
+
+class _PowerTables:
+    """Power tables per (n, m), least recently used first, within a bit budget.
+
+    An (n, m) gets a table on its call _POW_CALLS + 1.  A call after
+    which its table alone would hold more than the budget runs the pow
+    loop and adds nothing; otherwise other tables are dropped, least
+    recently used first, until all of them fit.  Tables are looked up
+    and filled under one lock, so concurrent callers never see a
+    half-built or doubled vector.
+    """
+
+    def __init__(self, budget_bits: int):
+        self.budget = budget_bits
+        self._lock = threading.Lock()
+        self._tables: dict[tuple[int, int], _PowerTable] = {}
+        self._counts: dict[tuple[int, int], int] = {}  # calls of an (n, m) with no table
+        self._bits = self._hits = self._pows = 0
+
+    def vectors(self, n: int, r: int, m: int) -> Optional[list[list[int]]]:
+        """B^(d 16^i) mod m per nonzero 4-bit digit (i, d) of r, or None for the pow loop."""
+        key = (n, m)
+        with self._lock:
+            table = self._tables.pop(key, None)
+            if table is None:
+                count = self._counts.get(key, 0) + 1
+                if count <= _POW_CALLS or (
+                    1 + _missing(_hex_digits(r), 1, {})
+                ) * _vector_bits(n, m) > self.budget:
+                    self._counts[key] = count
+                    if len(self._counts) > _COUNTED_KEYS:
+                        self._counts.clear()
+                    self._pows += 1
+                    return None
+                self._counts.pop(key, None)
+                table = _PowerTable(n, m)
+                self._bits += table.bits
+            digits = _hex_digits(r)
+            out = table.held(digits)
+            if out is None:
+                grown = _missing(digits, len(table.squares), table.windows) * table.vector_bits
+                if table.bits + grown > self.budget:
+                    self._tables[key] = table
+                    self._pows += 1
+                    return None
+                self._bits += grown
+                out = table.fill(digits)
+                while self._bits > self.budget:  # key is out of _tables, and fits alone
+                    self._bits -= self._tables.pop(next(iter(self._tables))).bits
+            self._tables[key] = table  # most recently used last
+            self._hits += 1
+            return out
+
+    def cache_info(self) -> PowerTableInfo:
+        with self._lock:
+            return PowerTableInfo(self._hits, self._pows, len(self._tables), self._bits)
+
+
+_POWER_TABLES = _PowerTables(_TABLE_BITS)
+
+
+def power_table_info() -> PowerTableInfo:
+    """Counters of alt_power_sum_mod's power tables, like functools' cache_info."""
+    return _POWER_TABLES.cache_info()
 
 
 def _check_power(n: int, r: int) -> None:

@@ -4,8 +4,10 @@ import argparse
 import copy
 import importlib
 import inspect
+import json
 import multiprocessing
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -302,6 +304,22 @@ class TestDeterminism:
         serial = [rep.record() for rep in run_sweep(cases, jobs=1)]
         parallel = [rep.record() for rep in run_sweep(cases, jobs=2)]
         assert _normalize(serial) == _normalize(parallel)
+
+    def test_calkin_reports_ignore_case_order_and_pool(self, capsys, monkeypatch):
+        # the residues' power tables fill in whatever order the cases come,
+        # in each worker process
+        argv = ["verify", "calkin", "--n", "1..12", "--r", "1..20", "--output", "json"]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        runs = []
+        for jobs in ("1", "2"):
+            assert run([*argv, "--jobs", jobs]) == 0
+            runs.append(_normalize(parse_report_json(capsys.readouterr().out)))
+        cases = build_cases(build_parser().parse_args(argv))
+        shuffled = random.Random(0).sample(cases, len(cases))
+        records = {json.dumps(rep.case.params): rep.record() for rep in run_sweep(shuffled, 1)}
+        runs.append(_normalize([records[json.dumps(params)] for _, params in cases]))
+        assert len(runs[0]) == 240
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -1,10 +1,17 @@
 """The alternating-sum families and their cross-identities."""
 
+import concurrent.futures
+import contextlib
+import functools
+import random
+import sys
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaltsum import sums
+from qaltsum import sums, verify
 from qaltsum._kernels_py import divexact_steps
 from qaltsum.cyclo import CycloFactorization, expand
 from qaltsum.polycore import ZERO, IntPoly, InvalidArgument
@@ -133,9 +140,12 @@ class TestAltPowerSumMod:
         assert alt_power_sum_mod(n, r, m) == alt_power_sum(n, r) % m
 
     def test_huge_exponent(self):
-        # closed form for n = 1: 2 - 2^r
+        # closed form for n = 1: 2 - 2^r; two pow loops, then table reads
         m = 10**30 + 57
-        assert alt_power_sum_mod(1, 10**50, m) == (2 - pow(2, 10**50, m)) % m
+        with fresh_tables() as tables:
+            for r in [10**50, 10**300] * 4:
+                assert alt_power_sum_mod(1, r, m) == (2 - pow(2, r, m)) % m
+        assert tables.cache_info()[:3] == (6, 2, 1)
 
     @pytest.mark.parametrize("n, r", [(0, 2), (2, 0), (-1, 1)])
     def test_rejects_what_the_full_sum_rejects(self, n, r):
@@ -149,6 +159,137 @@ class TestAltPowerSumMod:
     def test_rejects_modulus_below_one(self, m):
         with pytest.raises(InvalidArgument, match="m >= 1"):
             alt_power_sum_mod(2, 2, m)
+
+
+# Exponents at the edges of the 4-bit windows: one digit, the widest
+# digit, a digit carried into the next place, and six digits.
+TABLE_EXPONENTS = [1, 15, 16, 17, 255, 256, 4095, 4096, 10**6]
+CALKIN_PRIME = 2**61 - 1
+
+
+@contextlib.contextmanager
+def fresh_tables(budget=sums._TABLE_BITS):
+    """alt_power_sum_mod with empty power tables of this budget."""
+    tables = sums._PowerTables(budget)
+    with mock.patch.object(sums, "_POWER_TABLES", tables):
+        yield tables
+
+
+@functools.lru_cache(maxsize=None)
+def _full_sum(n, r):
+    return alt_power_sum(n, r)
+
+
+def _reference(n, r, m):
+    """alt_power_sum(n, r) % m.  Where the full sum would have millions of
+    digits (r = 10^6, n > 2) the terms are powered modulo m one by one,
+    over the full range 0..2n."""
+    if r < 10**6 or n <= 2:
+        return _full_sum(n, r) % m
+    return sum((-1) ** k * pow(binom(2 * n, k), r, m) for k in range(2 * n + 1)) % m
+
+
+def _row(n, m):
+    return [binom(2 * n, n - j) % m for j in range(n + 1)]
+
+
+table_moduli = st.one_of(st.sampled_from([1, 2, 7, "calkin"]), st.integers(10**39, 10**40 - 1))
+
+
+class TestPowerTables:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 10), table_moduli, st.permutations(TABLE_EXPONENTS * 3))
+    def test_shuffled_exponents_are_exact(self, n, m, order):
+        m = binom(2 * n, n) * CALKIN_PRIME if m == "calkin" else m
+        with fresh_tables() as tables:
+            for r in order:
+                assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), r
+        assert tables.cache_info()[:3] == (len(order) - 2, 2, 1)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 10), st.integers(10**39, 10**40 - 1),
+           st.permutations(TABLE_EXPONENTS * 3))
+    def test_two_moduli_interleaved(self, n, big, order):
+        moduli = (binom(2 * n, n) * CALKIN_PRIME, big)
+        with fresh_tables() as tables:
+            for r in order:
+                for m in moduli:
+                    assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), (r, m)
+        assert tables.cache_info().tables == 2
+
+    def test_concurrent_callers_share_one_exact_table(self):
+        n = 20
+        m = binom(2 * n, n) * CALKIN_PRIME
+        order = (list(range(1, 1000, 37)) + TABLE_EXPONENTS) * 4
+        random.Random(0).shuffle(order)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fresh_tables() as tables, \
+                    concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                calls = pool.map(lambda r: (r, alt_power_sum_mod(n, r, m)), order, timeout=120)
+                got = list(calls)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == len(order)
+        for r, value in got:
+            assert value == _reference(n, r, m), r
+        table = tables._tables[n, m]
+        row = _row(n, m)
+        for i, level in enumerate(table.squares):
+            assert level == [pow(b, 2**i, m) for b in row], i
+        for (i, d), window in table.windows.items():
+            assert window == [pow(b, d * 16**i, m) for b in row], (i, d)
+        # 10^6 has six digits: levels 0..19 (B^(2^19) <= 10^6 < B^(2^20))
+        assert len(table.squares) == 20
+        assert tables.cache_info() == (len(order) - 2, 2, 1, table.bits)
+
+    def test_budget_bounds_what_the_tables_hold(self):
+        budget = 1 << 19  # two or three of these tables
+        with fresh_tables(budget) as tables:
+            for n in range(20, 40):
+                m = binom(2 * n, n) * CALKIN_PRIME
+                for r in (1, 2, 3, 200, 77, 255):
+                    assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), (n, r)
+                info = tables.cache_info()
+                assert info.bits <= budget
+                assert info.bits == sum(t.bits for t in tables._tables.values())
+        assert info[:2] == (80, 40) and 2 <= info.tables < 20
+
+    def test_table_over_the_budget_is_never_kept(self):
+        n = 12
+        m = binom(2 * n, n) * CALKIN_PRIME
+        vector = sums._vector_bits(n, m)
+        # too big from the start: the row and B^2 fit, the window 3 does not
+        with fresh_tables(budget=3 * vector - 1) as tables:
+            for r in (3, 3, 3, 3):
+                assert alt_power_sum_mod(n, r, m) == _reference(n, r, m)
+        assert tables.cache_info() == (0, 4, 0, 0)
+        # a table that fits stops growing at the budget; those calls run pow
+        with fresh_tables(budget=3 * vector) as tables:
+            for r in (1, 2, 3, 4, 2**40 + 1, 3, 2):
+                assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), r
+        assert tables.cache_info() == (3, 4, 1, 3 * vector)
+
+    def test_thm1_moduli_build_no_table(self):
+        # per_prime asks each modulus for exactly two exponents
+        with fresh_tables() as tables:
+            for n in range(1, 41):
+                verify.verify_thm1(n)
+        info = tables.cache_info()
+        assert info.pow_calls > 0 and info == (0, info.pow_calls, 0, 0)
+        assert len(tables._counts) <= sums._COUNTED_KEYS
+
+    def test_cache_info_counts_calls_tables_and_bits(self):
+        n = 5
+        m = binom(2 * n, n) * CALKIN_PRIME
+        with fresh_tables():
+            for r in (1, 2, 3, 3, 17):
+                alt_power_sum_mod(n, r, m)
+            info = sums.power_table_info()
+        # the row, B^2, B^4, B^8 and B^16, and the window 3 for r = 3
+        assert info == sums.PowerTableInfo(
+            hits=3, pow_calls=2, tables=1, bits=6 * sums._vector_bits(n, m))
 
 
 class TestFilteredSums:
