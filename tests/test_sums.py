@@ -189,10 +189,6 @@ def _reference(n, r, m):
     return sum((-1) ** k * pow(binom(2 * n, k), r, m) for k in range(2 * n + 1)) % m
 
 
-def _row(n, m):
-    return [binom(2 * n, n - j) % m for j in range(n + 1)]
-
-
 table_moduli = st.one_of(st.sampled_from([1, 2, 7, "calkin"]), st.integers(10**39, 10**40 - 1))
 
 
@@ -235,12 +231,12 @@ class TestPowerTables:
         for r, value in got:
             assert value == _reference(n, r, m), r
         table = tables._tables[n, m]
-        row = _row(n, m)
+        row = [binom(2 * n, n - j) % m for j in range(n + 1)]
         for i, level in enumerate(table.squares):
             assert level == [pow(b, 2**i, m) for b in row], i
         for (i, d), window in table.windows.items():
             assert window == [pow(b, d * 16**i, m) for b in row], (i, d)
-        # 10^6 has six digits: levels 0..19 (B^(2^19) <= 10^6 < B^(2^20))
+        # 2^19 <= 10^6 < 2^20: levels 0..19
         assert len(table.squares) == 20
         assert tables.cache_info() == (len(order) - 2, 2, 1, table.bits)
 
