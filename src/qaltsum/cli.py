@@ -258,6 +258,8 @@ def parse_report_json(text: str) -> list[dict]:
     if not isinstance(data, list):
         raise ValueError("report JSON must be a list")
     for rec in data:
+        if not isinstance(rec, dict):
+            raise ValueError(f"report record must be an object, got {rec!r}")
         missing = [f for f in REPORT_FIELDS if f not in rec]
         if missing:
             raise ValueError(f"report record missing fields {missing}")

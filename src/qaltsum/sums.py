@@ -59,14 +59,17 @@ alt_power_sum, rejects the same bad ones with the same message, and
 needs m >= 1.  The first two calls for an (n, m) take pow(C(2n, k), r, m)
 term by term, building the row C(2n, k) each time.  From the third on,
 the (n, m) has a power table, fixed 4-bit windows kept per modulus
-(Knuth, TAOCP vol. 2, 4.6.3): the row B_j = C(2n, n - j) mod m, its
-squares B^(2^i) and the window products B^(d 16^i), each filled when an
-exponent first needs it.  A call then multiplies one cached vector per
-nonzero 4-bit digit of r, so its cost grows with those digits: for
-r < 256 at most one product modulo m per term, where pow takes about
-ten.  The tables are kept least recently used first within a budget of
-bits (_TABLE_BITS); a call whose table would not fit it alone runs pow.
-power_table_info() counts the calls each way and what the tables hold.
+(Knuth, TAOCP vol. 2, 4.6.3): one row of digit powers per hex place,
+rows[i][d - 1] = B^(d 16^i) term by term, B_j = C(2n, n - j) mod m.  A
+row grows by one product per digit, each vector the one before it times
+the row's first; a new place starts from the first vector of the place
+before it, squared four times.  Each is filled when an exponent first
+needs it.  A call then multiplies one cached vector per nonzero 4-bit
+digit of r, so its cost grows with those digits: for r < 256 at most one
+product modulo m per term, where pow takes about ten.  The tables are
+kept least recently used first within a budget of bits (_TABLE_BITS); a
+call whose table would not fit it alone runs pow.  power_table_info()
+counts the calls each way and what the tables hold.
 
 The q-mode triple sum has a residue form too: triple_sum(..., "q",
 modulo=F), F a cyclotomic factorization, maps each d of F to the sum's
@@ -169,9 +172,9 @@ def alt_power_sum_mod(n: int, r: int, m: int) -> int:
     The same half-range sum as alt_power_sum, with C(2n, k)^r mod m for
     C(2n, k)^r, so no power is built in full.  The first _POW_CALLS calls
     for an (n, m) take pow(C(2n, k), r, m) term by term; later ones read
-    the power table of that (n, m) (see the module docstring), at one
-    product modulo m per term for each nonzero 4-bit digit of r past the
-    first.
+    the rows of that (n, m) (see the module docstring), the vector
+    B^(d 16^i) of each nonzero 4-bit digit d of r at place i, at one
+    product modulo m per term for each such digit past the first.
 
     >>> alt_power_sum_mod(2, 4, 7), alt_power_sum(2, 4) % 7
     (2, 2)
@@ -202,67 +205,29 @@ _COUNTED_KEYS = 256
 _TABLE_BITS = 1 << 26
 
 
-class _PowerTable:
-    """The powers of the row B_j = C(2n, n - j) mod m, j = 0..n, filled lazily.
+def _fill(rows: list[list[list[int]]], digits: list[tuple[int, int]], m: int) -> None:
+    """Grow rows, which holds B, until rows[i][d - 1] = B^(d 16^i) for every digit (i, d).
 
-    squares[i] is B^(2^i) term by term.  windows[i, d] is B^(d 16^i) for
-    a 4-bit d that is not a power of two (those are squares[4i + b]); it
-    is the window of d with its lowest bit cleared times a square, so
-    d = 13 brings 12 = 8 + 4 along.  A stored vector is never changed.
+    A new place starts from the first vector of the place before it,
+    squared four times; a row grows by its first vector, one product per
+    digit.  A stored vector is never changed.
     """
-
-    __slots__ = ("m", "squares", "windows", "vector_bits")
-
-    def __init__(self, n: int, m: int):
-        self.m = m
-        self.squares = [[comb(2 * n, n - j) % m for j in range(n + 1)]]
-        self.windows: dict[tuple[int, int], list[int]] = {}
-        self.vector_bits = _vector_bits(n, m)
-
-    @property
-    def bits(self) -> int:
-        return (len(self.squares) + len(self.windows)) * self.vector_bits
-
-    def held(self, digits: list[tuple[int, int]]) -> Optional[list[list[int]]]:
-        """B^(d 16^i) for every digit (i, d), or None if one is not built yet."""
-        squares, windows = self.squares, self.windows
-        try:
-            return [windows[i, d] if d & (d - 1) else squares[4 * i + d.bit_length() - 1]
-                    for i, d in digits]
-        except (KeyError, IndexError):
-            return None
-
-    def fill(self, digits: list[tuple[int, int]]) -> list[list[int]]:
-        """B^(d 16^i) for every digit (i, d), building what is missing."""
-        m, squares, windows = self.m, self.squares, self.windows
-        while len(squares) < _squares_needed(digits):
-            squares.append([x * x % m for x in squares[-1]])
-        out = []
-        for i, d in digits:
-            top = d.bit_length() - 1
-            v = squares[4 * i + top]
-            for b in range(top - 1, -1, -1):
-                if d >> b & 1:
-                    w = windows.get((i, d >> b << b))
-                    if w is None:
-                        w = windows[i, d >> b << b] = [
-                            x * y % m for x, y in zip(v, squares[4 * i + b])]
-                    v = w
-            out.append(v)
-        return out
+    for i, d in digits:
+        while len(rows) <= i:
+            v = rows[-1][0]
+            for _ in range(4):
+                v = [x * x % m for x in v]
+            rows.append([v])
+        row = rows[i]
+        while len(row) < d:
+            row.append([x * y % m for x, y in zip(row[-1], row[0])])
 
 
-def _squares_needed(digits: list[tuple[int, int]]) -> int:
-    i, d = digits[-1]
-    return 4 * i + d.bit_length()
-
-
-def _missing(digits: list[tuple[int, int]], squares: int, windows) -> int:
-    """How many vectors fill(digits) adds to a table of these squares and windows."""
-    # a window (i, d) is built with every window on its chain
-    keys = {(i, d >> b << b) for i, d in digits if (i, d) not in windows for b in range(4)}
-    return max(0, _squares_needed(digits) - squares) + sum(
-        1 for i, d in keys if d & (d - 1) and (i, d) not in windows)
+def _missing(rows: list[list[list[int]]], digits: list[tuple[int, int]]) -> int:
+    """How many vectors _fill(rows, digits, m) adds; with rows = [], B counts too."""
+    places = len(rows)
+    return max(0, digits[-1][0] + 1 - places) + sum(
+        max(0, d - (len(rows[i]) if i < places else 1)) for i, d in digits)
 
 
 def _vector_bits(n: int, m: int) -> int:
@@ -286,52 +251,56 @@ class PowerTableInfo(NamedTuple):
 class _PowerTables:
     """Power tables per (n, m), least recently used first, within a bit budget.
 
-    An (n, m) gets a table on its call _POW_CALLS + 1.  A call after
-    which its table alone would hold more than the budget runs the pow
-    loop and adds nothing; otherwise other tables are dropped, least
-    recently used first, until all of them fit.  Tables are looked up
-    and filled under one lock, so concurrent callers never see a
-    half-built or doubled vector.
+    The table of (n, m) is a list of rows, rows[i][d - 1] = B^(d 16^i)
+    term by term, B_j = C(2n, n - j) mod m, grown by _fill.  An (n, m)
+    gets a table on its call _POW_CALLS + 1.  A call after which its
+    table alone would hold more than the budget runs the pow loop and
+    adds nothing; otherwise other tables are dropped, least recently
+    used first, until all of them fit.  Tables are looked up and filled
+    under one lock, so concurrent callers never see a half-built or
+    doubled vector.
     """
 
     def __init__(self, budget_bits: int):
         self.budget = budget_bits
         self._lock = threading.Lock()
-        self._tables: dict[tuple[int, int], _PowerTable] = {}
+        self._tables: dict[tuple[int, int], list[list[list[int]]]] = {}
         self._counts: dict[tuple[int, int], int] = {}  # calls of an (n, m) with no table
         self._bits = self._hits = self._pows = 0
 
     def vectors(self, n: int, r: int, m: int) -> Optional[list[list[int]]]:
         """B^(d 16^i) mod m per nonzero 4-bit digit (i, d) of r, or None for the pow loop."""
         key = (n, m)
+        digits = _hex_digits(r)
         with self._lock:
-            table = self._tables.pop(key, None)
-            if table is None:
+            rows = self._tables.pop(key, None)
+            if rows is None:
                 count = self._counts.get(key, 0) + 1
-                if count <= _POW_CALLS or (
-                    1 + _missing(_hex_digits(r), 1, {})
-                ) * _vector_bits(n, m) > self.budget:
+                if count <= _POW_CALLS or _missing([], digits) * _vector_bits(n, m) > self.budget:
                     self._counts[key] = count
                     if len(self._counts) > _COUNTED_KEYS:
                         self._counts.clear()
                     self._pows += 1
                     return None
                 self._counts.pop(key, None)
-                table = _PowerTable(n, m)
-                self._bits += table.bits
-            digits = _hex_digits(r)
-            out = table.held(digits)
-            if out is None:
-                grown = _missing(digits, len(table.squares), table.windows) * table.vector_bits
-                if table.bits + grown > self.budget:
-                    self._tables[key] = table
+                rows = [[[comb(2 * n, n - j) % m for j in range(n + 1)]]]
+                self._bits += _vector_bits(n, m)
+            try:
+                out = [rows[i][d - 1] for i, d in digits]
+            except IndexError:
+                vector = _vector_bits(n, m)
+                grown = _missing(rows, digits) * vector
+                if sum(map(len, rows)) * vector + grown > self.budget:
+                    self._tables[key] = rows
                     self._pows += 1
                     return None
                 self._bits += grown
-                out = table.fill(digits)
+                _fill(rows, digits, m)
+                out = [rows[i][d - 1] for i, d in digits]
                 while self._bits > self.budget:  # key is out of _tables, and fits alone
-                    self._bits -= self._tables.pop(next(iter(self._tables))).bits
-            self._tables[key] = table  # most recently used last
+                    old = next(iter(self._tables))
+                    self._bits -= sum(map(len, self._tables.pop(old))) * _vector_bits(*old)
+            self._tables[key] = rows  # most recently used last
             self._hits += 1
             return out
 

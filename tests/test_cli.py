@@ -281,6 +281,12 @@ class TestEmitReport:
             parse_report_json('{"claim_id": "x"}')
         with pytest.raises(ValueError):
             parse_report_json('[{"claim_id": "x"}]')
+        # a record that is not an object: a string holding every field name,
+        # a number and null
+        for text in ('["claim_id params modulus holds quotient_degree branch_note elapsed_ms"]',
+                     '[1]', '[null]'):
+            with pytest.raises(ValueError):
+                parse_report_json(text)
 
     def test_unknown_format(self):
         with pytest.raises(InvalidArgument):

@@ -230,18 +230,22 @@ class TestPowerTables:
         assert len(got) == len(order)
         for r, value in got:
             assert value == _reference(n, r, m), r
-        table = tables._tables[n, m]
+        rows = tables._tables[n, m]
         row = [binom(2 * n, n - j) % m for j in range(n + 1)]
-        for i, level in enumerate(table.squares):
-            assert level == [pow(b, 2**i, m) for b in row], i
-        for (i, d), window in table.windows.items():
-            assert window == [pow(b, d * 16**i, m) for b in row], (i, d)
-        # 2^19 <= 10^6 < 2^20: levels 0..19
-        assert len(table.squares) == 20
-        assert tables.cache_info() == (len(order) - 2, 2, 1, table.bits)
+        for i, place in enumerate(rows):
+            for d, vector in enumerate(place, 1):
+                assert vector == [pow(b, d * 16**i, m) for b in row], (i, d)
+        for i in range(len(rows) - 1):
+            assert rows[i + 1][0] == [pow(b, 16, m) for b in rows[i][0]], i
+        # 16^4 <= 10^6 < 16^5: places 0..4, each as long as its largest digit
+        # (every exponent is asked four times, so a later call reaches it)
+        assert [len(place) for place in rows] == [
+            max(r >> 4 * i & 15 for r in order) for i in range(5)]
+        assert tables.cache_info() == (
+            len(order) - 2, 2, 1, sum(map(len, rows)) * sums._vector_bits(n, m))
 
     def test_budget_bounds_what_the_tables_hold(self):
-        budget = 1 << 19  # two or three of these tables
+        budget = 1 << 20  # two to four of these tables, of 30 vectors each
         with fresh_tables(budget) as tables:
             for n in range(20, 40):
                 m = binom(2 * n, n) * CALKIN_PRIME
@@ -249,14 +253,15 @@ class TestPowerTables:
                     assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), (n, r)
                 info = tables.cache_info()
                 assert info.bits <= budget
-                assert info.bits == sum(t.bits for t in tables._tables.values())
+                assert info.bits == sum(sum(map(len, rows)) * sums._vector_bits(*key)
+                                        for key, rows in tables._tables.items())
         assert info[:2] == (80, 40) and 2 <= info.tables < 20
 
     def test_table_over_the_budget_is_never_kept(self):
         n = 12
         m = binom(2 * n, n) * CALKIN_PRIME
         vector = sums._vector_bits(n, m)
-        # too big from the start: the row and B^2 fit, the window 3 does not
+        # too big from the start: B and B^2 fit, B^3 does not
         with fresh_tables(budget=3 * vector - 1) as tables:
             for r in (3, 3, 3, 3):
                 assert alt_power_sum_mod(n, r, m) == _reference(n, r, m)
@@ -283,9 +288,9 @@ class TestPowerTables:
             for r in (1, 2, 3, 3, 17):
                 alt_power_sum_mod(n, r, m)
             info = sums.power_table_info()
-        # the row, B^2, B^4, B^8 and B^16, and the window 3 for r = 3
+        # B, B^2 and B^3 for r = 3, and B^16 for r = 17
         assert info == sums.PowerTableInfo(
-            hits=3, pow_calls=2, tables=1, bits=6 * sums._vector_bits(n, m))
+            hits=3, pow_calls=2, tables=1, bits=4 * sums._vector_bits(n, m))
 
 
 class TestFilteredSums:
