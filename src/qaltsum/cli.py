@@ -1,11 +1,12 @@
 """Command-line front end: verification sweeps and inspection commands.
 
 Verification sweeps expand the given parameter ranges in lexicographic
-order (at most MAX_CASES cases), run every case (optionally across worker
-processes) until the first failed check, and emit the reports as pretty
-text, JSON or CSV on stdout.  Report content for a fixed configuration is
-deterministic regardless of parallelism; only the elapsed_ms fields (the
-wall time of each case) vary.  Exit codes: 0 all checks hold (or are not
+order (at most MAX_CASES cases, each exponent of a calkin sweep counted
+as one), run every case (optionally across worker processes) until the
+first failed check, and emit the reports as pretty text, JSON or CSV on
+stdout.  Report content for a fixed configuration is deterministic
+regardless of parallelism; only the elapsed_ms fields (the wall time of
+each report) vary.  Exit codes: 0 all checks hold (or are not
 applicable), 1 at least one check failed (counterexample on stderr), 2
 usage or configuration error, 3 internal error (one line on stderr).
 """
@@ -113,7 +114,10 @@ def build_cases(args: argparse.Namespace) -> list[tuple[str, dict]]:
     if verb in ("eq1", "eq2"):
         return _grid([verb], n=parse_range(args.n))
     if verb == "calkin":
-        return _grid(["calkin"], n=parse_range(args.n), r=parse_range(args.r))
+        # one case per n, which runs its exponent range in one pass
+        ns, rs = parse_range(args.n), parse_range(args.r)
+        _check_cap(_size(ns) * _size(rs))
+        return [("calkin", {"n": n, "r": rs}) for n in ns]
     if verb in ("gjz", "gjzq"):
         if args.ns:
             return [(verb, {"ns": _parse_int_list(args.ns)})]
@@ -148,9 +152,11 @@ def run_sweep(cases: list[tuple[str, dict]], jobs: int = 1) -> list[Verification
     """Run cases in order; reports are merged by case order, not completion.
 
     At most min(jobs, len(cases), CPU count) worker processes run the
-    cases, and none when that is 1.  Either way the sweep stops after the
-    first case with a failed check and returns the reports up to and
-    including that case, so the result does not depend on jobs.
+    cases, and none when that is 1; a calkin sweep has one case per n.
+    Either way the sweep stops after the first case with a failed check
+    and returns the reports up to and including that case, so the result
+    does not depend on jobs.  A calkin case ends at its first failed
+    exponent, so a calkin sweep stops at its first failed report.
     """
     workers = min(jobs, len(cases), os.cpu_count() or 1)
     reports: list[VerificationReport] = []

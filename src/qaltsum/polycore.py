@@ -61,7 +61,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import gcd, prod
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from ._kernels_py import divexact_steps
 
@@ -170,6 +170,10 @@ class IntPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
+
+    def __iter__(self) -> Iterator[int]:
+        """The stored coefficients, ascending (none for the zero polynomial)."""
+        return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPoly):

@@ -50,26 +50,16 @@ half of the denominators one step round the cycle gives
 and T(k) = 0 once |k| > min_i n_i.  The q modes keep every k, because
 q^C(k,2) is not even in k; the packed sum shares the products of +-k.
 
-The power sum also has a residue form, alt_power_sum_mod(n, r, m) =
-alt_power_sum(n, r) mod m: the same half-range sum with C(2n, k)^r mod m
-in place of C(2n, k)^r.  Its cost grows with the bits of r and of m, not
-with r times the bits of C(2n, n), so it reaches exponents whose full sum
-would have millions of digits.  It takes the same n and r as
-alt_power_sum, rejects the same bad ones with the same message, and
-needs m >= 1.  The first two calls for an (n, m) take pow(C(2n, k), r, m)
-term by term, building the row C(2n, k) each time.  From the third on,
-the (n, m) has a power table, fixed 4-bit windows kept per modulus
-(Knuth, TAOCP vol. 2, 4.6.3): one row of digit powers per hex place,
-rows[i][d - 1] = B^(d 16^i) term by term, B_j = C(2n, n - j) mod m.  A
-row grows by one product per digit, each vector the one before it times
-the row's first; a new place starts from the first vector of the place
-before it, squared four times.  Each is filled when an exponent first
-needs it.  A call then multiplies one cached vector per nonzero 4-bit
-digit of r, so its cost grows with those digits: for r < 256 at most one
-product modulo m per term, where pow takes about ten.  The tables are
-kept least recently used first within a budget of bits (_TABLE_BITS); a
-call whose table would not fit it alone runs pow.  power_table_info()
-counts the calls each way and what the tables hold.
+The power sum also has a residue form: alt_power_sums_mod(n, rs, m)
+yields alt_power_sum(n, r) mod m for each r of an ascending range rs,
+the same half-range sum with C(2n, k)^r mod m in place of C(2n, k)^r.
+Its cost grows with the bits of r and of m, not with r times the bits
+of C(2n, n), so it reaches exponents whose full sum would have millions
+of digits.  The first exponent takes pow(C(2n, k), r, m) term by term;
+each later one multiplies every term by C(2n, k)^step mod m, one
+product modulo m per term.  alt_power_sum_mod(n, r, m) is the case of
+one exponent.  Both take the same n and r as alt_power_sum, reject the
+same bad ones with the same message, and need m >= 1.
 
 The q-mode triple sum has a residue form too: triple_sum(..., "q",
 modulo=F), F a cyclotomic factorization, maps each d of F to the sum's
@@ -91,10 +81,8 @@ alone, whose leading coefficient is 1 (triple_sum_degree).
 
 from __future__ import annotations
 
-import threading
 from math import comb, prod
-from operator import mul
-from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .cyclo import CycloFactorization, cyclotomic_power, is_prime, residue
 from .polycore import IntPoly, InvalidArgument, packed_sum
@@ -103,10 +91,10 @@ from .qcomb import _carry_at, _digit_residue, _rows_mod, qbinom
 __all__ = [
     "alt_power_sum",
     "alt_power_sum_mod",
+    "alt_power_sums_mod",
     "alt_power_sum_filtered",
     "gjz_sum",
     "pattern_sum",
-    "power_table_info",
     "triple_sum",
     "triple_sum_degree",
 ]
@@ -169,152 +157,39 @@ def alt_power_sum(n: int, r: int) -> int:
 def alt_power_sum_mod(n: int, r: int, m: int) -> int:
     """alt_power_sum(n, r) % m, with every power taken modulo m.
 
-    The same half-range sum as alt_power_sum, with C(2n, k)^r mod m for
-    C(2n, k)^r, so no power is built in full.  The first _POW_CALLS calls
-    for an (n, m) take pow(C(2n, k), r, m) term by term; later ones read
-    the rows of that (n, m) (see the module docstring), the vector
-    B^(d 16^i) of each nonzero 4-bit digit d of r at place i, at one
-    product modulo m per term for each such digit past the first.
-
     >>> alt_power_sum_mod(2, 4, 7), alt_power_sum(2, 4) % 7
     (2, 2)
     """
-    _check_power(n, r)
+    return next(alt_power_sums_mod(n, range(r, r + 1), m))
+
+
+def alt_power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
+    """alt_power_sum(n, r) % m for each r of the ascending range rs, in order.
+
+    The arguments are checked at the call; the values are computed as
+    they are taken, each later exponent from the one before it by one
+    product modulo m per term (see the module docstring).
+
+    >>> list(alt_power_sums_mod(2, range(2, 5), 7)), [alt_power_sum(2, r) % 7 for r in (2, 3, 4)]
+    ([6, 6, 2], [6, 6, 2])
+    """
+    if not rs or rs.step < 0:
+        raise InvalidArgument(f"the exponents must be a nonempty ascending range, got {rs}")
+    _check_power(n, rs[0])
     if m < 1:
         raise InvalidArgument(f"alt_power_sum_mod requires m >= 1, got m={m}")
-    vectors = _POWER_TABLES.vectors(n, r, m)
-    if vectors is None:
-        return _sign(n) * _even_sum(lambda j: pow(comb(2 * n, n - j), r, m), n) % m
-    terms, *rest = vectors
-    for v in rest[:-1]:
-        terms = [x * y % m for x, y in zip(terms, v)]
-    if rest:
-        terms = list(map(mul, terms, rest[-1]))  # reduced once, in the sum
-    # _even_sum, read from the list
-    return _sign(n) * (terms[0] + 2 * (sum(terms[2::2]) - sum(terms[1::2]))) % m
+    return _power_sums_mod(n, rs, m)
 
 
-# A modulus is asked for this many exponents by the pow loop before it
-# gets a table: a table costs about 1.5 pow loops to start, and thm1's
-# per_prime moduli are each asked for exactly two exponents.
-_POW_CALLS = 2
-# how many (n, m) are counted toward a table at once; past it all counts
-# are dropped together, which costs less per call than dropping the oldest
-_COUNTED_KEYS = 256
-# what all tables together may hold, in bits (8 MiB)
-_TABLE_BITS = 1 << 26
-
-
-def _fill(rows: list[list[list[int]]], digits: list[tuple[int, int]], m: int) -> None:
-    """Grow rows, which holds B, until rows[i][d - 1] = B^(d 16^i) for every digit (i, d).
-
-    A new place starts from the first vector of the place before it,
-    squared four times; a row grows by its first vector, one product per
-    digit.  A stored vector is never changed.
-    """
-    for i, d in digits:
-        while len(rows) <= i:
-            v = rows[-1][0]
-            for _ in range(4):
-                v = [x * x % m for x in v]
-            rows.append([v])
-        row = rows[i]
-        while len(row) < d:
-            row.append([x * y % m for x, y in zip(row[-1], row[0])])
-
-
-def _missing(rows: list[list[list[int]]], digits: list[tuple[int, int]]) -> int:
-    """How many vectors _fill(rows, digits, m) adds; with rows = [], B counts too."""
-    places = len(rows)
-    return max(0, digits[-1][0] + 1 - places) + sum(
-        max(0, d - (len(rows[i]) if i < places else 1)) for i, d in digits)
-
-
-def _vector_bits(n: int, m: int) -> int:
-    """What a vector of n + 1 residues mod m takes: each residue with 256
-    bits for its int object and list slot, and 512 bits for the list."""
-    return (n + 1) * (m.bit_length() + 256) + 512
-
-
-def _hex_digits(r: int) -> list[tuple[int, int]]:
-    """The nonzero 4-bit digits of r >= 1 as (position, digit), lowest first."""
-    return [(i, int(c, 16)) for i, c in enumerate(reversed(f"{r:x}")) if c != "0"]
-
-
-class PowerTableInfo(NamedTuple):
-    hits: int       # calls answered from a table, the call that built it included
-    pow_calls: int  # calls that ran the pow loop
-    tables: int     # tables held
-    bits: int       # bits held, objects included (_vector_bits per vector)
-
-
-class _PowerTables:
-    """Power tables per (n, m), least recently used first, within a bit budget.
-
-    The table of (n, m) is a list of rows, rows[i][d - 1] = B^(d 16^i)
-    term by term, B_j = C(2n, n - j) mod m, grown by _fill.  An (n, m)
-    gets a table on its call _POW_CALLS + 1.  A call after which its
-    table alone would hold more than the budget runs the pow loop and
-    adds nothing; otherwise other tables are dropped, least recently
-    used first, until all of them fit.  Tables are looked up and filled
-    under one lock, so concurrent callers never see a half-built or
-    doubled vector.
-    """
-
-    def __init__(self, budget_bits: int):
-        self.budget = budget_bits
-        self._lock = threading.Lock()
-        self._tables: dict[tuple[int, int], list[list[list[int]]]] = {}
-        self._counts: dict[tuple[int, int], int] = {}  # calls of an (n, m) with no table
-        self._bits = self._hits = self._pows = 0
-
-    def vectors(self, n: int, r: int, m: int) -> Optional[list[list[int]]]:
-        """B^(d 16^i) mod m per nonzero 4-bit digit (i, d) of r, or None for the pow loop."""
-        key = (n, m)
-        digits = _hex_digits(r)
-        with self._lock:
-            rows = self._tables.pop(key, None)
-            if rows is None:
-                count = self._counts.get(key, 0) + 1
-                if count <= _POW_CALLS or _missing([], digits) * _vector_bits(n, m) > self.budget:
-                    self._counts[key] = count
-                    if len(self._counts) > _COUNTED_KEYS:
-                        self._counts.clear()
-                    self._pows += 1
-                    return None
-                self._counts.pop(key, None)
-                rows = [[[comb(2 * n, n - j) % m for j in range(n + 1)]]]
-                self._bits += _vector_bits(n, m)
-            try:
-                out = [rows[i][d - 1] for i, d in digits]
-            except IndexError:
-                vector = _vector_bits(n, m)
-                grown = _missing(rows, digits) * vector
-                if sum(map(len, rows)) * vector + grown > self.budget:
-                    self._tables[key] = rows
-                    self._pows += 1
-                    return None
-                self._bits += grown
-                _fill(rows, digits, m)
-                out = [rows[i][d - 1] for i, d in digits]
-                while self._bits > self.budget:  # key is out of _tables, and fits alone
-                    old = next(iter(self._tables))
-                    self._bits -= sum(map(len, self._tables.pop(old))) * _vector_bits(*old)
-            self._tables[key] = rows  # most recently used last
-            self._hits += 1
-            return out
-
-    def cache_info(self) -> PowerTableInfo:
-        with self._lock:
-            return PowerTableInfo(self._hits, self._pows, len(self._tables), self._bits)
-
-
-_POWER_TABLES = _PowerTables(_TABLE_BITS)
-
-
-def power_table_info() -> PowerTableInfo:
-    """Counters of alt_power_sum_mod's power tables, like functools' cache_info."""
-    return _POWER_TABLES.cache_info()
+def _power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
+    row = [comb(2 * n, n - j) % m for j in range(n + 1)]  # C(2n, n - j) mod m
+    terms, step = [pow(b, rs[0], m) for b in row], None
+    for _ in rs:
+        # _even_sum, read from the list
+        yield _sign(n) * (terms[0] + 2 * (sum(terms[2::2]) - sum(terms[1::2]))) % m
+        if step is None:  # built only when a second exponent is asked for
+            step = [pow(b, rs.step, m) for b in row]
+        terms = [x * y % m for x, y in zip(terms, step)]
 
 
 def _check_power(n: int, r: int) -> None:

@@ -14,13 +14,16 @@ surface it as a counterexample and stop; holds=None marks a case whose
 side condition is not met (not applicable), which is a normal outcome.
 
 Two integer claims are decided from residues of the power sum
-S = sum_k (-1)^k C(2n, k)^r (sums.alt_power_sum_mod), so their cost does
-not grow with r times the bits of C(2n, n):
+S = sum_k (-1)^k C(2n, k)^r (sums.alt_power_sums_mod), so their cost
+does not grow with r times the bits of C(2n, n):
 
   calkin  R = S mod C(2n, n) * (2^61 - 1).  R != 0 with C(2n, n) | R
           holds, quotient degree 0.  R = 0 (every r = 1, where S = 0)
           or C(2n, n) not dividing R runs the full sum, which decides
-          whether S = 0 and supplies the NotDivisible witness.
+          whether S = 0 and supplies the NotDivisible witness.  A case
+          is one n over an ascending range of r, one report per r in
+          order, and ends after its first failed report; its residues
+          come from one pass over the range.
   thm1    S mod p^(gamma+1) per prime.  A nonzero residue has the exact
           valuation nu_p(S) that the note prints; a zero one proves
           nu_p(S) >= gamma + 1 and fails the check, with no witness.
@@ -239,8 +242,9 @@ def _valuation(claim_id, params, value, p, expected, note, *, exact) -> Outcome:
 def verify_identity(claim: str, **params) -> VerificationReport:
     """Check one instance of a named identity or congruence claim.
 
-    eq1/eq2 take n; calkin takes n and r; gjz/gjzq take ns (composition);
-    the cj2 family takes n, r, s, t.
+    eq1/eq2 take n; calkin takes n and one exponent r (run_case also
+    takes a range of them); gjz/gjzq take ns (composition); the cj2
+    family takes n, r, s, t.
     """
     return run_case(claim, params)[0]
 
@@ -257,19 +261,24 @@ def _closed_form(claim_id: str, n: int, power: int) -> Iterator[Outcome]:
 _CALKIN_PRIME = 2**61 - 1
 
 
-def _calkin(claim_id: str, n: int, r: int) -> Iterator[Outcome]:
-    # Decided by R = S mod C(2n, n) * _CALKIN_PRIME, S the power sum:
-    # C(2n, n) | R exactly when C(2n, n) | S, and R != 0 proves S != 0,
-    # so the quotient has degree 0.  R = 0 (every r = 1, where S = 0) or
-    # a failed check runs the full sum, which decides whether S = 0 and
-    # supplies the NotDivisible witness.  n < 1 is left to the sum to reject.
-    params = {"n": n, "r": r}
+def _calkin(claim_id: str, n: int, r: Union[int, range]) -> Iterator[Outcome]:
+    # r is one exponent or an ascending range of them; R and S as in the
+    # module docstring.  C(2n, n) | R exactly when C(2n, n) | S, and
+    # R != 0 proves S != 0, so the quotient has degree 0.  n < 1 is left
+    # to the sum to reject.
+    rs = r if isinstance(r, range) else range(r, r + 1)
     central = binom(2 * n, n) if n >= 1 else 1
-    residue = sums.alt_power_sum_mod(n, r, central * _CALKIN_PRIME)
-    if residue and residue % central == 0:
-        yield Outcome(TheoremCase(claim_id, params, IntPoly(central)), True, None, 0)
-        return
-    yield _congruence(claim_id, params, sums.alt_power_sum(n, r), central)
+    modulus = IntPoly(central)
+    residues = sums.alt_power_sums_mod(n, rs, central * _CALKIN_PRIME)
+    for r, residue in zip(rs, residues):
+        params = {"n": n, "r": r}
+        if residue and residue % central == 0:
+            yield Outcome(TheoremCase(claim_id, params, modulus), True, None, 0)
+            continue
+        outcome = _congruence(claim_id, params, sums.alt_power_sum(n, r), modulus)
+        yield outcome
+        if outcome.holds is False:
+            return
 
 
 def _gjz(claim_id: str, ns) -> Iterator[Outcome]:
@@ -284,15 +293,15 @@ def _gjzq(claim_id: str, ns) -> Iterator[Outcome]:
     # undefined index r); assert the last-part reading and record, for
     # every component i, whether qb(n1 + n_i, n1) also divides.
     components = [qbinom_factored(n1 + ni, n1).factors for ni in ns]
-    top = {d: 1 for factors in components for d in factors}
-    residues = {d: cyclo.residue(dividend.coeffs, d) for d in top}
+    carried = {d for factors in components for d in factors}
+    residues = {d: cyclo.residue(dividend.coeffs, d) for d in carried}
     variants = [i + 1 for i, factors in enumerate(components)
-                if _divides_by(residues, top, factors)]
+                if _divides_by(residues, factors)]
     note = (
         "modulus subscript ambiguity: asserted last-part variant; "
         f"component subscripts whose modulus divides: {variants}"
     )
-    yield _by_residues(claim_id, {"ns": list(ns)}, residues, top, components[-1],
+    yield _by_residues(claim_id, {"ns": list(ns)}, residues, components[-1],
                        qbinom(n1 + ns[-1], n1), note, dividend.degree, lambda: dividend)
 
 
@@ -337,39 +346,43 @@ def _q_triple(claim_id, params, family, base, extra, note="", printed=None) -> O
     def powers(factors):
         return {d: carries.get(d, 0) + factors.get(d, 0) for d in {*carries, *factors}}
 
-    moduli = [powers(extra)] + ([] if printed is None else [powers(printed)])
-    top = {d: max(f.get(d, 0) for f in moduli) for f in moduli for d in f}
-    residues = sums.triple_sum(family, n, r, s, t, "q", modulo=CycloFactorization(top))
+    asserted = powers(extra)
+    shown = {} if printed is None else powers(printed)
+    clash = [d for d, e in shown.items() if asserted.get(d, e) != e]
+    if clash:  # one residue per d serves both moduli
+        raise RuntimeError(f"internal invariant violated: the {claim_id} moduli give "
+                           f"Phi_{clash[0]} two multiplicities (n={n})")
+    residues = sums.triple_sum(family, n, r, s, t, "q",
+                               modulo=CycloFactorization({**asserted, **shown}))
     if printed is not None:
-        note += " also divides" if _divides_by(residues, top, moduli[1]) else " does NOT divide"
+        note += " also divides" if _divides_by(residues, shown) else " does NOT divide"
     modulus = qbinom(*base)
     for d, m in extra.items():
         modulus = modulus * cyclo.cyclotomic_power(d, m)
-    return _by_residues(claim_id, params, residues, top, moduli[0], modulus, note,
+    return _by_residues(claim_id, params, residues, asserted, modulus, note,
                         sums.triple_sum_degree(family, n, r, s, t),
                         lambda: sums.triple_sum(family, n, r, s, t, "q"))
 
 
-def _divides_by(residues, top, factors) -> bool:
+def _divides_by(residues, factors) -> bool:
     """Whether prod Phi_d^e over factors divides the value of the residues.
 
-    residues[d] is the value modulo Phi_d^top[d], and each e <= top[d]:
-    Phi_d^e divides the value exactly when it divides that residue.
+    residues[d] is the value modulo Phi_d^e, e the multiplicity of d in
+    factors, so Phi_d^e divides the value exactly when that residue is 0.
     """
-    return all(not (residues[d] if e == top[d] else cyclo.residue(residues[d], d, e))
-               for d, e in factors.items())
+    return not any(residues[d] for d in factors)
 
 
-def _by_residues(claim_id, params, residues, top, asserted, modulus, note, degree,
+def _by_residues(claim_id, params, residues, asserted, modulus, note, degree,
                  full) -> Outcome:
     """Outcome of "dividend == 0 mod modulus", decided by the dividend's residues.
 
-    residues[d] is the dividend modulo Phi_d^top[d], asserted the modulus
-    as a factorization (d -> multiplicity) and modulus its expansion, and
-    degree the dividend's (-inf for zero).  A nonzero asserted residue
-    runs the exact division of full(), the dividend, for the witness.
+    residues[d] is the dividend modulo Phi_d^e, asserted the modulus as a
+    factorization (d -> e) and modulus its expansion, and degree the
+    dividend's (-inf for zero).  A nonzero asserted residue runs the
+    exact division of full(), the dividend, for the witness.
     """
-    if not _divides_by(residues, top, asserted):
+    if not _divides_by(residues, asserted):
         return _congruence(claim_id, params, full(), modulus, note)
     degree = max(degree - modulus.degree, -1)  # -1 for a zero dividend
     return Outcome(TheoremCase(claim_id, params, modulus, note), True, None, degree)
@@ -563,7 +576,7 @@ def _lemmas(claim_id: str, n: int, p: int, r: int) -> Iterator[Outcome]:
                            if b not in subset and qcomb._carry_at(2 * n, n, p**b))
             residues = {d: cyclo.residue(dividend.coeffs, d, e, powers[d] if e == r else None)
                         for d, e in factors.items()}
-            yield _by_residues("lemma24", dict(params), residues, factors, factors,
+            yield _by_residues("lemma24", dict(params), residues, factors,
                                cyclo.expand(CycloFactorization(factors)), "",
                                dividend.degree, lambda: dividend)
 

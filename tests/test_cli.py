@@ -45,11 +45,16 @@ class TestParsing:
         args = build_parser().parse_args(
             ["verify", "calkin", "--n", "1..2", "--r", "1..2"]
         )
-        assert build_cases(args) == [
-            ("calkin", {"n": 1, "r": 1}),
-            ("calkin", {"n": 1, "r": 2}),
-            ("calkin", {"n": 2, "r": 1}),
-            ("calkin", {"n": 2, "r": 2}),
+        cases = build_cases(args)
+        assert cases == [
+            ("calkin", {"n": 1, "r": range(1, 3)}),
+            ("calkin", {"n": 2, "r": range(1, 3)}),
+        ]
+        assert [rep.case.params for rep in run_sweep(cases)] == [
+            {"n": 1, "r": 1},
+            {"n": 1, "r": 2},
+            {"n": 2, "r": 1},
+            {"n": 2, "r": 2},
         ]
 
     def test_build_cases_compositions(self):
@@ -63,7 +68,7 @@ class TestParsing:
     @pytest.mark.parametrize("argv, expected", [
         (["eq1", "--n", "1..2"], [("eq1", [("n", 1)]), ("eq1", [("n", 2)])]),
         (["calkin", "--n", "1..2", "--r", "3"],
-         [("calkin", [("n", 1), ("r", 3)]), ("calkin", [("n", 2), ("r", 3)])]),
+         [("calkin", [("n", 1), ("r", range(3, 4))]), ("calkin", [("n", 2), ("r", range(3, 4))])]),
         (["gjz", "--ns", "2,1"], [("gjz", [("ns", [2, 1])])]),
         (["gjzq", "--h", "1..3", "--ni", "1"],
          [("gjzq", [("ns", [1])]), ("gjzq", [("ns", [1, 1])]), ("gjzq", [("ns", [1, 1, 1])])]),
@@ -129,7 +134,8 @@ class TestExitCodes:
         def fake_run_case(claim_id, params):
             dividend, modulus = IntPoly("[1, 0, 1]"), IntPoly("[1, 1]")
             witness = CongruenceWitness(dividend, modulus, None, False, IntPoly(2))
-            case = TheoremCase(claim_id, params, modulus, "synthetic failure")
+            report_params = {"n": params["n"], "r": params["r"][0]}  # as _calkin reports
+            case = TheoremCase(claim_id, report_params, modulus, "synthetic failure")
             return [VerificationReport(case, False, witness)]
 
         monkeypatch.setattr(verify, "run_case", fake_run_case)
@@ -143,7 +149,7 @@ class TestExitCodes:
     def test_failed_calkin_residue_dumps_the_full_path_witness(self, capsys, monkeypatch):
         # S = 7 on both paths: C(4, 2) = 6 does not divide the residue, and
         # the full path supplies the witness
-        monkeypatch.setattr(sums, "alt_power_sum_mod", lambda n, r, m: 7 % m)
+        monkeypatch.setattr(sums, "alt_power_sums_mod", lambda n, rs, m: (7 % m for _ in rs))
         monkeypatch.setattr(sums, "alt_power_sum", lambda n, r: 7)
         assert run(["verify", "calkin", "--n", "2", "--r", "2", "--jobs", "1"]) == 1
         err = capsys.readouterr().err
@@ -235,8 +241,9 @@ class TestExitCodes:
         (["gjz", "--h", "1..2", "--ni", "1..2"], "1..3"),
     ])
     def test_cap_is_inclusive(self, monkeypatch, argv, last_over_cap):
+        # the cap counts reports: a calkin case reports each of its exponents
         monkeypatch.setattr(cli, "MAX_CASES", 6)
-        assert len(build_cases(build_parser().parse_args(["verify", *argv]))) == 6
+        assert len(run_sweep(build_cases(build_parser().parse_args(["verify", *argv])))) == 6
         over = ["verify", *argv[:-1], last_over_cap]
         with pytest.raises(InvalidArgument, match="MAX_CASES = 6"):
             build_cases(build_parser().parse_args(over))
@@ -312,8 +319,6 @@ class TestDeterminism:
         assert _normalize(serial) == _normalize(parallel)
 
     def test_calkin_reports_ignore_case_order_and_pool(self, capsys, monkeypatch):
-        # the residues' power tables fill in whatever order the cases come,
-        # in each worker process
         argv = ["verify", "calkin", "--n", "1..12", "--r", "1..20", "--output", "json"]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         runs = []
@@ -323,7 +328,7 @@ class TestDeterminism:
         cases = build_cases(build_parser().parse_args(argv))
         shuffled = random.Random(0).sample(cases, len(cases))
         records = {json.dumps(rep.case.params): rep.record() for rep in run_sweep(shuffled, 1)}
-        runs.append(_normalize([records[json.dumps(params)] for _, params in cases]))
+        runs.append(_normalize([records[json.dumps(rec["params"])] for rec in runs[0]]))
         assert len(runs[0]) == 240
         assert runs[0] == runs[1] == runs[2]
 

@@ -1,6 +1,7 @@
 """Ring arithmetic, exact division, packed products, text forms."""
 
 import functools
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -431,6 +432,14 @@ class TestStructure:
     def test_getitem_past_degree(self):
         p = IntPoly("1 + q")
         assert p[0] == 1 and p[1] == 1 and p[5] == 0
+
+    def test_iteration_stops_at_the_stored_coefficients(self):
+        # islice first: were iteration to fall back on __getitem__, it
+        # would yield zeros forever and list() below would never return
+        p = IntPoly("1 + q")
+        assert list(islice(p, 5)) == [1, 1] and list(islice(ZERO, 5)) == []
+        assert list(p) == [1, 1] and sum(p) == 2 and 1 in p and 0 not in p
+        assert list(ZERO) == [] and sum(ZERO) == 0 and 0 not in ZERO
 
     def test_hashable_equal(self):
         assert hash(IntPoly([1, 2])) == hash(IntPoly((1, 2, 0)))

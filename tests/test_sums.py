@@ -1,17 +1,10 @@
 """The alternating-sum families and their cross-identities."""
 
-import concurrent.futures
-import contextlib
-import functools
-import random
-import sys
-from unittest import mock
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaltsum import sums, verify
+from qaltsum import sums
 from qaltsum._kernels_py import divexact_steps
 from qaltsum.cyclo import CycloFactorization, expand
 from qaltsum.polycore import ZERO, IntPoly, InvalidArgument
@@ -20,6 +13,7 @@ from qaltsum.sums import (
     alt_power_sum,
     alt_power_sum_filtered,
     alt_power_sum_mod,
+    alt_power_sums_mod,
     gjz_sum,
     pattern_sum,
     triple_sum,
@@ -140,12 +134,10 @@ class TestAltPowerSumMod:
         assert alt_power_sum_mod(n, r, m) == alt_power_sum(n, r) % m
 
     def test_huge_exponent(self):
-        # closed form for n = 1: 2 - 2^r; two pow loops, then table reads
+        # closed form for n = 1: 2 - 2^r
         m = 10**30 + 57
-        with fresh_tables() as tables:
-            for r in [10**50, 10**300] * 4:
-                assert alt_power_sum_mod(1, r, m) == (2 - pow(2, r, m)) % m
-        assert tables.cache_info()[:3] == (6, 2, 1)
+        for r in [10**50, 10**300] * 4:
+            assert alt_power_sum_mod(1, r, m) == (2 - pow(2, r, m)) % m
 
     @pytest.mark.parametrize("n, r", [(0, 2), (2, 0), (-1, 1)])
     def test_rejects_what_the_full_sum_rejects(self, n, r):
@@ -161,136 +153,41 @@ class TestAltPowerSumMod:
             alt_power_sum_mod(2, 2, m)
 
 
-# Exponents at the edges of the 4-bit windows: one digit, the widest
-# digit, a digit carried into the next place, and six digits.
-TABLE_EXPONENTS = [1, 15, 16, 17, 255, 256, 4095, 4096, 10**6]
 CALKIN_PRIME = 2**61 - 1
-
-
-@contextlib.contextmanager
-def fresh_tables(budget=sums._TABLE_BITS):
-    """alt_power_sum_mod with empty power tables of this budget."""
-    tables = sums._PowerTables(budget)
-    with mock.patch.object(sums, "_POWER_TABLES", tables):
-        yield tables
-
-
-@functools.lru_cache(maxsize=None)
-def _full_sum(n, r):
-    return alt_power_sum(n, r)
 
 
 def _reference(n, r, m):
     """alt_power_sum(n, r) % m.  Where the full sum would have millions of
-    digits (r = 10^6, n > 2) the terms are powered modulo m one by one,
-    over the full range 0..2n."""
-    if r < 10**6 or n <= 2:
-        return _full_sum(n, r) % m
+    bits the terms are powered modulo m one by one, over the full range
+    0..2n."""
+    if r * binom(2 * n, n).bit_length() <= 1 << 22:
+        return alt_power_sum(n, r) % m
     return sum((-1) ** k * pow(binom(2 * n, k), r, m) for k in range(2 * n + 1)) % m
 
 
-table_moduli = st.one_of(st.sampled_from([1, 2, 7, "calkin"]), st.integers(10**39, 10**40 - 1))
-
-
-class TestPowerTables:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(1, 10), table_moduli, st.permutations(TABLE_EXPONENTS * 3))
-    def test_shuffled_exponents_are_exact(self, n, m, order):
+class TestAltPowerSumsMod:
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([1, 15, 16, 255, 4096, 10**6, 10**50]),
+           st.integers(1, 20), st.integers(1, 3),
+           st.one_of(st.sampled_from([1, 2, 7, "calkin"]), st.integers(10**39, 10**40 - 1)))
+    def test_each_exponent_is_the_sum_mod_m(self, n, start, length, step, m):
         m = binom(2 * n, n) * CALKIN_PRIME if m == "calkin" else m
-        with fresh_tables() as tables:
-            for r in order:
-                assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), r
-        assert tables.cache_info()[:3] == (len(order) - 2, 2, 1)
+        rs = range(start, start + length * step, step)
+        assert list(alt_power_sums_mod(n, rs, m)) == [_reference(n, r, m) for r in rs]
 
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(1, 10), st.integers(10**39, 10**40 - 1),
-           st.permutations(TABLE_EXPONENTS * 3))
-    def test_two_moduli_interleaved(self, n, big, order):
-        moduli = (binom(2 * n, n) * CALKIN_PRIME, big)
-        with fresh_tables() as tables:
-            for r in order:
-                for m in moduli:
-                    assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), (r, m)
-        assert tables.cache_info().tables == 2
+    @pytest.mark.parametrize("rs", [range(3, 3), range(5, 1), range(5, 1, -1)])
+    def test_rejects_an_empty_or_descending_range(self, rs):
+        with pytest.raises(InvalidArgument, match="nonempty ascending range"):
+            alt_power_sums_mod(2, rs, 7)
 
-    def test_concurrent_callers_share_one_exact_table(self):
-        n = 20
-        m = binom(2 * n, n) * CALKIN_PRIME
-        order = (list(range(1, 1000, 37)) + TABLE_EXPONENTS) * 4
-        random.Random(0).shuffle(order)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with fresh_tables() as tables, \
-                    concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                calls = pool.map(lambda r: (r, alt_power_sum_mod(n, r, m)), order, timeout=120)
-                got = list(calls)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(got) == len(order)
-        for r, value in got:
-            assert value == _reference(n, r, m), r
-        rows = tables._tables[n, m]
-        row = [binom(2 * n, n - j) % m for j in range(n + 1)]
-        for i, place in enumerate(rows):
-            for d, vector in enumerate(place, 1):
-                assert vector == [pow(b, d * 16**i, m) for b in row], (i, d)
-        for i in range(len(rows) - 1):
-            assert rows[i + 1][0] == [pow(b, 16, m) for b in rows[i][0]], i
-        # 16^4 <= 10^6 < 16^5: places 0..4, each as long as its largest digit
-        # (every exponent is asked four times, so a later call reaches it)
-        assert [len(place) for place in rows] == [
-            max(r >> 4 * i & 15 for r in order) for i in range(5)]
-        assert tables.cache_info() == (
-            len(order) - 2, 2, 1, sum(map(len, rows)) * sums._vector_bits(n, m))
-
-    def test_budget_bounds_what_the_tables_hold(self):
-        budget = 1 << 20  # two to four of these tables, of 30 vectors each
-        with fresh_tables(budget) as tables:
-            for n in range(20, 40):
-                m = binom(2 * n, n) * CALKIN_PRIME
-                for r in (1, 2, 3, 200, 77, 255):
-                    assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), (n, r)
-                info = tables.cache_info()
-                assert info.bits <= budget
-                assert info.bits == sum(sum(map(len, rows)) * sums._vector_bits(*key)
-                                        for key, rows in tables._tables.items())
-        assert info[:2] == (80, 40) and 2 <= info.tables < 20
-
-    def test_table_over_the_budget_is_never_kept(self):
-        n = 12
-        m = binom(2 * n, n) * CALKIN_PRIME
-        vector = sums._vector_bits(n, m)
-        # too big from the start: B and B^2 fit, B^3 does not
-        with fresh_tables(budget=3 * vector - 1) as tables:
-            for r in (3, 3, 3, 3):
-                assert alt_power_sum_mod(n, r, m) == _reference(n, r, m)
-        assert tables.cache_info() == (0, 4, 0, 0)
-        # a table that fits stops growing at the budget; those calls run pow
-        with fresh_tables(budget=3 * vector) as tables:
-            for r in (1, 2, 3, 4, 2**40 + 1, 3, 2):
-                assert alt_power_sum_mod(n, r, m) == _reference(n, r, m), r
-        assert tables.cache_info() == (3, 4, 1, 3 * vector)
-
-    def test_thm1_moduli_build_no_table(self):
-        # per_prime asks each modulus for exactly two exponents
-        with fresh_tables() as tables:
-            for n in range(1, 41):
-                verify.verify_thm1(n)
-        info = tables.cache_info()
-        assert info.pow_calls > 0 and info == (0, info.pow_calls, 0, 0)
-        assert len(tables._counts) <= sums._COUNTED_KEYS
-
-    def test_cache_info_counts_calls_tables_and_bits(self):
-        n = 5
-        m = binom(2 * n, n) * CALKIN_PRIME
-        with fresh_tables():
-            for r in (1, 2, 3, 3, 17):
-                alt_power_sum_mod(n, r, m)
-            info = sums.power_table_info()
-        # B, B^2 and B^3 for r = 3, and B^16 for r = 17
-        assert info == sums.PowerTableInfo(
-            hits=3, pow_calls=2, tables=1, bits=4 * sums._vector_bits(n, m))
+    def test_checks_its_arguments_at_the_call(self):
+        with pytest.raises(InvalidArgument) as full:
+            alt_power_sum(2, 0)
+        with pytest.raises(InvalidArgument) as mod:
+            alt_power_sums_mod(2, range(0, 3), 7)
+        assert str(mod.value) == str(full.value)
+        with pytest.raises(InvalidArgument, match="m >= 1"):
+            alt_power_sums_mod(2, range(1, 3), 0)
 
 
 class TestFilteredSums:

@@ -191,6 +191,11 @@ def _full_calkin(n, r):
 _full_sum = functools.cache(alt_power_sum)
 
 
+def _stub_residues(value):
+    """A stand-in for sums.alt_power_sums_mod: value mod m at every exponent."""
+    return lambda n, rs, m: (value % m for _ in rs)
+
+
 def _count_calls(monkeypatch, name):
     """The argument tuples of every call of verify.sums.<name>, which still runs."""
     calls = []
@@ -211,6 +216,34 @@ class TestResiduePaths:
     def test_calkin_matches_the_full_path(self, n, r):
         reports = run_case("calkin", {"n": n, "r": r})
         assert _without_elapsed(reports) == _without_elapsed(_full_calkin(n, r))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_calkin_range_is_one_report_per_exponent(self, n):
+        reports = run_case("calkin", {"n": n, "r": range(1, 21)})
+        single = [rep for r in range(1, 21) for rep in run_case("calkin", {"n": n, "r": r})]
+        assert _without_elapsed(reports) == _without_elapsed(single)
+
+    def test_failed_report_ends_the_calkin_case(self, monkeypatch):
+        # one more than the true value at r = 3, on both paths
+        real_mod, real_full = verify.sums.alt_power_sums_mod, verify.sums.alt_power_sum
+        drawn = []
+
+        def residues(n, rs, m):
+            for r, value in zip(rs, real_mod(n, rs, m)):
+                drawn.append(r)
+                yield (value + (r == 3)) % m
+
+        monkeypatch.setattr(verify.sums, "alt_power_sums_mod", residues)
+        monkeypatch.setattr(verify.sums, "alt_power_sum", lambda n, r: real_full(n, r) + (r == 3))
+        reports = run_case("calkin", {"n": 2, "r": range(1, 11)})
+        assert [rep.holds for rep in reports] == [True, True, False]
+        assert [rep.case.params for rep in reports] == [{"n": 2, "r": r} for r in (1, 2, 3)]
+        assert drawn == [1, 2, 3]
+
+    @pytest.mark.parametrize("rs", [range(4, 4), range(4, 1, -1)])
+    def test_calkin_rejects_an_empty_or_descending_range(self, rs):
+        with pytest.raises(InvalidArgument, match="nonempty ascending range"):
+            run_case("calkin", {"n": 2, "r": rs})
 
     @pytest.mark.parametrize("variant", ["per_prime", "full_modulus"])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -250,7 +283,7 @@ class TestResiduePaths:
     def test_failed_residue_check_reruns_the_full_path(self, monkeypatch):
         # C(4, 2) = 6 does not divide the stubbed residue; the true sum,
         # S = 6, decides the claim
-        monkeypatch.setattr(verify.sums, "alt_power_sum_mod", lambda n, r, m: 7 % m)
+        monkeypatch.setattr(verify.sums, "alt_power_sums_mod", _stub_residues(7))
         full = _count_calls(monkeypatch, "alt_power_sum")
         rep = run_case("calkin", {"n": 2, "r": 2})[0]
         assert rep.holds and rep.quotient_degree == 0 and rep.witness is None
@@ -354,6 +387,28 @@ class TestQResiduePath:
                     printed = divides(dividend, _printed_t2c2(n, *rst)[1])
                     assert rep.case.derivation_note.endswith(
                         " also divides" if printed else " does NOT divide"), params
+
+    def test_t2c2_moduli_agree_on_every_shared_cyclotomic(self, monkeypatch):
+        # the asserted and printed moduli share one residue per Phi_d, so a
+        # shared d must have one multiplicity in both; only the moduli are
+        # built here, the sums and the expanded modulus are stubbed
+        seen = []
+
+        def residues(family, n, r, s, t, mode, *, modulo):
+            seen.append(modulo.factors)
+            return {d: IntPoly() for d in modulo.factors}
+
+        monkeypatch.setattr(verify.sums, "triple_sum", residues)
+        monkeypatch.setattr(verify, "qbinom", lambda N, K: IntPoly(1))
+        for n in range(1, 65):
+            rep = run_case("t2c2", {"n": n, "r": 1, "s": 1, "t": 1})[0]
+            assert rep.holds and rep.case.derivation_note.endswith(" also divides"), n
+        assert len(seen) == 64
+
+    def test_moduli_that_disagree_are_an_internal_error(self):
+        with pytest.raises(RuntimeError, match="internal invariant violated"):
+            verify._q_triple("t2c2", {"n": 1, "r": 1, "s": 1, "t": 1}, "six_four_two",
+                             (6, 3), {4: 1}, "", {4: 2})
 
     def test_printed_t2c2_form_decided_from_residues(self, no_full_division):
         # 3 * 2^j for j <= alpha: at n = 8 the printed modulus has four more factors
@@ -604,7 +659,7 @@ class TestRunCaseAndRecords:
         assert zero.holds and zero.record()["quotient_degree"] == -1
         assert run_case("thm1", {"n": 2, "variant": "per_prime"})[0].quotient_degree is None
         # S = 7 on both paths: the residue check fails, the full path decides
-        monkeypatch.setattr(verify.sums, "alt_power_sum_mod", lambda n, r, m: 7 % m)
+        monkeypatch.setattr(verify.sums, "alt_power_sums_mod", _stub_residues(7))
         monkeypatch.setattr(verify.sums, "alt_power_sum", lambda n, r: 7)
         failed = run_case("calkin", {"n": 2, "r": 2})[0]
         assert failed.holds is False and failed.quotient_degree is None
@@ -648,6 +703,7 @@ class TestElapsedCoversWholeCase:
 
     def test_calkin_and_thm1_per_prime(self, slow):
         slow("alt_power_sum")
+        slow("alt_power_sums_mod")
         slow("alt_power_sum_mod")
         assert run_case("calkin", {"n": 3, "r": 4})[0].elapsed >= self.DELAY
         reports = run_case("thm1", {"n": 2, "variant": "per_prime"})
