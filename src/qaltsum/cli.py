@@ -23,6 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 from . import cyclo, qcomb, sums, verify
 from .polycore import IntPoly, InvalidArgument
@@ -202,15 +203,55 @@ def dump_counterexample(report: VerificationReport, stream) -> None:
 # -- report emission ----------------------------------------------------------------
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _indented(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, nested at the line start pad.
+
+    json.dumps uses its C encoder only without indent; here the layout
+    is written in Python and every string goes through the C
+    encode_basestring_ascii.  Whatever is not a plain str, int, bool,
+    None, finite float, str-keyed dict, list or tuple (a non-finite
+    float, an int subclass, a non-str key, a type json rejects) goes to
+    json.dumps itself, for its exact output or its exact TypeError; the
+    replace is safe because ensure_ascii output holds no raw newline.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    inner = pad + "  "
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_indented(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
 def emit_report(reports: list[VerificationReport], format: str = "pretty") -> str:
     """Serialize reports with a stable field order.
 
     Timings (elapsed_ms) are included but excluded from any determinism
-    guarantee.
+    guarantee.  The JSON form is exactly json.dumps(records, indent=2),
+    each record encoded as soon as it is built.
     """
-    records = [rep.record() for rep in reports]
     if format == "json":
-        return json.dumps(records, indent=2)
+        if not reports:
+            return "[]"
+        return "[\n  " + ",\n  ".join([_indented(rep.record(), "\n  ") for rep in reports]) + "\n]"
+    records = [rep.record() for rep in reports]
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

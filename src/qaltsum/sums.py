@@ -151,7 +151,8 @@ def alt_power_sum(n: int, r: int) -> int:
     (-2, 90, 786)
     """
     _check_power(n, r)
-    return _sign(n) * _even_sum(lambda j: comb(2 * n, n - j) ** r, n)
+    row = _central_row(n)
+    return _sign(n) * _even_sum(lambda j: row[j] ** r, n)
 
 
 def alt_power_sum_mod(n: int, r: int, m: int) -> int:
@@ -182,7 +183,7 @@ def alt_power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
 
 
 def _power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
-    row = [comb(2 * n, n - j) % m for j in range(n + 1)]  # C(2n, n - j) mod m
+    row = [b % m for b in _central_row(n)]  # C(2n, n - j) mod m
     terms, step = [pow(b, rs[0], m) for b in row], None
     for _ in rs:
         # _even_sum, read from the list
@@ -190,6 +191,19 @@ def _power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
         if step is None:  # built only when a second exponent is asked for
             step = [pow(b, rs.step, m) for b in row]
         terms = [x * y % m for x, y in zip(terms, step)]
+
+
+def _central_row(n: int) -> list[int]:
+    """[C(2n, n - j) for j = 0..n], by C(2n, k + 1) = C(2n, k)(2n - k)/(k + 1).
+
+    >>> _central_row(2)
+    [6, 4, 1]
+    """
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (2 * n - k) // (k + 1))
+    row.reverse()
+    return row
 
 
 def _check_power(n: int, r: int) -> None:

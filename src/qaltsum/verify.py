@@ -246,6 +246,11 @@ def verify_identity(claim: str, **params) -> VerificationReport:
     takes a range of them); gjz/gjzq take ns (composition); the cj2
     family takes n, r, s, t.
     """
+    if claim == "calkin" and not isinstance(params.get("r"), int):
+        raise InvalidArgument(
+            f"verify_identity takes one int exponent r for calkin, got {params.get('r')!r};"
+            " run_case('calkin', ...) reports every exponent of a range"
+        )
     return run_case(claim, params)[0]
 
 

@@ -12,9 +12,12 @@ import shutil
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaltsum import cli, sums, verify
 from qaltsum.cli import (
@@ -298,6 +301,66 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(InvalidArgument):
             emit_report([], "yaml")
+
+    def test_json_is_indent_2_for_a_sweep(self):
+        # eq1 (no modulus), calkin, gjz (a list param), thm1 and t2c3 (not applicable)
+        reports = verify.run_case("eq1", {"n": 3})
+        reports += verify.run_case("calkin", {"n": 4, "r": range(1, 4)})
+        reports += verify.run_case("gjz", {"ns": [2, 1, 3]})
+        reports += verify.run_case("thm1", {"n": 4, "variant": "per_prime"})
+        reports += verify.run_case("thm1", {"n": 6, "variant": "full_modulus"})
+        reports += verify.run_case("t2c3", {"n": 1, "r": 1, "s": 1, "t": 1})
+        assert [rep.holds for rep in reports].count(None) >= 1
+        assert emit_report(reports, "json") == json.dumps(
+            [rep.record() for rep in reports], indent=2
+        )
+
+
+_JSON_LEAVES = (
+    st.text()  # non-ASCII, quotes, backslashes, control characters, lone surrogates
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "\ud800", "\udfff x", "\u00e9\U0001f600"])
+    | st.integers()
+    | st.integers(min_value=10**30) | st.integers(max_value=-(10**30))
+    | st.booleans() | st.none()
+    | st.floats()  # nan and +-inf included
+    | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+class _Colour(IntEnum):
+    RED = 1
+
+
+class TestIndented:
+    @given(_JSON_VALUES)
+    def test_matches_json_indent_2(self, value):
+        assert cli._indented(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {1: "a", "b": [2.5, {3: None}]},  # int keys: json's conversion
+        {"x": {True: 1, None: [], 2.5: {}}},
+        [_Colour.RED, {"c": _Colour.RED}],  # an int subclass
+        {"deep": [{"e": [float("nan"), {0: float("-inf")}]}]},
+        ([], {}, (), [[]], [{}]),
+    ])
+    def test_other_values_take_the_json_fallback(self, value):
+        assert cli._indented(value) == json.dumps(value, indent=2)
+        assert cli._indented(value, "\n    ") == json.dumps(value, indent=2).replace(
+            "\n", "\n    ")
+
+    def test_rejects_what_json_rejects(self):
+        for value in ({1, 2}, [1, {"a": {2}}], {(1, 2): 3}, object()):
+            with pytest.raises(TypeError) as ours:
+                cli._indented(value)
+            with pytest.raises(TypeError) as theirs:
+                json.dumps(value, indent=2)
+            assert str(ours.value) == str(theirs.value)
 
 
 def _normalize(records):

@@ -1,5 +1,7 @@
 """The alternating-sum families and their cross-identities."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,10 @@ class TestAltPowerSum:
                     for k in range(-n, n + 1)
                 )
                 assert centered == (-1) ** n * alt_power_sum(n, r)
+
+    def test_central_row_is_the_binomial_row(self):
+        for n in range(1, 61):
+            assert sums._central_row(n) == [math.comb(2 * n, n - j) for j in range(n + 1)]
 
     def test_rejects(self):
         with pytest.raises(InvalidArgument):

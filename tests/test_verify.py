@@ -105,6 +105,11 @@ class TestIdentities:
     def test_calkin(self):
         assert verify_identity("calkin", n=3, r=5).holds
 
+    @pytest.mark.parametrize("r", [range(1, 4), [5], 5.0, None])
+    def test_calkin_takes_one_int_exponent(self, r):
+        with pytest.raises(InvalidArgument, match="run_case"):
+            verify_identity("calkin", n=3, r=r)
+
     def test_gjz(self):
         rep = verify_identity("gjz", ns=[1, 1])
         assert rep.holds
