@@ -16,7 +16,7 @@ from enum import IntEnum
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qaltsum import cli, sums, verify
@@ -339,6 +339,7 @@ class _Colour(IntEnum):
 
 class TestIndented:
     @given(_JSON_VALUES)
+    @example(([], {}, (), [[]], [{}], {"a": []}))
     def test_matches_json_indent_2(self, value):
         assert cli._indented(value) == json.dumps(value, indent=2)
 
@@ -347,7 +348,6 @@ class TestIndented:
         {"x": {True: 1, None: [], 2.5: {}}},
         [_Colour.RED, {"c": _Colour.RED}],  # an int subclass
         {"deep": [{"e": [float("nan"), {0: float("-inf")}]}]},
-        ([], {}, (), [[]], [{}]),
     ])
     def test_other_values_take_the_json_fallback(self, value):
         assert cli._indented(value) == json.dumps(value, indent=2)
