@@ -453,26 +453,34 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "inspect":
-            return _run_inspect(args)
-        cases = build_cases(args)
-        if args.jobs < 1:
-            raise InvalidArgument("parallelism must be >= 1")
-        if not cases:
-            raise InvalidArgument("the requested sweep is empty")
-        reports = run_sweep(cases, args.jobs)
+            code = _run_inspect(args)
+        else:
+            cases = build_cases(args)
+            if args.jobs < 1:
+                raise InvalidArgument("parallelism must be >= 1")
+            if not cases:
+                raise InvalidArgument("the requested sweep is empty")
+            reports = run_sweep(cases, args.jobs)
+            sys.stdout.write(emit_report(reports, args.output))
+            failures = [rep for rep in reports if rep.holds is False]
+            if failures:
+                dump_counterexample(failures[0], sys.stderr)
+            code = 1 if failures else 0
+        sys.stdout.flush()  # a closed reader fails here, inside the try
+        return code
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # code 1 means a falsified claim; Ctrl-C still interrupts
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(emit_report(reports, args.output))
-    failures = [rep for rep in reports if rep.holds is False]
-    if failures:
-        dump_counterexample(failures[0], sys.stderr)
-        return 1
-    return 0
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # else the interpreter's final flush prints "Exception ignored", exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -120,8 +120,8 @@ _SPARSE_TERMS = 6
 class IntPoly:
     """Immutable dense polynomial over arbitrary-precision integers.
 
-    Accepts an iterable of coefficients (ascending), a plain integer, or
-    one of the two text forms:
+    Accepts an iterable of int coefficients (ascending), a plain integer,
+    or one of the two text forms:
 
     >>> IntPoly((1, 0, -2))
     IntPoly('1 - 2*q^2')
@@ -141,7 +141,7 @@ class IntPoly:
         elif isinstance(coeffs, int):
             cs = [coeffs]
         else:
-            cs = list(map(int, coeffs))
+            cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

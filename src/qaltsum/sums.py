@@ -29,19 +29,24 @@ Families:
   triple      sum_{k=-n..n} (-1)^k [q^C(k,2)] qb(A, A/2+k)^r qb(4n, 2n+k)^s
               qb(2n, n+k)^t with A = 6n or 8n
 
-Every integer-mode sum is evaluated over half its range (_even_sum).  Its
-term T(k) is even about the centre of the range, and so is the sign, so
-the terms at k and -k add up to 2(-1)^k T(k):
+Every integer-mode sum is evaluated over half its range, by _even_sum
+from the list [T(0), ..., T(m)].  Its term T(k) is even about the
+centre of the range, and so is the sign, so the terms at k and -k add
+up to 2(-1)^k T(k):
 
   centred     sum_{k=-n..n} (-1)^k T(k) = T(0) + 2 sum_{k=1..n} (-1)^k T(k)
   0..2n       sum_{k=0..2n} (-1)^k T(k)
                 = 2 sum_{k<n} (-1)^k T(k) + (-1)^n T(n)
 
-For the power and pattern sums that is C(N, k) = C(N, N - k); the
-carries of k + (2n - k) are the same read either way round, so the
-filters keep k exactly when they keep 2n - k.  The triple terms are
-products of C(2m, m + k) = C(2m, m - k).  The gjz term is even in k
-because it is a product of factorials: writing each factor as
+Each binomial of T is read from a row _row(N, K, m) = [C(N, K + j) for
+j = 0..m], built from one math.comb.  The power and pattern sums read
+(2n, n), as C(2n, k) = C(2n, 2n - k); the carries of k + (2n - k) are
+the same read either way round, so the filters keep k exactly when they
+keep 2n - k, and p | C(2n, k) (a carry in base p, by Kummer's theorem)
+is tested on the row value.  The triple terms read (A, A/2), (4n, 2n)
+and (2n, n), as C(2m, m + k) = C(2m, m - k); the gjz term reads
+(n_i + n_{i+1}, n_i) up to min_i n_i, and is even in k because it is a
+product of factorials: writing each factor as
 (n_i + n_{i+1})! / ((n_i + k)! (n_{i+1} - k)!) and shifting the second
 half of the denominators one step round the cycle gives
 
@@ -82,7 +87,7 @@ alone, whose leading coefficient is 1 (triple_sum_degree).
 from __future__ import annotations
 
 from math import comb, prod
-from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, Union
+from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .cyclo import CycloFactorization, cyclotomic_power, is_prime, residue
 from .polycore import IntPoly, InvalidArgument, packed_sum
@@ -116,16 +121,28 @@ def _check_mode(mode: str) -> None:
         raise InvalidArgument(f"mode must be 'integer' or 'q', got {mode!r}")
 
 
-def _even_sum(term: Callable[[int], int], m: int) -> int:
-    """sum_{k=-m}^{m} (-1)^k term(k) for a term even in k, from k = 0..m.
+def _even_sum(values: Sequence[int]) -> int:
+    """sum_{k=-m}^{m} (-1)^k T(k) for T even in k, from values = [T(0), ..., T(m)].
 
-    term is called only at k = 0..m: the pairs +-k count twice.
-
-    >>> _even_sum(lambda k: comb(4, 2 + k), 2)  # 1 - 4 + 6 - 4 + 1
+    >>> _even_sum(_row(4, 2, 2))  # C(4, 2 + k): 1 - 4 + 6 - 4 + 1
     0
     """
-    pairs = sum(map(term, range(2, m + 1, 2))) - sum(map(term, range(1, m + 1, 2)))
-    return term(0) + 2 * pairs
+    return values[0] + 2 * (sum(values[2::2]) - sum(values[1::2]))
+
+
+def _row(N: int, K: int, m: int) -> list[int]:
+    """[C(N, K + j) for j = 0..m], by C(N, k - 1) = C(N, k) k/(N - k + 1).
+
+    For 0 <= K <= K + m <= N; the one math.comb, C(N, K + m), is 1 at K + m = N.
+
+    >>> _row(4, 2, 2)
+    [6, 4, 1]
+    """
+    row = [comb(N, K + m)]
+    for k in range(K + m, K, -1):
+        row.append(row[-1] * k // (N - k + 1))
+    row.reverse()
+    return row
 
 
 def _packed_sum(terms: Iterable[tuple[int, list[tuple[IntPoly, int]]]]) -> IntPoly:
@@ -151,8 +168,7 @@ def alt_power_sum(n: int, r: int) -> int:
     (-2, 90, 786)
     """
     _check_power(n, r)
-    row = _central_row(n)
-    return _sign(n) * _even_sum(lambda j: row[j] ** r, n)
+    return _sign(n) * _even_sum([b ** r for b in _row(2 * n, n, n)])
 
 
 def alt_power_sum_mod(n: int, r: int, m: int) -> int:
@@ -183,32 +199,25 @@ def alt_power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
 
 
 def _power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
-    row = [b % m for b in _central_row(n)]  # C(2n, n - j) mod m
+    row = [b % m for b in _row(2 * n, n, n)]  # C(2n, n + j) mod m
     terms, step = [pow(b, rs[0], m) for b in row], None
     for _ in rs:
-        # _even_sum, read from the list
-        yield _sign(n) * (terms[0] + 2 * (sum(terms[2::2]) - sum(terms[1::2]))) % m
+        yield _sign(n) * _even_sum(terms) % m
         if step is None:  # built only when a second exponent is asked for
             step = [pow(b, rs.step, m) for b in row]
         terms = [x * y % m for x, y in zip(terms, step)]
 
 
-def _central_row(n: int) -> list[int]:
-    """[C(2n, n - j) for j = 0..n], by C(2n, k + 1) = C(2n, k)(2n - k)/(k + 1).
-
-    >>> _central_row(2)
-    [6, 4, 1]
-    """
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (2 * n - k) // (k + 1))
-    row.reverse()
-    return row
-
-
 def _check_power(n: int, r: int) -> None:
     if n < 1 or r < 1:
         raise InvalidArgument(f"alt_power_sum requires n, r >= 1, got n={n}, r={r}")
+
+
+def _check_filter(n: int, r: int, p: int) -> None:
+    if n < 1 or r < 1:
+        raise InvalidArgument(f"requires n, r >= 1, got n={n}, r={r}")
+    if not is_prime(p):
+        raise InvalidArgument(f"{p} is not prime")
 
 
 def alt_power_sum_filtered(
@@ -218,24 +227,12 @@ def alt_power_sum_filtered(
 
     The two filtered halves add up to alt_power_sum(n, r).
     """
-    if n < 1 or r < 1:
-        raise InvalidArgument(f"requires n, r >= 1, got n={n}, r={r}")
-    if not is_prime(p):
-        raise InvalidArgument(f"{p} is not prime")
+    _check_filter(n, r, p)
     if filter not in ("p_divides", "p_ndivides"):
         raise InvalidArgument(f"unknown filter {filter!r}")
     want = filter == "p_divides"
-
-    def kept(k):
-        # p | C(2n, k) exactly when adding k and 2n - k carries at some p^a
-        power = p
-        while power <= 2 * n:
-            if _carry_at(2 * n, k, power):
-                return want
-            power *= p
-        return not want
-
-    return _sign(n) * _even_sum(lambda j: comb(2 * n, n - j) ** r if kept(n - j) else 0, n)
+    row = _row(2 * n, n, n)
+    return _sign(n) * _even_sum([b ** r if (b % p == 0) == want else 0 for b in row])
 
 
 def pattern_sum(
@@ -250,10 +247,7 @@ def pattern_sum(
     In q mode each term is (-1)^k q^C(k,2) qb(2n, k)^r; integer mode is
     the same sum at q = 1, computed directly on integers.
     """
-    if n < 1 or r < 1:
-        raise InvalidArgument(f"requires n, r >= 1, got n={n}, r={r}")
-    if not is_prime(p):
-        raise InvalidArgument(f"{p} is not prime")
+    _check_filter(n, r, p)
     idx = sorted(set(I))
     if not idx:
         raise InvalidArgument("the index set I must be nonempty")
@@ -266,9 +260,8 @@ def pattern_sum(
         return all(_carry_at(2 * n, k, d) for d in moduli)
 
     if mode == "integer":
-        return _sign(n) * _even_sum(
-            lambda j: comb(2 * n, n - j) ** r if kept(n - j) else 0, n
-        )
+        row = _row(2 * n, n, n)
+        return _sign(n) * _even_sum([b ** r if kept(n + j) else 0 for j, b in enumerate(row)])
     return _packed_sum((k, [(qbinom(2 * n, k), r)]) for k in range(2 * n + 1) if kept(k))
 
 
@@ -293,8 +286,8 @@ def gjz_sum(ns: Sequence[int], mode: Mode = "integer") -> Union[int, IntPoly]:
     n1 = ns[0]
     if mode == "integer":
         # even in k (see the module docstring) and zero for |k| > min(ns)
-        rows = [(ns[i] + ns[(i + 1) % h], ns[i]) for i in range(h)]
-        return _even_sum(lambda k: prod(comb(N, m + k) for N, m in rows), min(ns))
+        rows = [_row(ns[i] + ns[(i + 1) % h], ns[i], min(ns)) for i in range(h)]
+        return _even_sum([prod(column) for column in zip(*rows)])
     return _packed_sum(
         (k, [(qbinom(ns[i] + ns[(i + 1) % h], ns[i] + k), 1) for i in range(h)])
         for k in range(-n1, n1 + 1)
@@ -345,11 +338,8 @@ def triple_sum(
             for d, e in sorted(modulo.factors.items())
         }
     if mode == "integer":
-        return _even_sum(
-            lambda k: comb(A, A // 2 + k) ** r * comb(4 * n, 2 * n + k) ** s
-            * comb(2 * n, n + k) ** t,
-            n,
-        )
+        rows = zip(_row(A, A // 2, n), _row(4 * n, 2 * n, n), _row(2 * n, n, n))
+        return _even_sum([a ** r * b ** s * c ** t for a, b, c in rows])
     return _packed_sum(
         (k, [(qbinom(A, A // 2 + k), r),
              (qbinom(4 * n, 2 * n + k), s),

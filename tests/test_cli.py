@@ -585,17 +585,21 @@ needs_script = pytest.mark.skipif(
 )
 
 
-def run_module(args):
-    """Run ``python -m qaltsum`` from this checkout's ``src``, no install needed."""
+def _module_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (str(SRC), env.get("PYTHONPATH")) if path
     )
+    return env
+
+
+def run_module(args):
+    """Run ``python -m qaltsum`` from this checkout's ``src``, no install needed."""
     return subprocess.run(
         [sys.executable, "-m", "qaltsum", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_module_env(),
     )
 
 
@@ -614,6 +618,32 @@ class TestConsoleScript:
     def test_subprocess_usage_error(self):
         proc = run_module(USAGE_ERROR_ARGS)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        # a few hundred bytes, held in the stdout buffer until a flush
+        ["verify", "eq1", "--n", "1..2", "--output", "csv"],
+        # about 100 kB, more than a pipe holds, so the write fails even if
+        # it starts before the reader is gone
+        ["verify", "calkin", "--n", "1..5", "--r", "1..100", "--output", "json", "--jobs", "1"],
+    ])
+    def test_closed_stdout_is_an_internal_error(self, args):
+        # exit 1 would mean a falsified claim, and 120 a failed flush at
+        # shutdown; stdout is buffered, as it is by default
+        env = _module_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qaltsum", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 3
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert stderr.count("\n") == 1 and "BrokenPipeError" in stderr
 
     @needs_script
     def test_installed_script_ok(self):

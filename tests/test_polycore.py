@@ -441,6 +441,15 @@ class TestStructure:
         assert list(p) == [1, 1] and sum(p) == 2 and 1 in p and 0 not in p
         assert list(ZERO) == [] and sum(ZERO) == 0 and 0 not in ZERO
 
+    def test_coefficients_must_be_integers(self):
+        # int() would truncate 0.5 to 0 and parse "1"
+        with pytest.raises(TypeError):
+            IntPoly([0.5, 1])
+        with pytest.raises(TypeError):
+            IntPoly(["1", 2])
+        poly = IntPoly([True, 2])
+        assert poly == IntPoly([1, 2]) and type(poly.coeffs[0]) is int
+
     def test_hashable_equal(self):
         assert hash(IntPoly([1, 2])) == hash(IntPoly((1, 2, 0)))
 

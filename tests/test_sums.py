@@ -41,6 +41,13 @@ from oracles import (
 small_n = st.integers(1, 14)
 exponent = st.integers(1, 5)
 prime = st.sampled_from([2, 3, 5])
+# the filter reads p | C(2n, k) from the row, so wider draws are cheap
+filter_n = st.integers(1, 60)
+filter_prime = st.sampled_from([2, 3, 5, 7, 11, 13])
+# (N, K, m) with N <= 80 and 0 <= K <= K + m <= N
+binomial_row = st.integers(0, 80).flatmap(
+    lambda N: st.integers(0, N).flatmap(
+        lambda K: st.tuples(st.just(N), st.just(K), st.integers(0, N - K))))
 index_set = st.sets(st.integers(1, 4), min_size=1, max_size=3).map(sorted)
 composition = st.lists(st.integers(1, 5), min_size=1, max_size=4)
 
@@ -48,7 +55,7 @@ composition = st.lists(st.integers(1, 5), min_size=1, max_size=4)
 class TestFoldedIntegerSums:
     """Each folded integer family against its full-range oracle."""
 
-    @given(small_n, exponent, prime, st.sampled_from(["p_divides", "p_ndivides"]))
+    @given(filter_n, exponent, filter_prime, st.sampled_from(["p_divides", "p_ndivides"]))
     @example(4, 1, 2, "p_divides").via("even n")
     @example(5, 2, 3, "p_ndivides").via("odd n")
     def test_filtered_sum(self, n, r, p, which):
@@ -77,11 +84,10 @@ class TestFoldedIntegerSums:
     def test_gjz_sum(self, ns):
         assert gjz_sum(ns, "integer") == gjz_sum_brute(ns)
 
-    def test_even_sum_calls_only_the_half_range(self):
-        seen = []
-        assert sums._even_sum(lambda k: seen.append(k) or 1, 5) == 1 + 2 * (2 - 3)
-        assert sorted(seen) == [0, 1, 2, 3, 4, 5]
-        assert sums._even_sum(lambda k: 7, 0) == 7
+    def test_even_sum_reads_the_half_range(self):
+        # [T(0), ..., T(5)] stands for the eleven terms k = -5..5
+        assert sums._even_sum([1] * 6) == 1 + 2 * (2 - 3)
+        assert sums._even_sum([7]) == 7
 
 
 class TestAltPowerSum:
@@ -119,9 +125,12 @@ class TestAltPowerSum:
                 )
                 assert centered == (-1) ** n * alt_power_sum(n, r)
 
-    def test_central_row_is_the_binomial_row(self):
-        for n in range(1, 61):
-            assert sums._central_row(n) == [math.comb(2 * n, n - j) for j in range(n + 1)]
+    @given(binomial_row)
+    @example((80, 40, 40)).via("the central row of n = 40")
+    @example((7, 0, 7)).via("a whole row")
+    def test_row_is_the_binomial_row(self, args):
+        N, K, m = args
+        assert sums._row(N, K, m) == [math.comb(N, K + j) for j in range(m + 1)]
 
     def test_rejects(self):
         with pytest.raises(InvalidArgument):

@@ -46,6 +46,11 @@ class TestCheckCongruence:
         with pytest.raises(InvalidArgument):
             verify.check_congruence(IntPoly("q"), 0)
 
+    def test_float_coefficient_is_no_false_holds(self):
+        # 0.5 + q is not q; truncating the 0.5 would report HOLDS
+        with pytest.raises(TypeError):
+            verify.check_congruence(IntPoly([0.5, 1]), IntPoly("q"))
+
 
 def _printed_t2c2(n, r, s, t):
     """(dividend, printed modulus) of the t2c2 case, [3] at q^(2^alpha)."""
