@@ -139,7 +139,7 @@ class IntPoly:
         elif isinstance(coeffs, str):
             cs = _parse_coeffs(coeffs)
         elif isinstance(coeffs, int):
-            cs = [coeffs]
+            cs = [operator.index(coeffs)]
         else:
             cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:

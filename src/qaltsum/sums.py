@@ -29,10 +29,9 @@ Families:
   triple      sum_{k=-n..n} (-1)^k [q^C(k,2)] qb(A, A/2+k)^r qb(4n, 2n+k)^s
               qb(2n, n+k)^t with A = 6n or 8n
 
-Every integer-mode sum is evaluated over half its range, by _even_sum
-from the list [T(0), ..., T(m)].  Its term T(k) is even about the
-centre of the range, and so is the sign, so the terms at k and -k add
-up to 2(-1)^k T(k):
+Every integer-mode sum is evaluated over half its range (_even_sum).  Its
+term T(k) is even about the centre of the range, and so is the sign, so
+the terms at k and -k add up to 2(-1)^k T(k):
 
   centred     sum_{k=-n..n} (-1)^k T(k) = T(0) + 2 sum_{k=1..n} (-1)^k T(k)
   0..2n       sum_{k=0..2n} (-1)^k T(k)
@@ -86,7 +85,9 @@ alone, whose leading coefficient is 1 (triple_sum_degree).
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, prod
+from operator import sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .cyclo import CycloFactorization, cyclotomic_power, is_prime, residue
@@ -121,13 +122,15 @@ def _check_mode(mode: str) -> None:
         raise InvalidArgument(f"mode must be 'integer' or 'q', got {mode!r}")
 
 
-def _even_sum(values: Sequence[int]) -> int:
-    """sum_{k=-m}^{m} (-1)^k T(k) for T even in k, from values = [T(0), ..., T(m)].
+def _even_sum(values: Iterable[int]) -> int:
+    """sum_{k=-m}^{m} (-1)^k T(k) for T even in k, from values T(0), ..., T(m).
 
     >>> _even_sum(_row(4, 2, 2))  # C(4, 2 + k): 1 - 4 + 6 - 4 + 1
     0
     """
-    return values[0] + 2 * (sum(values[2::2]) - sum(values[1::2]))
+    terms = iter(values)  # read a pair at a time: a generator of powers is never held whole
+    first, rest = next(terms), chain(terms, (0,))  # (T(1), T(2)), ..., 0 for an odd m
+    return first - 2 * sum(map(sub, rest, rest))
 
 
 def _row(N: int, K: int, m: int) -> list[int]:
@@ -141,8 +144,7 @@ def _row(N: int, K: int, m: int) -> list[int]:
     row = [comb(N, K + m)]
     for k in range(K + m, K, -1):
         row.append(row[-1] * k // (N - k + 1))
-    row.reverse()
-    return row
+    return row[::-1]
 
 
 def _packed_sum(terms: Iterable[tuple[int, list[tuple[IntPoly, int]]]]) -> IntPoly:
@@ -168,7 +170,7 @@ def alt_power_sum(n: int, r: int) -> int:
     (-2, 90, 786)
     """
     _check_power(n, r)
-    return _sign(n) * _even_sum([b ** r for b in _row(2 * n, n, n)])
+    return _sign(n) * _even_sum(b ** r for b in _row(2 * n, n, n))
 
 
 def alt_power_sum_mod(n: int, r: int, m: int) -> int:
@@ -231,8 +233,7 @@ def alt_power_sum_filtered(
     if filter not in ("p_divides", "p_ndivides"):
         raise InvalidArgument(f"unknown filter {filter!r}")
     want = filter == "p_divides"
-    row = _row(2 * n, n, n)
-    return _sign(n) * _even_sum([b ** r if (b % p == 0) == want else 0 for b in row])
+    return _sign(n) * _even_sum(b ** r if (b % p == 0) == want else 0 for b in _row(2 * n, n, n))
 
 
 def pattern_sum(
@@ -260,8 +261,8 @@ def pattern_sum(
         return all(_carry_at(2 * n, k, d) for d in moduli)
 
     if mode == "integer":
-        row = _row(2 * n, n, n)
-        return _sign(n) * _even_sum([b ** r if kept(n + j) else 0 for j, b in enumerate(row)])
+        row = enumerate(_row(2 * n, n, n))
+        return _sign(n) * _even_sum(b ** r if kept(n + j) else 0 for j, b in row)
     return _packed_sum((k, [(qbinom(2 * n, k), r)]) for k in range(2 * n + 1) if kept(k))
 
 
@@ -287,7 +288,7 @@ def gjz_sum(ns: Sequence[int], mode: Mode = "integer") -> Union[int, IntPoly]:
     if mode == "integer":
         # even in k (see the module docstring) and zero for |k| > min(ns)
         rows = [_row(ns[i] + ns[(i + 1) % h], ns[i], min(ns)) for i in range(h)]
-        return _even_sum([prod(column) for column in zip(*rows)])
+        return _even_sum(map(prod, zip(*rows)))
     return _packed_sum(
         (k, [(qbinom(ns[i] + ns[(i + 1) % h], ns[i] + k), 1) for i in range(h)])
         for k in range(-n1, n1 + 1)
@@ -339,7 +340,7 @@ def triple_sum(
         }
     if mode == "integer":
         rows = zip(_row(A, A // 2, n), _row(4 * n, 2 * n, n), _row(2 * n, n, n))
-        return _even_sum([a ** r * b ** s * c ** t for a, b, c in rows])
+        return _even_sum(a ** r * b ** s * c ** t for a, b, c in rows)
     return _packed_sum(
         (k, [(qbinom(A, A // 2 + k), r),
              (qbinom(4 * n, 2 * n + k), s),

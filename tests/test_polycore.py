@@ -449,6 +449,7 @@ class TestStructure:
             IntPoly(["1", 2])
         poly = IntPoly([True, 2])
         assert poly == IntPoly([1, 2]) and type(poly.coeffs[0]) is int
+        assert type(IntPoly(True).coeffs[0]) is int and IntPoly(True).coeff_list_str() == "[1]"
 
     def test_hashable_equal(self):
         assert hash(IntPoly([1, 2])) == hash(IntPoly((1, 2, 0)))

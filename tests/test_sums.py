@@ -1,6 +1,7 @@
 """The alternating-sum families and their cross-identities."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +89,19 @@ class TestFoldedIntegerSums:
         # [T(0), ..., T(5)] stands for the eleven terms k = -5..5
         assert sums._even_sum([1] * 6) == 1 + 2 * (2 - 3)
         assert sums._even_sum([7]) == 7
+
+    def test_even_sum_holds_a_few_values_at_a_time(self):
+        # 41 values of 125 kB each, as alt_power_sum's powers: held together
+        # they would take 5 MB
+        big = 1 << 10**6
+        tracemalloc.start()
+        try:
+            total = sums._even_sum(big + j for j in range(41))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert total - big == 40
 
 
 class TestAltPowerSum:
