@@ -118,17 +118,28 @@ def qbinom(n: int, k: int) -> IntPoly:
     return _qbinom_product(n, min(k, n - k))
 
 
-@functools.lru_cache(maxsize=None)
+# Enough for the factors of one sum: the triple sum at n has 3(n + 1).
+_QBINOMS = 1 << 10
+
+
+@functools.lru_cache(maxsize=_QBINOMS)
 def _qbinom_product(n: int, k: int) -> IntPoly:
-    coeffs = [1]
+    return IntPoly(_qbinom_steps([1], n, 0, k))
+
+
+def _qbinom_steps(coeffs: list[int], n: int, j: int, k: int) -> list[int]:
+    """qb(n, k) from coeffs = qb(n, j), j <= k, by the product formula's steps.
+
+    Step i + 1 multiplies by q^(n-i) - 1 and divides exactly by q^(i+1) - 1.
+    """
     try:
-        for j in range(1, k + 1):
-            coeffs = divexact_qm1(mul_qm1(coeffs, n + 1 - j), j)
+        for i in range(j, k):
+            coeffs = divexact_qm1(mul_qm1(coeffs, n - i), i + 1)
     except NotDivisible as exc:  # the product formula always divides exactly
         raise RuntimeError(
             f"internal invariant violated: q-binomial({n},{k}) step was inexact"
         ) from exc
-    return IntPoly(coeffs)
+    return coeffs
 
 
 def qbinom_factored(n: int, k: int) -> CycloFactorization:
@@ -154,28 +165,73 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 #                   q^d == 1 modulo Phi_d; for e >= 2 the shift is by k.
 #   q-Lucas         qb(x1 d + x2, y1 d + y2) == C(x1, y1) qb(x2, y2)
 #                   modulo Phi_d, with the residue of the small qb(x2, y2)
-#                   taken from an actual product-formula q-binomial,
-#                   reduced by cyclo.residue (_digit_residue).  Reduction
-#                   modulo a monic polynomial is Z-linear, so the scale
-#                   C(x1, y1) is applied to the residue.
+#                   taken from an actual q-binomial, walked by the
+#                   product formula and reduced by cyclo.residue
+#                   (_digit_residue).  Reduction modulo a monic
+#                   polynomial is Z-linear, so the scale C(x1, y1) is
+#                   applied to the residue.
 #
 # qlucas_check compares the two, so they share no code path above the
 # division.  The sums' residue path (sums.triple_sum(..., modulo=F)) takes
 # q-Lucas for the simple factors of F and the rows for the repeated ones.
 
-# (d, e) -> the last q-Pascal row built modulo Phi_d^e, at most _CURSORS
-# of them, the least recently used dropped first.  A request continues
-# from that row, or starts again from row 0 when it asks for an earlier
-# row, so rows asked for in ascending order are each built once and no
-# more than one row per (d, e) is kept between requests.  The rows are
-# extended under the lock, so concurrent callers never see a half-built
-# cursor.
-_ROWS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-_ROWS_LOCK = threading.Lock()
-_CURSORS = 16
+Row = tuple[tuple[int, ...], ...]
 
 
-def _next_row(prev, d: int, e: int, mod) -> tuple[tuple[int, ...], ...]:
+class _RowStore:
+    """q-Pascal rows modulo Phi_d^e by (d, e, n), each as [row, units, asked].
+
+    Every row built is kept while the rows hold at most budget units (a
+    coefficient or an entry each, mirrored entries counted once).  Over
+    the budget the oldest rows go, those that were only walked through
+    before those that were asked for; the rows that the request being
+    served asks for stay.  A request walks each row it asks for that is
+    missing up from the highest stored row of the same (d, e) below it
+    (row 0 when there is none), so a row is built once in whatever order
+    the requests come while the store holds it.  Walks run under the
+    lock, so concurrent callers never see a half-built row.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.units = 0
+        self.rows: dict[tuple[int, int, int], list] = {}
+        self.lock = threading.Lock()
+
+    def walk(self, ns, d: int, e: int, mod) -> list[list]:
+        """The entries of rows ns modulo mod = Phi_d^e, built where missing."""
+        keep = {(d, e, n) for n in ns}
+        with self.lock:
+            for n in sorted(set(ns)):
+                if (d, e, n) in self.rows:
+                    continue
+                below = next((m for m in range(n - 1, 0, -1) if (d, e, m) in self.rows), 0)
+                row = self.rows[d, e, below][0] if below else ((1,),)
+                if n == 0:
+                    self._put((d, e, 0), row, keep)
+                while len(row) <= n:
+                    row = _next_row(row, d, e, mod)
+                    self._put((d, e, len(row) - 1), row, keep)
+            return [self.rows[d, e, n] for n in ns]
+
+    def _put(self, key, row: Row, keep) -> None:
+        units = sum(map(len, row[: len(row) // 2 + 1])) + len(row) // 2 + 1
+        self.rows[key] = [row, units, key in keep]
+        self.units += units
+        for asked in (False, True):
+            if self.units <= self.budget:
+                return
+            for old in [k for k, entry in self.rows.items() if entry[2] is asked and k not in keep]:
+                self.units -= self.rows.pop(old)[1]
+                if self.units <= self.budget:
+                    return
+
+
+_ROW_BUDGET = 1 << 18
+_ROWS = _RowStore(_ROW_BUDGET)
+
+
+def _next_row(prev: Row, d: int, e: int, mod) -> Row:
     """Row n = len(prev) from row n - 1, modulo mod = Phi_d^e.
 
     Only the entries k <= n/2 are computed; the rest mirror them, since
@@ -190,24 +246,15 @@ def _next_row(prev, d: int, e: int, mod) -> tuple[tuple[int, ...], ...]:
     return tuple(half + [half[n - k] for k in range(n // 2 + 1, n + 1)])
 
 
-@functools.lru_cache(maxsize=8)
-def _rows_mod(
-    ns: tuple[int, ...], d: int, e: int, mod: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The q-Pascal rows n in ns (ascending) modulo mod = Phi_d^e, in one pass."""
-    with _ROWS_LOCK:
-        row = _ROWS.pop((d, e), None)
-        if row is None or len(row) > ns[0] + 1:
-            row = ((1,),)
-        out = []
-        for n in ns:
-            while len(row) <= n:
-                row = _next_row(row, d, e, mod)
-            out.append(row)
-        _ROWS[d, e] = row  # most recently used last
-        while len(_ROWS) > _CURSORS:
-            del _ROWS[next(iter(_ROWS))]
-    return tuple(out)
+def _rows_mod(ns: tuple[int, ...], d: int, e: int, mod) -> tuple[Row, ...]:
+    """The q-Pascal rows n in ns, in any order, modulo mod = Phi_d^e."""
+    try:  # all stored: read without the lock
+        entries = [_ROWS.rows[d, e, n] for n in ns]
+    except KeyError:
+        entries = _ROWS.walk(ns, d, e, mod)
+    for entry in entries:
+        entry[2] = True
+    return tuple([entry[0] for entry in entries])
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -216,6 +263,15 @@ def _qbinom_mod(n: int, k: int, d: int, e: int = 1) -> tuple[int, ...]:
     if k < 0 or k > n:
         return ()
     return _rows_mod((n,), d, e, cyclo.cyclotomic_power(d, e).coeffs)[0][k]
+
+
+# x -> (y, coefficients of qb(x, y)): the product formula walked along
+# y, at most _MAX_CURSORS of them, the least recently used dropped first.
+# Only the reduced residues are cached (_folded_residue); the cursors
+# hold the one q-binomial each that the next step starts from.
+_CURSORS: dict[int, tuple[int, list[int]]] = {}
+_CURSORS_LOCK = threading.Lock()
+_MAX_CURSORS = 4
 
 
 def _digit_residue(d: int, x: int, y: int) -> tuple[int, ...]:
@@ -231,9 +287,28 @@ def _digit_residue(d: int, x: int, y: int) -> tuple[int, ...]:
     return _folded_residue(d, x, min(y, x - y))
 
 
-@functools.lru_cache(maxsize=1 << 14)
+@functools.lru_cache(maxsize=1 << 12)
 def _folded_residue(d: int, x: int, y: int) -> tuple[int, ...]:
-    return tuple(cyclo.residue(qbinom(x, y).coeffs, d))
+    return tuple(cyclo.residue(_cursor_qbinom(x, y), d))
+
+
+def _cursor_qbinom(x: int, y: int) -> list[int]:
+    """qb(x, y) = qb(x, x - y), y <= x/2, walked on from the cursor of x.
+
+    The cursor steps on to whichever of y and x - y is ahead of it, unless
+    starting again from qb(x, 0) takes fewer steps; a request behind it
+    on both counts starts again.
+    """
+    with _CURSORS_LOCK:
+        at, coeffs = _CURSORS.pop(x, (0, [1]))
+        target = y if y >= at else x - y
+        if target < at or target - at > y:
+            at, coeffs, target = 0, [1], y
+        coeffs = _qbinom_steps(coeffs, x, at, target)
+        _CURSORS[x] = (target, coeffs)  # most recently used last
+        while len(_CURSORS) > _MAX_CURSORS:
+            del _CURSORS[next(iter(_CURSORS))]
+    return coeffs
 
 
 def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:

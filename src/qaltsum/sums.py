@@ -76,8 +76,12 @@ sum.  It reads the same factors qb(N, N/2 + k), N = A, 4n, 2n:
           q^C(k,2) a shift by C(k,2) mod d; the total is folded modulo
           q^d - 1 and reduced modulo Phi_d once.  A term with a zero
           factor (a carry at d, or a zero scale) is skipped.
-  e >= 2  q-Pascal rows 2n, 4n and A modulo Phi_d^e (qcomb), in one
-          ascending pass; one packed_sum, one reduction modulo Phi_d^e.
+  e >= 2  q-Pascal rows 2n, 4n and A modulo Phi_d^e from qcomb's row
+          store; one packed_sum, one reduction modulo Phi_d^e.
+
+Each residue is kept in a bounded cache keyed by the sum and (d, e), so
+claims on one sum (t2c1 and t2c2, cj2c1q and cj2c2q) compute each shared
+Phi_d^e once.
 
 The sum's degree, r (A/2)^2 + 4 s n^2 + t n^2, is that of its k = 0 term
 alone, whose leading coefficient is 1 (triple_sum_degree).
@@ -85,6 +89,7 @@ alone, whose leading coefficient is 1 (triple_sum_degree).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from math import comb, prod
 from operator import sub
@@ -329,15 +334,14 @@ def triple_sum(
             f"requires n, r, s, t >= 1, got ({n}, {r}, {s}, {t})"
         )
     _check_mode(mode)
-    A = _TRIPLE_WIDTH[family] * n
     if modulo is not None:
         if mode != "q":
             raise InvalidArgument("modulo= needs mode 'q'")
-        rows = ((A, r), (4 * n, s), (2 * n, t))
         return {
-            d: IntPoly(_lucas_residue(rows, n, d) if e == 1 else _rows_residue(rows, n, d, e))
+            d: IntPoly(_triple_residue(family, n, r, s, t, d, e, cyclotomic_power(d, e).coeffs))
             for d, e in sorted(modulo.factors.items())
         }
+    A = _TRIPLE_WIDTH[family] * n
     if mode == "integer":
         rows = zip(_row(A, A // 2, n), _row(4 * n, 2 * n, n), _row(2 * n, n, n))
         return _even_sum(a ** r * b ** s * c ** t for a, b, c in rows)
@@ -366,7 +370,24 @@ def triple_sum_degree(
     return r * half**2 + 4 * s * n**2 + t * n**2
 
 
-def _lucas_residue(rows, n: int, d: int) -> list[int]:
+# Residues kept for other claims on the same sum: t2c1 and t2c2 sum the
+# same six_four_two family, and so do cj2c1q and cj2c2q, over
+# overlapping Phi_d.
+_RESIDUES = 1 << 12
+
+
+@lru_cache(maxsize=_RESIDUES)
+def _triple_residue(family, n: int, r: int, s: int, t: int, d: int, e: int,
+                    mod: tuple[int, ...]) -> tuple[int, ...]:
+    """The q-mode triple sum modulo mod = Phi_d^e (see the module docstring)."""
+    A = _TRIPLE_WIDTH[family] * n
+    rows = ((A, r), (4 * n, s), (2 * n, t))
+    if e == 1:
+        return tuple(_lucas_residue(rows, n, d, mod))
+    return tuple(_rows_residue(rows, n, d, e, mod))
+
+
+def _lucas_residue(rows, n: int, d: int, mod) -> list[int]:
     """The q-mode triple sum modulo Phi_d, its factors reduced by q-Lucas.
 
     rows lists (N, e) for the factors qb(N, N/2 + k)^e.  Each factor is
@@ -389,17 +410,16 @@ def _lucas_residue(rows, n: int, d: int) -> list[int]:
         else:
             factors.append(((scale,), 1))
             terms += [(_sign(j), _weight(j) % d, factors) for j in ((k, -k) if k else (0,))]
-    return residue(packed_sum(terms), d)
+    return residue(packed_sum(terms), d, 1, mod)
 
 
-def _rows_residue(rows, n: int, d: int, e: int) -> list[int]:
+def _rows_residue(rows, n: int, d: int, e: int, mod) -> list[int]:
     """The q-mode triple sum modulo Phi_d^e, from q-Pascal rows modulo Phi_d^e.
 
-    rows is as for _lucas_residue; the rows 2n, 4n and A are built in
-    one ascending pass.
+    rows is as for _lucas_residue; the rows 2n, 4n and A come from
+    qcomb's row store.
     """
-    mod = cyclotomic_power(d, e).coeffs
-    wanted = tuple(sorted({N for N, _ in rows}))
+    wanted = tuple({N for N, _ in rows})
     table = dict(zip(wanted, _rows_mod(wanted, d, e, mod)))
     terms = [
         (_sign(k), _weight(k), [(table[N][N // 2 + k], x) for N, x in rows])

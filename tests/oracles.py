@@ -191,3 +191,129 @@ def pattern_sum_q(n, r, p, I):
     N = 2 * n
     ks = [k for k in range(N + 1) if carries_at_all(N, k, p, I)]
     return q_alt_sum((k, [(qbinom_qpascal(N, k), r)]) for k in ks)
+
+
+# -- values at a root of unity in F_p ----------------------------------------------
+#
+# For a prime p = 1 (mod d), Phi_d splits into distinct linear factors
+# over F_p, so a primitive d-th root zeta of unity in F_p is a simple root
+# of Phi_d.  Then S == R (mod Phi_d^e) gives S(q) = R(q) in
+# F_p[eps]/(eps^e) at q = zeta + eps: the values and the first e - 1
+# derivatives at zeta agree.  Elements of F_p[eps]/(eps^e) are lists of
+# e coefficients, lowest first.  Agreement is necessary, not sufficient.
+
+
+def _is_prime(p):
+    """Miller-Rabin with the first 13 prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2:
+        return False
+    for b in bases:
+        if p % b == 0:
+            return p == b
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for b in bases:
+        x = pow(b, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def root_of_unity(d, above=1 << 61):
+    """(p, zeta): the least prime p = 1 (mod d) above `above`, and a primitive d-th root in F_p."""
+    p = above // d * d + 1
+    while p <= above or not _is_prime(p):
+        p += d
+    primes = [q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))]
+    for a in range(2, p):
+        zeta = pow(a, (p - 1) // d, p)
+        if all(pow(zeta, d // q, p) != 1 for q in primes):
+            return p, zeta
+    raise AssertionError("no primitive root found")
+
+
+def _series_mul(a, b, p):
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) % p for j in range(len(a))]
+
+
+def _series_inv(u, p):
+    inv = [pow(u[0], p - 2, p)]
+    for j in range(1, len(u)):
+        inv.append(-inv[0] * sum(u[i] * inv[j - i] for i in range(1, j + 1)) % p)
+    return inv
+
+
+def _q_power(m, zeta, d, p, length):
+    """(zeta + eps)^m to `length` terms: sum_i C(m, i) zeta^(m-i) eps^i."""
+    return [math.comb(m, i) * pow(zeta, (m - i) % d, p) % p if i <= m else 0
+            for i in range(length)]
+
+
+def _one_minus_q_power(m, zeta, d, p, e):
+    """1 - q^m at q = zeta + eps as (v, u): eps^v times the unit series u.
+
+    1 - q^m vanishes at zeta exactly when d | m, and then only to the
+    first order, since its roots are simple: v = 1 and u = the series
+    over eps, whose constant term -m zeta^(m-1) is a unit for p > m.
+    """
+    series = [-c % p for c in _q_power(m, zeta, d, p, e + 1)]
+    series[0] = (1 + series[0]) % p
+    return (1, series[1:]) if m % d == 0 else (0, series[:e])
+
+
+def qbinom_row_at_root(N, zeta, d, p, e):
+    """[qb(N, K) at q = zeta + eps as (v, u) for K = 0..N], walked by its ratio.
+
+    qb(N, K + 1) = qb(N, K) (1 - q^(N-K)) / (1 - q^(K+1)); the vanishing
+    factors are counted in v instead of divided.
+    """
+    value = (0, [1] + [0] * (e - 1))
+    row = [value]
+    for K in range(N):
+        v_up, up = _one_minus_q_power(N - K, zeta, d, p, e)
+        v_down, down = _one_minus_q_power(K + 1, zeta, d, p, e)
+        value = (value[0] + v_up - v_down,
+                 _series_mul(_series_mul(value[1], up, p), _series_inv(down, p), p))
+        row.append(value)
+    return row
+
+
+def triple_sum_at_root(width, n, r, s, t, d, e):
+    """(p, zeta, S(zeta + eps)) for the q triple sum in F_p[eps]/(eps^e).
+
+    S = sum_{k=-n..n} (-1)^k q^C(k,2) qb(A, A/2+k)^r qb(4n, 2n+k)^s qb(2n, n+k)^t,
+    A = width*n, every term evaluated on its own.
+    """
+    A = width * n
+    p, zeta = root_of_unity(d)
+    rows = [(qbinom_row_at_root(N, zeta, d, p, e), N // 2, x)
+            for N, x in ((A, r), (4 * n, s), (2 * n, t))]
+    total = [0] * e
+    for k in range(-n, n + 1):
+        v, u = 0, _q_power(k * (k - 1) // 2, zeta, d, p, e)
+        for row, half, x in rows:
+            fv, fu = row[half + k]
+            for _ in range(x):
+                v, u = v + fv, _series_mul(u, fu, p)
+        sign = -1 if k % 2 else 1
+        for j in range(v, e):
+            total[j] = (total[j] + sign * u[j - v]) % p
+    return p, zeta, total
+
+
+def poly_at_root(coeffs, zeta, p, e):
+    """The polynomial with these coefficients at q = zeta + eps, by Horner's rule."""
+    acc = [0] * e
+    for c in reversed(coeffs):
+        acc = [(zeta * acc[j] + (acc[j - 1] if j else 0)) % p for j in range(e)]
+        acc[0] = (acc[0] + c) % p
+    return acc

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qaltsum import cli, sums, verify
+from qaltsum import cli, qcomb, sums, verify
 from qaltsum.cli import (
     build_cases,
     build_parser,
@@ -394,6 +394,33 @@ class TestDeterminism:
         runs.append(_normalize([records[json.dumps(rec["params"])] for rec in runs[0]]))
         assert len(runs[0]) == 240
         assert runs[0] == runs[1] == runs[2]
+
+    def test_thm2_reports_and_rows_ignore_case_order(self, monkeypatch):
+        # the row store and the shared residues serve the cases in any order,
+        # and no q-Pascal row (d, e, n) is built twice
+        argv = ["verify", "thm2", "--n", "1..4", "--r", "1..2", "--s", "1..2", "--t", "1..2",
+                "--claim", "all"]
+        cases = build_cases(build_parser().parse_args(argv))
+        next_row, built = qcomb._next_row, []
+
+        def counted(prev, d, e, mod):
+            built.append((d, e, len(prev)))
+            return next_row(prev, d, e, mod)
+
+        monkeypatch.setattr(qcomb, "_next_row", counted)
+        runs, rows = [], []
+        for order in (cases, cases[::-1], random.Random(0).sample(cases, len(cases))):
+            monkeypatch.setattr(qcomb, "_ROWS", qcomb._RowStore(qcomb._ROW_BUDGET))
+            sums._triple_residue.cache_clear()
+            built.clear()
+            records = _normalize([rep.record() for rep in run_sweep(order, 1)])
+            runs.append(sorted(records, key=lambda rec: json.dumps(rec, sort_keys=True)))
+            assert len(built) == len(set(built)) > 0
+            rows.append(sorted(built))
+        sums._triple_residue.cache_clear()
+        assert len(runs[0]) == 96
+        assert runs[0] == runs[1] == runs[2]
+        assert rows[0] == rows[1] == rows[2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

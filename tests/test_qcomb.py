@@ -211,9 +211,8 @@ class TestQPascalRowsModPhi:
                     assert qcomb._qbinom_mod(n, k, d) == want, (n, k, d)
 
     def test_concurrent_callers_get_exact_rows(self, monkeypatch):
-        monkeypatch.setattr(qcomb, "_ROWS", {})
+        monkeypatch.setattr(qcomb, "_ROWS", qcomb._RowStore(qcomb._ROW_BUDGET))
         qcomb._qbinom_mod.cache_clear()
-        qcomb._rows_mod.cache_clear()
         steps = qcomb.divexact_steps
 
         def yielding_steps(coeffs, mod):
@@ -233,25 +232,42 @@ class TestQPascalRowsModPhi:
         finally:
             sys.setswitchinterval(interval)
             qcomb._qbinom_mod.cache_clear()
-            qcomb._rows_mod.cache_clear()
         mod = cyclotomic(d).coeffs
         for n, residue in got:
             assert residue == tuple(steps(qbinom(n, n // 2).coeffs, mod)[1]), n
-        # the cursor left behind is one whole, exact row
-        row = qcomb._ROWS[d, 1]
-        n = len(row) - 1
-        assert row == tuple(tuple(steps(qbinom(n, k).coeffs, mod)[1]) for k in range(n + 1))
+        # every row left in the store is one whole row, the one a serial walk builds
+        serial = [((1,),)]
+        while len(serial) < top:
+            serial.append(qcomb._next_row(serial[-1], d, 1, mod))
+        stored = qcomb._ROWS.rows
+        assert sorted(stored) == [(d, 1, n) for n in range(top)]
+        assert all(row == serial[n] and asked for (_, _, n), (row, _, asked) in stored.items())
 
-    def test_cursor_keeps_one_row_per_modulus(self, monkeypatch):
-        # a deep row leaves one row behind, not the whole table of rows
-        monkeypatch.setattr(qcomb, "_ROWS", {})
-        qcomb._rows_mod.cache_clear()
-        assert qcomb._qbinom_mod(200, 100, 2, 2) == tuple(
+    def test_rows_in_any_order(self, monkeypatch):
+        monkeypatch.setattr(qcomb, "_ROWS", qcomb._RowStore(qcomb._ROW_BUDGET))
+        mod = expand(CycloFactorization({4: 2})).coeffs
+        for ns in [(6, 4), (4, 6), (2, 7, 7, 0), (5,)]:
+            rows = qcomb._rows_mod(ns, 4, 2, mod)
+            assert [len(row) - 1 for row in rows] == list(ns)
+            for n, row in zip(ns, rows):
+                assert row == tuple(tuple(poly_rem_brute(qbinom(n, k).coeffs, mod))
+                                    for k in range(n + 1)), n
+
+    def test_store_keeps_its_rows_within_the_budget(self, monkeypatch):
+        # a deep row leaves the rows asked for behind, and as many of the
+        # rows it walked through as the budget holds
+        store = qcomb._RowStore(1000)
+        monkeypatch.setattr(qcomb, "_ROWS", store)
+        assert qcomb._rows_mod((200,), 2, 2, (1, 2, 1))[0][100] == tuple(
             qcomb.divexact_steps(qbinom(200, 100).coeffs, (1, 2, 1))[1])
-        assert list(qcomb._ROWS) == [(2, 2)] and len(qcomb._ROWS[2, 2]) == 201
-        for d in range(3, 3 + qcomb._CURSORS):
-            qcomb._rows_mod((5,), d, 1, cyclotomic(d).coeffs)
-        assert len(qcomb._ROWS) == qcomb._CURSORS and (2, 2) not in qcomb._ROWS
+        assert (2, 2, 200) in store.rows and len(store.rows) < 200
+        assert store.units == sum(units for _, units, _ in store.rows.values()) <= 1000
+        # over the budget the rows only walked through go first, then the
+        # oldest asked for; the rows of the request being served stay
+        store.budget = store.rows[2, 2, 200][1] + 1
+        qcomb._rows_mod((150, 120), 2, 2, (1, 2, 1))
+        assert sorted(store.rows) == [(2, 2, 120), (2, 2, 150)]
+        assert store.units == sum(units for _, units, _ in store.rows.values())
 
 
 class TestReducedQBinomials:
@@ -279,6 +295,52 @@ class TestReducedQBinomials:
     def test_digit_residue_outside_the_range_is_zero(self):
         assert qcomb._digit_residue(5, 2, 3) == () == qcomb._digit_residue(5, 2, -1)
         assert qcomb._digit_residue(7, 6, 2) is qcomb._digit_residue(7, 6, 4)
+
+    def test_digit_cursors_walk_rows_in_any_order(self, monkeypatch):
+        monkeypatch.setattr(qcomb, "_CURSORS", {})
+        rng = random.Random(0)
+        for x in rng.sample(range(30), 30):
+            for y in rng.sample(range(x // 2 + 1), x // 2 + 1):
+                assert qcomb._cursor_qbinom(x, y) == list(qbinom(x, y).coeffs), (x, y)
+                assert len(qcomb._CURSORS) <= qcomb._MAX_CURSORS
+
+    def test_concurrent_callers_get_exact_digits(self, monkeypatch):
+        monkeypatch.setattr(qcomb, "_CURSORS", {})
+        wanted = [(x, y) for x in range(24) for y in range(x // 2 + 1)] * 2
+        random.Random(1).shuffle(wanted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda xy: qcomb._cursor_qbinom(*xy), wanted, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(coeffs == list(qbinom(x, y).coeffs) for (x, y), coeffs in zip(wanted, got))
+        assert len(qcomb._CURSORS) <= qcomb._MAX_CURSORS
+
+    def test_digit_cursor_steps_on_or_starts_again(self, monkeypatch):
+        monkeypatch.setattr(qcomb, "_CURSORS", {})
+        walk, steps = qcomb._qbinom_steps, []
+
+        def counted(coeffs, n, j, k):
+            steps.append((j, k))
+            return walk(coeffs, n, j, k)
+
+        monkeypatch.setattr(qcomb, "_qbinom_steps", counted)
+        for y in (3, 5, 2, 9, 8, 0):
+            qcomb._cursor_qbinom(20, y)
+        # 2: qb(20, 18) is 13 steps ahead, qb(20, 2) 2 from the start;
+        # 8: qb(20, 12) is 3 steps ahead of 9
+        assert steps == [(0, 3), (3, 5), (0, 2), (2, 9), (9, 12), (0, 0)]
+        assert qcomb._CURSORS == {20: (0, [1])}
+
+    def test_digit_residues_keep_no_q_binomial(self):
+        qcomb._qbinom_product.cache_clear()
+        qcomb._folded_residue.cache_clear()
+        assert qcomb._digit_residue(97, 60, 31) == tuple(
+            poly_rem_brute(qbinom_qpascal(60, 31), cyclotomic(97).coeffs))
+        assert qcomb._qbinom_product.cache_info().currsize == 0
+        assert qcomb._qbinom_product.cache_info().maxsize == qcomb._QBINOMS
 
 
 def _divides(a, b):

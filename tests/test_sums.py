@@ -31,7 +31,10 @@ from oracles import (
     gjz_sum_q,
     pattern_sum_brute,
     pattern_sum_q,
+    poly_at_root,
     q_alt_sum,
+    root_of_unity,
+    triple_sum_at_root,
     triple_sum_brute,
     triple_sum_q,
 )
@@ -398,6 +401,19 @@ class TestTripleSumResidues:
         assert triple_sum_degree(family, n, r, s, t) == full.degree
         assert full.coeffs[-1] == 1
 
+    def test_claims_on_one_sum_share_its_residues(self):
+        # t2c1 and t2c2 ask for the same six_four_two sum over overlapping d
+        def residues(factors):
+            return triple_sum("six_four_two", 3, 2, 1, 2, "q", modulo=CycloFactorization(factors))
+
+        sums._triple_residue.cache_clear()
+        first, second = residues({2: 2, 5: 1, 7: 1}), residues({2: 2, 7: 1, 9: 1})
+        info = sums._triple_residue.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (2, 4, sums._RESIDUES)
+        assert first[2] == second[2] and first[7] == second[7]
+        sums._triple_residue.cache_clear()
+        assert residues({9: 1, 7: 1, 2: 2}) == {d: second[d] for d in (2, 7, 9)}
+
     def test_phi_1_is_the_value_at_one(self):
         got = triple_sum("six_four_two", 2, 1, 2, 1, "q", modulo=CycloFactorization({1: 1}))
         assert got == {1: IntPoly(triple_sum("six_four_two", 2, 1, 2, 1, "integer"))}
@@ -405,6 +421,47 @@ class TestTripleSumResidues:
     def test_rejects_a_modulus_outside_q_mode(self):
         with pytest.raises(InvalidArgument):
             triple_sum("six_four_two", 1, 1, 1, 1, "integer", modulo=CycloFactorization({2: 1}))
+
+
+class TestTripleSumAtRootsOfUnity:
+    """triple_sum(..., "q", modulo=F) against the sum's value at a root of unity.
+
+    Beyond n = 4 the full sum is too large to build here, so the oracle
+    evaluates it term by term at q = zeta + eps in F_p[eps]/(eps^e), zeta
+    a primitive d-th root of unity in F_p (tests/oracles.py).  The residue
+    modulo Phi_d^e takes the same value there.
+    """
+
+    def test_root_has_order_d(self):
+        for d in (1, 2, 6, 7, 16, 193):
+            p, zeta = root_of_unity(d)
+            assert (p - 1) % d == 0 and p > 1 << 61
+            assert [k for k in range(1, d + 1) if pow(zeta, k, p) == 1] == [d]
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_oracle_is_the_full_sum_at_the_root(self, e):
+        for width, n, rst in ((6, 1, (1, 1, 1)), (8, 2, (2, 1, 3)), (6, 3, (1, 2, 1))):
+            full = triple_sum_q(width, n, *rst)
+            for d in (1, 2, 3, 4, 5, 8, 12, 13):
+                p, zeta, value = triple_sum_at_root(width, n, *rst, d, e)
+                assert poly_at_root(full, zeta, p, e) == value, (width, n, d)
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("family, width", [("six_four_two", 6), ("eight_four_two", 8)])
+    def test_residues_take_the_sums_values(self, family, width, n):
+        A = width * n
+        two = 2 ** (nu_p_int(n, 2).value + 1)
+        # small d, claim moduli, and d in no carry set (nonzero residues); e = 2 at four d
+        factors = dict.fromkeys((*range(1, 13), 2 * two, n - 1, n + 1, 2 * n - 1, 3 * n - 1,
+                                 A // 2 + 1, A - 1, A + 1), 1)
+        factors.update(dict.fromkeys((2, 3, 5, two), 2))
+        got = triple_sum(family, n, 3, 2, 2, "q", modulo=CycloFactorization(factors))
+        nonzero = 0
+        for d, e in factors.items():
+            p, zeta, value = triple_sum_at_root(width, n, 3, 2, 2, d, e)
+            assert poly_at_root(got[d].coeffs, zeta, p, e) == value, (d, e)
+            nonzero += any(value)
+        assert nonzero >= 7
 
 
 class TestPackedQSums:
