@@ -198,9 +198,10 @@ class _RowStore:
         self.rows: dict[tuple[int, int, int], list] = {}
         self.lock = threading.Lock()
 
-    def walk(self, ns, d: int, e: int, mod) -> list[list]:
-        """The entries of rows ns modulo mod = Phi_d^e, built where missing."""
+    def walk(self, ns, d: int, e: int) -> list[list]:
+        """The entries of rows ns modulo Phi_d^e, built where missing."""
         keep = {(d, e, n) for n in ns}
+        mod = cyclo.cyclotomic_power(d, e).coeffs
         with self.lock:
             for n in sorted(set(ns)):
                 if (d, e, n) in self.rows:
@@ -246,15 +247,15 @@ def _next_row(prev: Row, d: int, e: int, mod) -> Row:
     return tuple(half + [half[n - k] for k in range(n // 2 + 1, n + 1)])
 
 
-def _rows_mod(ns: tuple[int, ...], d: int, e: int, mod) -> tuple[Row, ...]:
-    """The q-Pascal rows n in ns, in any order, modulo mod = Phi_d^e."""
+def _rows_mod(ns, d: int, e: int) -> list[Row]:
+    """The q-Pascal rows n in ns, in any order, modulo Phi_d^e."""
     try:  # all stored: read without the lock
         entries = [_ROWS.rows[d, e, n] for n in ns]
     except KeyError:
-        entries = _ROWS.walk(ns, d, e, mod)
+        entries = _ROWS.walk(ns, d, e)
     for entry in entries:
         entry[2] = True
-    return tuple([entry[0] for entry in entries])
+    return [entry[0] for entry in entries]
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -262,7 +263,7 @@ def _qbinom_mod(n: int, k: int, d: int, e: int = 1) -> tuple[int, ...]:
     """Residue of the q-binomial (n, k) modulo Phi_d^e, from q-Pascal rows."""
     if k < 0 or k > n:
         return ()
-    return _rows_mod((n,), d, e, cyclo.cyclotomic_power(d, e).coeffs)[0][k]
+    return _rows_mod((n,), d, e)[0][k]
 
 
 # x -> (y, coefficients of qb(x, y)): the product formula walked along

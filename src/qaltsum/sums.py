@@ -420,7 +420,7 @@ def _rows_residue(rows, n: int, d: int, e: int, mod) -> list[int]:
     qcomb's row store.
     """
     wanted = tuple({N for N, _ in rows})
-    table = dict(zip(wanted, _rows_mod(wanted, d, e, mod)))
+    table = dict(zip(wanted, _rows_mod(wanted, d, e)))
     terms = [
         (_sign(k), _weight(k), [(table[N][N // 2 + k], x) for N, x in rows])
         for k in range(-n, n + 1)

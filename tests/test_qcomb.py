@@ -247,7 +247,7 @@ class TestQPascalRowsModPhi:
         monkeypatch.setattr(qcomb, "_ROWS", qcomb._RowStore(qcomb._ROW_BUDGET))
         mod = expand(CycloFactorization({4: 2})).coeffs
         for ns in [(6, 4), (4, 6), (2, 7, 7, 0), (5,)]:
-            rows = qcomb._rows_mod(ns, 4, 2, mod)
+            rows = qcomb._rows_mod(ns, 4, 2)
             assert [len(row) - 1 for row in rows] == list(ns)
             for n, row in zip(ns, rows):
                 assert row == tuple(tuple(poly_rem_brute(qbinom(n, k).coeffs, mod))
@@ -258,14 +258,14 @@ class TestQPascalRowsModPhi:
         # rows it walked through as the budget holds
         store = qcomb._RowStore(1000)
         monkeypatch.setattr(qcomb, "_ROWS", store)
-        assert qcomb._rows_mod((200,), 2, 2, (1, 2, 1))[0][100] == tuple(
+        assert qcomb._rows_mod((200,), 2, 2)[0][100] == tuple(
             qcomb.divexact_steps(qbinom(200, 100).coeffs, (1, 2, 1))[1])
         assert (2, 2, 200) in store.rows and len(store.rows) < 200
         assert store.units == sum(units for _, units, _ in store.rows.values()) <= 1000
         # over the budget the rows only walked through go first, then the
         # oldest asked for; the rows of the request being served stay
         store.budget = store.rows[2, 2, 200][1] + 1
-        qcomb._rows_mod((150, 120), 2, 2, (1, 2, 1))
+        qcomb._rows_mod((150, 120), 2, 2)
         assert sorted(store.rows) == [(2, 2, 120), (2, 2, 150)]
         assert store.units == sum(units for _, units, _ in store.rows.values())
 
