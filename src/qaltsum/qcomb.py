@@ -160,7 +160,7 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 # divisibility in polycore (divexact_steps).
 #
 #   q-Pascal rows   qb(n, k) = qb(n-1, k-1) + q^k qb(n-1, k), every entry
-#                   reduced modulo Phi_d^e (_qbinom_mod, _rows_mod).  For
+#                   reduced modulo Phi_d^e (_qbinom_mod, _row_mod).  For
 #                   e = 1, q^k is applied as a shift by k mod d, since
 #                   q^d == 1 modulo Phi_d; for e >= 2 the shift is by k.
 #   q-Lucas         qb(x1 d + x2, y1 d + y2) == C(x1, y1) qb(x2, y2)
@@ -184,12 +184,11 @@ class _RowStore:
     Every row built is kept while the rows hold at most budget units (a
     coefficient or an entry each, mirrored entries counted once).  Over
     the budget the oldest rows go, those that were only walked through
-    before those that were asked for; the rows that the request being
-    served asks for stay.  A request walks each row it asks for that is
-    missing up from the highest stored row of the same (d, e) below it
-    (row 0 when there is none), so a row is built once in whatever order
-    the requests come while the store holds it.  Walks run under the
-    lock, so concurrent callers never see a half-built row.
+    before those that were asked for; the row being walked to stays.  A
+    missing row is walked up from the highest stored row of the same
+    (d, e) below it (row 0 when there is none), so a row is built once in
+    whatever order the requests come while the store holds it.  Walks run
+    under the lock, so concurrent callers never see a half-built row.
     """
 
     def __init__(self, budget: int):
@@ -198,31 +197,28 @@ class _RowStore:
         self.rows: dict[tuple[int, int, int], list] = {}
         self.lock = threading.Lock()
 
-    def walk(self, ns, d: int, e: int) -> list[list]:
-        """The entries of rows ns modulo Phi_d^e, built where missing."""
-        keep = {(d, e, n) for n in ns}
-        mod = cyclo.cyclotomic_power(d, e).coeffs
+    def walk(self, n: int, d: int, e: int) -> list:
+        """The entry of row n modulo Phi_d^e, built if it is missing."""
+        mod, target = cyclo.cyclotomic_power(d, e).coeffs, (d, e, n)
         with self.lock:
-            for n in sorted(set(ns)):
-                if (d, e, n) in self.rows:
-                    continue
+            if target not in self.rows:
                 below = next((m for m in range(n - 1, 0, -1) if (d, e, m) in self.rows), 0)
                 row = self.rows[d, e, below][0] if below else ((1,),)
                 if n == 0:
-                    self._put((d, e, 0), row, keep)
+                    self._put(target, row, target)
                 while len(row) <= n:
                     row = _next_row(row, d, e, mod)
-                    self._put((d, e, len(row) - 1), row, keep)
-            return [self.rows[d, e, n] for n in ns]
+                    self._put((d, e, len(row) - 1), row, target)
+            return self.rows[target]
 
-    def _put(self, key, row: Row, keep) -> None:
+    def _put(self, key, row: Row, target) -> None:
         units = sum(map(len, row[: len(row) // 2 + 1])) + len(row) // 2 + 1
-        self.rows[key] = [row, units, key in keep]
+        self.rows[key] = [row, units, key == target]
         self.units += units
         for asked in (False, True):
             if self.units <= self.budget:
                 return
-            for old in [k for k, entry in self.rows.items() if entry[2] is asked and k not in keep]:
+            for old in [k for k, entry in self.rows.items() if entry[2] is asked and k != target]:
                 self.units -= self.rows.pop(old)[1]
                 if self.units <= self.budget:
                     return
@@ -247,15 +243,11 @@ def _next_row(prev: Row, d: int, e: int, mod) -> Row:
     return tuple(half + [half[n - k] for k in range(n // 2 + 1, n + 1)])
 
 
-def _rows_mod(ns, d: int, e: int) -> list[Row]:
-    """The q-Pascal rows n in ns, in any order, modulo Phi_d^e."""
-    try:  # all stored: read without the lock
-        entries = [_ROWS.rows[d, e, n] for n in ns]
-    except KeyError:
-        entries = _ROWS.walk(ns, d, e)
-    for entry in entries:
-        entry[2] = True
-    return [entry[0] for entry in entries]
+def _row_mod(n: int, d: int, e: int) -> Row:
+    """The q-Pascal row n modulo Phi_d^e, asked for in any order."""
+    entry = _ROWS.rows.get((d, e, n)) or _ROWS.walk(n, d, e)  # a stored row: no lock
+    entry[2] = True
+    return entry[0]
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -263,7 +255,7 @@ def _qbinom_mod(n: int, k: int, d: int, e: int = 1) -> tuple[int, ...]:
     """Residue of the q-binomial (n, k) modulo Phi_d^e, from q-Pascal rows."""
     if k < 0 or k > n:
         return ()
-    return _rows_mod((n,), d, e)[0][k]
+    return _row_mod(n, d, e)[k]
 
 
 # x -> (y, coefficients of qb(x, y)): the product formula walked along

@@ -97,7 +97,7 @@ from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .cyclo import CycloFactorization, cyclotomic_power, is_prime, residue
 from .polycore import IntPoly, InvalidArgument, packed_sum
-from .qcomb import _carry_at, _digit_residue, _rows_mod, qbinom
+from .qcomb import _carry_at, _digit_residue, _row_mod, qbinom
 
 __all__ = [
     "alt_power_sum",
@@ -417,10 +417,10 @@ def _rows_residue(rows, n: int, d: int, e: int, mod) -> list[int]:
     """The q-mode triple sum modulo Phi_d^e, from q-Pascal rows modulo Phi_d^e.
 
     rows is as for _lucas_residue; the rows 2n, 4n and A come from
-    qcomb's row store.
+    qcomb's row store, in ascending order so that each walk goes on from
+    the row before.
     """
-    wanted = tuple({N for N, _ in rows})
-    table = dict(zip(wanted, _rows_mod(wanted, d, e)))
+    table = {N: _row_mod(N, d, e) for N in sorted({N for N, _ in rows})}
     terms = [
         (_sign(k), _weight(k), [(table[N][N // 2 + k], x) for N, x in rows])
         for k in range(-n, n + 1)

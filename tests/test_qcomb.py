@@ -244,30 +244,34 @@ class TestQPascalRowsModPhi:
         assert all(row == serial[n] and asked for (_, _, n), (row, _, asked) in stored.items())
 
     def test_rows_in_any_order(self, monkeypatch):
-        monkeypatch.setattr(qcomb, "_ROWS", qcomb._RowStore(qcomb._ROW_BUDGET))
         mod = expand(CycloFactorization({4: 2})).coeffs
         for ns in [(6, 4), (4, 6), (2, 7, 7, 0), (5,)]:
-            rows = qcomb._rows_mod(ns, 4, 2)
-            assert [len(row) - 1 for row in rows] == list(ns)
-            for n, row in zip(ns, rows):
+            monkeypatch.setattr(qcomb, "_ROWS", qcomb._RowStore(qcomb._ROW_BUDGET))
+            for n in ns:
+                row = qcomb._row_mod(n, 4, 2)
                 assert row == tuple(tuple(poly_rem_brute(qbinom(n, k).coeffs, mod))
-                                    for k in range(n + 1)), n
+                                    for k in range(n + 1)), (ns, n)
 
     def test_store_keeps_its_rows_within_the_budget(self, monkeypatch):
-        # a deep row leaves the rows asked for behind, and as many of the
-        # rows it walked through as the budget holds
+        mod = (1, 2, 1)  # Phi_2^2
+        sizes = qcomb._RowStore(1 << 20)
+        units = {n: sizes.walk(n, 2, 2)[1] for n in (120, 150, 200)}
+        # a deep row keeps the row asked for, and as many of the rows it
+        # walked through as the budget holds
         store = qcomb._RowStore(1000)
         monkeypatch.setattr(qcomb, "_ROWS", store)
-        assert qcomb._rows_mod((200,), 2, 2)[0][100] == tuple(
-            qcomb.divexact_steps(qbinom(200, 100).coeffs, (1, 2, 1))[1])
+        assert qcomb._row_mod(200, 2, 2)[100] == tuple(
+            qcomb.divexact_steps(qbinom(200, 100).coeffs, mod)[1])
         assert (2, 2, 200) in store.rows and len(store.rows) < 200
         assert store.units == sum(units for _, units, _ in store.rows.values()) <= 1000
-        # over the budget the rows only walked through go first, then the
-        # oldest asked for; the rows of the request being served stay
-        store.budget = store.rows[2, 2, 200][1] + 1
-        qcomb._rows_mod((150, 120), 2, 2)
+        # over the budget the walked rows go first, then the oldest asked for;
+        # the row being walked to stays
+        store.budget = units[200] + units[150]
+        qcomb._row_mod(150, 2, 2)
+        assert sorted(store.rows) == [(2, 2, 150), (2, 2, 200)]
+        qcomb._row_mod(120, 2, 2)
         assert sorted(store.rows) == [(2, 2, 120), (2, 2, 150)]
-        assert store.units == sum(units for _, units, _ in store.rows.values())
+        assert store.units == units[120] + units[150]
 
 
 class TestReducedQBinomials:
