@@ -224,7 +224,7 @@ class _RowStore:
                     return
 
 
-_ROW_BUDGET = 1 << 18
+_ROW_BUDGET = 1 << 16
 _ROWS = _RowStore(_ROW_BUDGET)
 
 
