@@ -193,7 +193,8 @@ def expand(f: CycloFactorization) -> IntPoly:
 
     One call of polycore.product on the cached Phi_d, each repeated by its
     multiplicity, which keeps the slots narrow although the Phi_d have
-    negative coefficients.
+    negative coefficients.  Since they are the same tuples on every call,
+    product packs each of them once per slot width.
 
     >>> str(expand(CycloFactorization({2: 1, 3: 1})))
     '1 + 2*q + 2*q^2 + q^3'

@@ -54,6 +54,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 import sys
@@ -542,27 +543,50 @@ def product(factors) -> list[int]:
     packed values are multiplied pairwise, as a balanced tree.  Above it
     the list is split in halves, each multiplied out the same way, and
     the halves are multiplied by _mul_coeffs at the width their
-    coefficients need.  64 bits was the fastest of 32, 64 and 128 both on
-    expanding every qbinom(n, k), n <= 45, from its cyclotomic factors and
-    on n = 80 and 100, and it is also the widest slot of the array codec
+    coefficients need.  64 bits is the widest slot of the array codec
     (module docstring), so every packed product here runs on machine
-    words.  The empty product is [1].
+    words.  A factor given as a tuple has its l1 norm and its packed
+    value at each width taken once and kept (_factor_memo), since
+    cyclo.expand passes the same cached Phi_d on every call; a list is
+    measured and packed anew.  While every call packed its factors, 64
+    bits was the fastest of 32, 64 and 128 both on expanding every
+    qbinom(n, k), n <= 45, from its cyclotomic factors and on n = 80 and
+    100.  With the factors packed once, 32 and 64 bits time alike there,
+    within the 1.5x spread of a shared 2-vCPU host, and 128 bits is
+    about 2x slower at n = 80 and 100.  The empty product is [1].
 
     >>> product([[1, 1], [-1, 1]]), product([])
     ([-1, 0, 1], [1])
     """
     if len(factors) <= 1:
         return list(factors[0]) if factors else [1]
-    bound = prod(sum(map(abs, f)) for f in factors)
+    memos = [_factor_memo(f) if isinstance(f, tuple) else (sum(map(abs, f)), {}) for f in factors]
+    bound = prod(l1 for l1, _ in memos)
     if bound.bit_length() < 64:
         bits = _slot_bits(bound.bit_length() + 1)
         nbytes = bits >> 3
-        values = [_pack(f, bits, nbytes) for f in factors]
+        values = []
+        for f, (_, packed) in zip(factors, memos):
+            value = packed.get(bits)
+            if value is None:
+                value = packed[bits] = _pack(f, bits, nbytes)
+            values.append(value)
         while len(values) > 1:  # neighbours in pairs; an odd last one waits a round
             values = [*map(operator.mul, values[::2], values[1::2]), *values[len(values) & ~1 :]]
         return _unpack(values[0], bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
     half = len(factors) // 2
     return _mul_coeffs(product(factors[:half]), product(factors[half:]))
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _factor_memo(f: tuple) -> tuple[int, dict[int, int]]:
+    """The l1 norm of the factor f and its packed values by slot width.
+
+    product fills the dict, one entry per width it packs f at: 8, 16, 32
+    or 64 bits, so the memo stays within 4 values for each of its 256
+    factors.
+    """
+    return sum(map(abs, f)), {}
 
 
 # -- exact division ----------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Iterator, Union
 from . import cyclo
 from ._kernels_py import divexact_steps
 from .cyclo import CycloFactorization, is_prime
-from .polycore import ZERO, IntPoly, InvalidArgument, NotDivisible, divexact_qm1, mul_qm1
+from .polycore import ONE, ZERO, IntPoly, InvalidArgument, NotDivisible, divexact_qm1, mul_qm1
 
 __all__ = [
     "DSet",
@@ -103,8 +103,12 @@ def qbinom(n: int, k: int) -> IntPoly:
     with m = min(k, n-k), by the symmetry qb(n, k) = qb(n, n-k), and each
     division performed immediately.  Step j leaves qb(n, j), of degree
     j(n-j), and its multiplication reaches degree j(n+1-j), so no
-    intermediate degree exceeds k(n-k) + m.  qb(n, k) and qb(n, n-k) are
-    the same cached object.
+    intermediate degree exceeds k(n-k) + m.  Every qb(n, j) a walk passes
+    is kept in the row store (_RowStore, line n) while its budget holds
+    it, so a q-binomial not yet built is walked on from the highest
+    stored qb(n, j), j < m, and each step is taken once in whatever order
+    the requests come.  qb(n, k) and qb(n, n-k) are the same cached
+    object.
 
     >>> str(qbinom(4, 2))
     '1 + q + 2*q^2 + q^3 + q^4'
@@ -124,7 +128,15 @@ _QBINOMS = 1 << 10
 
 @functools.lru_cache(maxsize=_QBINOMS)
 def _qbinom_product(n: int, k: int) -> IntPoly:
-    return IntPoly(_qbinom_steps([1], n, 0, k))
+    entry = _ROWS.entries.get((n, k))  # a stored q-binomial: no lock
+    if entry is None:
+        def step(poly: IntPoly, j: int) -> tuple[IntPoly, int]:
+            poly = IntPoly(_qbinom_steps(poly.coeffs, n, j, j + 1))
+            return poly, len(poly) + 1
+
+        entry = _ROWS.walk(n, k, (ONE, 2), step)
+    entry[2] = True
+    return entry[0]
 
 
 def _qbinom_steps(coeffs: list[int], n: int, j: int, k: int) -> list[int]:
@@ -171,6 +183,12 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 #                   polynomial is Z-linear, so the scale C(x1, y1) is
 #                   applied to the residue.
 #
+# The q-Pascal rows live in the row store beside the product-formula
+# rows of qbinom, under one budget: line (d, e) holds the rows modulo
+# Phi_d^e, line n the q-binomials qb(n, k).  The q-Lucas digits keep
+# their own per-x cursors, which hold one q-binomial each and go through
+# neither the store nor qbinom's cache.
+#
 # qlucas_check compares the two, so they share no code path above the
 # division.  The sums' residue path (sums.triple_sum(..., modulo=F)) takes
 # q-Lucas for the simple factors of F and the rows for the repeated ones.
@@ -179,52 +197,63 @@ Row = tuple[tuple[int, ...], ...]
 
 
 class _RowStore:
-    """q-Pascal rows modulo Phi_d^e by (d, e, n), each as [row, units, asked].
+    """Walked entries by (line, i), each as [value, units, asked].
 
-    Every row built is kept while the rows hold at most budget units (a
-    coefficient or an entry each, mirrored entries counted once).  Over
-    the budget the oldest rows go, those that were only walked through
-    before those that were asked for; the row being walked to stays.  A
-    missing row is walked up from the highest stored row of the same
-    (d, e) below it (row 0 when there is none), so a row is built once in
-    whatever order the requests come while the store holds it.  Walks run
-    under the lock, so concurrent callers never see a half-built row.
+    A line is a sequence of values that each follow from the one before:
+    the product-formula row n, whose entry i is qb(n, i) (_qbinom_product),
+    or the q-Pascal rows modulo Phi_d^e, line (d, e), whose entry i is
+    row i (_row_mod).  Every entry built is kept while the entries hold
+    at most budget units (a coefficient or an entry each, mirrored row
+    entries counted once).  Over the budget the oldest entries go, those
+    that were only walked through before those that were asked for; the
+    entry being walked to stays.  A missing entry is walked up from the
+    highest stored entry of the same line below it (entry 0 when there is
+    none), so an entry is built once in whatever order the requests come
+    while the store holds it.  Walks run under the lock, so concurrent
+    callers never see a half-built entry.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.units = 0
-        self.rows: dict[tuple[int, int, int], list] = {}
+        self.entries: dict[tuple, list] = {}
         self.lock = threading.Lock()
 
-    def walk(self, n: int, d: int, e: int) -> list:
-        """The entry of row n modulo Phi_d^e, built if it is missing."""
-        mod, target = cyclo.cyclotomic_power(d, e).coeffs, (d, e, n)
-        with self.lock:
-            if target not in self.rows:
-                below = next((m for m in range(n - 1, 0, -1) if (d, e, m) in self.rows), 0)
-                row = self.rows[d, e, below][0] if below else ((1,),)
-                if n == 0:
-                    self._put(target, row, target)
-                while len(row) <= n:
-                    row = _next_row(row, d, e, mod)
-                    self._put((d, e, len(row) - 1), row, target)
-            return self.rows[target]
+    def walk(self, line, i: int, first: tuple, step) -> list:
+        """The entry (line, i), built if it is missing.
 
-    def _put(self, key, row: Row, target) -> None:
-        units = sum(map(len, row[: len(row) // 2 + 1])) + len(row) // 2 + 1
-        self.rows[key] = [row, units, key == target]
+        first is (value, units) of entry 0, and step(value, j) gives
+        (value, units) of entry j + 1 from the value of entry j.
+        """
+        target = line, i
+        with self.lock:
+            if target not in self.entries:
+                j = next((j for j in range(i - 1, 0, -1) if (line, j) in self.entries), 0)
+                value = self.entries[line, j][0] if j else first[0]
+                if i == 0:
+                    self._put(target, *first, target)
+                for j in range(j, i):
+                    value, units = step(value, j)
+                    self._put((line, j + 1), value, units, target)
+            return self.entries[target]
+
+    def _put(self, key, value, units: int, target) -> None:
+        self.entries[key] = [value, units, key == target]
         self.units += units
         for asked in (False, True):
             if self.units <= self.budget:
                 return
-            for old in [k for k, entry in self.rows.items() if entry[2] is asked and k != target]:
-                self.units -= self.rows.pop(old)[1]
+            for old in [k for k, entry in self.entries.items() if entry[2] is asked and k != target]:
+                self.units -= self.entries.pop(old)[1]
                 if self.units <= self.budget:
                     return
 
 
-_ROW_BUDGET = 1 << 16
+# Every qb(n, k) with n <= 45 takes 92k units, and the rows modulo Phi_d,
+# d <= 12, that q-Lucas checks with x1, y1 < 7 read take 25k more: the
+# product-formula and the q-Pascal rows of the q-binomial oracle fit
+# together in 2^17 units, not in 2^16.
+_ROW_BUDGET = 1 << 17
 _ROWS = _RowStore(_ROW_BUDGET)
 
 
@@ -245,7 +274,16 @@ def _next_row(prev: Row, d: int, e: int, mod) -> Row:
 
 def _row_mod(n: int, d: int, e: int) -> Row:
     """The q-Pascal row n modulo Phi_d^e, asked for in any order."""
-    entry = _ROWS.rows.get((d, e, n)) or _ROWS.walk(n, d, e)  # a stored row: no lock
+    entry = _ROWS.entries.get(((d, e), n))  # a stored row: no lock
+    if entry is None:
+        mod = cyclo.cyclotomic_power(d, e).coeffs
+
+        def step(row: Row, j: int) -> tuple[Row, int]:
+            row = _next_row(row, d, e, mod)
+            half = row[: len(row) // 2 + 1]
+            return row, sum(map(len, half)) + len(half)
+
+        entry = _ROWS.walk((d, e), n, (((1,),), 2), step)
     entry[2] = True
     return entry[0]
 

@@ -3,6 +3,7 @@
 import concurrent.futures
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,19 @@ class TestFactorization:
                             lambda cs, bits, nbytes: widths.append(bits) or pack(cs, bits, nbytes))
         assert expand(qbinom_factored(100, 50)) == qbinom(100, 50)
         assert max(widths) <= 104
+
+    def test_each_factor_is_packed_once_per_width(self, monkeypatch):
+        polycore._factor_memo.cache_clear()
+        packs = []
+        pack = polycore._pack
+        monkeypatch.setattr(polycore, "_pack",
+                            lambda cs, bits, nbytes: packs.append((cs, bits)) or pack(cs, bits, nbytes))
+        for n in range(21):
+            for k in range(n + 1):
+                assert expand(qbinom_factored(n, k)) == qbinom(n, k), (n, k)
+        phis = {cyclotomic(d).coeffs for d in range(1, 21)}
+        packed = Counter((cs, bits) for cs, bits in packs if isinstance(cs, tuple) and cs in phis)
+        assert len(packed) > 20 and max(packed.values()) == 1
 
     def test_rejects_bad_entries(self):
         with pytest.raises(InvalidArgument):

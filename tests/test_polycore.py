@@ -378,8 +378,11 @@ class TestProduct:
     @given(st.lists(signed_factors.map(lambda f: list(IntPoly(f).coeffs)).filter(bool),
                     max_size=12))
     def test_matches_chained_convolution(self, factors):
-        # past 64 bits of l1 norm the list is split, below it packed whole
-        assert product(factors) == functools.reduce(conv, factors, [1])
+        # past 64 bits of l1 norm the list is split, below it packed whole;
+        # tuples go through the memo of packed factors, lists do not
+        want = functools.reduce(conv, factors, [1])
+        assert product(factors) == want
+        assert product([tuple(f) for f in factors]) == want
 
     @pytest.mark.parametrize("count", range(10))
     @given(data=st.data())
@@ -389,6 +392,20 @@ class TestProduct:
         factor = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(lambda f: f[-1])
         factors = data.draw(st.lists(factor, min_size=count, max_size=count))
         assert product(factors) == functools.reduce(conv, factors, [1])
+
+    def test_factor_memo_stays_bounded(self):
+        memo = polycore._factor_memo
+        memo.cache_clear()
+        # one factor at every machine-word width: 8, 16, 32 and 64 bits,
+        # then past 64 bits of l1 norm, where the list is split, not packed
+        f = (1, 1)
+        for big in (1, 2**10, 2**20, 2**40, 2**70):
+            assert product([f, (1, big)]) == [1, big + 1, big]
+        assert sorted(memo(f)[1]) == [8, 16, 32, 64]
+        size = memo.cache_info().maxsize
+        for i in range(1, 2 * size):
+            product([(1, i), (i, 1)])
+        assert memo.cache_info().currsize == size
 
 
 class TestEvalAndContent:

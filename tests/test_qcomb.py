@@ -239,9 +239,11 @@ class TestQPascalRowsModPhi:
         serial = [((1,),)]
         while len(serial) < top:
             serial.append(qcomb._next_row(serial[-1], d, 1, mod))
-        stored = qcomb._ROWS.rows
-        assert sorted(stored) == [(d, 1, n) for n in range(top)]
-        assert all(row == serial[n] and asked for (_, _, n), (row, _, asked) in stored.items())
+        # (the reference qbinom calls above put product-formula rows, lines n, beside them)
+        stored = {key: entry for key, entry in qcomb._ROWS.entries.items()
+                  if not isinstance(key[0], int)}
+        assert sorted(stored) == [((d, 1), n) for n in range(top)]
+        assert all(row == serial[n] and asked for (_, n), (row, _, asked) in stored.items())
 
     def test_rows_in_any_order(self, monkeypatch):
         mod = expand(CycloFactorization({4: 2})).coeffs
@@ -254,24 +256,100 @@ class TestQPascalRowsModPhi:
 
     def test_store_keeps_its_rows_within_the_budget(self, monkeypatch):
         mod = (1, 2, 1)  # Phi_2^2
+        want = tuple(qcomb.divexact_steps(qbinom(200, 100).coeffs, mod)[1])
         sizes = qcomb._RowStore(1 << 20)
-        units = {n: sizes.walk(n, 2, 2)[1] for n in (120, 150, 200)}
+        monkeypatch.setattr(qcomb, "_ROWS", sizes)
+        for n in (120, 150, 200):
+            qcomb._row_mod(n, 2, 2)
+        units = {n: sizes.entries[(2, 2), n][1] for n in (120, 150, 200)}
         # a deep row keeps the row asked for, and as many of the rows it
         # walked through as the budget holds
         store = qcomb._RowStore(1000)
         monkeypatch.setattr(qcomb, "_ROWS", store)
-        assert qcomb._row_mod(200, 2, 2)[100] == tuple(
-            qcomb.divexact_steps(qbinom(200, 100).coeffs, mod)[1])
-        assert (2, 2, 200) in store.rows and len(store.rows) < 200
-        assert store.units == sum(units for _, units, _ in store.rows.values()) <= 1000
+        assert qcomb._row_mod(200, 2, 2)[100] == want
+        assert ((2, 2), 200) in store.entries and len(store.entries) < 200
+        assert store.units == sum(units for _, units, _ in store.entries.values()) <= 1000
         # over the budget the walked rows go first, then the oldest asked for;
         # the row being walked to stays
         store.budget = units[200] + units[150]
         qcomb._row_mod(150, 2, 2)
-        assert sorted(store.rows) == [(2, 2, 150), (2, 2, 200)]
+        assert sorted(store.entries) == [((2, 2), 150), ((2, 2), 200)]
         qcomb._row_mod(120, 2, 2)
-        assert sorted(store.rows) == [(2, 2, 120), (2, 2, 150)]
+        assert sorted(store.entries) == [((2, 2), 120), ((2, 2), 150)]
         assert store.units == units[120] + units[150]
+
+
+class TestProductFormulaRows:
+    """qb(n, k) walked along k in the row store, line n, from the highest stored k."""
+
+    @pytest.fixture
+    def store(self, monkeypatch):
+        store = qcomb._RowStore(qcomb._ROW_BUDGET)
+        monkeypatch.setattr(qcomb, "_ROWS", store)
+        qcomb._qbinom_product.cache_clear()
+        yield store
+        qcomb._qbinom_product.cache_clear()
+
+    @pytest.mark.parametrize("order", ["lexicographic", "reversed", "shuffled"])
+    def test_values_in_any_order(self, store, order):
+        pairs = [(n, k) for n in range(26) for k in range(n + 1)]
+        if order == "reversed":
+            pairs.reverse()
+        elif order == "shuffled":
+            random.Random(3).shuffle(pairs)
+        for n, k in pairs:
+            assert list(qbinom(n, k).coeffs) == qbinom_qpascal(n, k), (order, n, k)
+        assert sorted(store.entries) == sorted({(n, min(k, n - k)) for n, k in pairs})
+
+    def test_each_row_is_walked_once(self, store, monkeypatch):
+        walk, steps = qcomb._qbinom_steps, []
+
+        def counted(coeffs, n, j, k):
+            steps.extend((n, i) for i in range(j, k))
+            return walk(coeffs, n, j, k)
+
+        monkeypatch.setattr(qcomb, "_qbinom_steps", counted)
+        pairs = [(n, k) for n in range(40) for k in range(n + 1)]
+        random.Random(4).shuffle(pairs)
+        for n, k in pairs:
+            qbinom(n, k)
+        # step (n, i) builds qb(n, i + 1), each once, up to k = n/2
+        assert sorted(steps) == [(n, i) for n in range(40) for i in range(n // 2)]
+
+    def test_walk_stays_within_the_budget(self, store):
+        store.budget = 500
+        for n, k in [(40, 20), (60, 30), (40, 15), (60, 25)]:
+            poly = qbinom(n, k)
+            assert list(poly.coeffs) == qbinom_qpascal(n, k), (n, k)
+            # walked through: qb(40, j) holds j (40 - j) + 1 coefficients
+            assert store.entries[n, k] == [poly, len(poly) + 1, True]
+            assert store.units == sum(units for _, units, _ in store.entries.values())
+            assert store.units <= store.budget + len(poly) + 1
+
+    def test_concurrent_callers_get_one_exact_object(self, store, monkeypatch):
+        walk = qcomb._qbinom_steps
+
+        def yielding(coeffs, n, j, k):
+            time.sleep(0)  # invite a thread switch inside the walk
+            return walk(coeffs, n, j, k)
+
+        monkeypatch.setattr(qcomb, "_qbinom_steps", yielding)
+        wanted = [(n, k) for n in range(32) for k in range(n + 1)] * 2
+        random.Random(5).shuffle(wanted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda nk: qbinom(*nk), wanted, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        # one object per value, as packed_sum relies on, and every one exact
+        objects = {}
+        for (n, k), poly in zip(wanted, got):
+            assert objects.setdefault((n, min(k, n - k)), poly) is poly, (n, k)
+        assert all(list(poly.coeffs) == qbinom_qpascal(n, k) for (n, k), poly in objects.items())
+        assert all(store.entries[key][0] is poly for key, poly in objects.items())
+        assert store.units == sum(units for _, units, _ in store.entries.values())
 
 
 class TestReducedQBinomials:

@@ -446,7 +446,7 @@ class TestTripleSumAtRootsOfUnity:
                 p, zeta, value = triple_sum_at_root(width, n, *rst, d, e)
                 assert poly_at_root(full, zeta, p, e) == value, (width, n, d)
 
-    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("n", [16, 24, 32])
     @pytest.mark.parametrize("family, width", [("six_four_two", 6), ("eight_four_two", 8)])
     def test_residues_take_the_sums_values(self, family, width, n):
         A = width * n
