@@ -25,7 +25,7 @@ from typing import Iterator, Union
 from . import cyclo
 from ._kernels_py import divexact_steps
 from .cyclo import CycloFactorization, is_prime
-from .polycore import ONE, ZERO, IntPoly, InvalidArgument, NotDivisible, divexact_qm1, mul_qm1
+from .polycore import ZERO, IntPoly, InvalidArgument, NotDivisible, divexact_qm1, mul_qm1
 
 __all__ = [
     "DSet",
@@ -103,12 +103,12 @@ def qbinom(n: int, k: int) -> IntPoly:
     with m = min(k, n-k), by the symmetry qb(n, k) = qb(n, n-k), and each
     division performed immediately.  Step j leaves qb(n, j), of degree
     j(n-j), and its multiplication reaches degree j(n+1-j), so no
-    intermediate degree exceeds k(n-k) + m.  Every qb(n, j) a walk passes
-    is kept in the row store (_RowStore, line n) while its budget holds
-    it, so a q-binomial not yet built is walked on from the highest
-    stored qb(n, j), j < m, and each step is taken once in whatever order
-    the requests come.  qb(n, k) and qb(n, n-k) are the same cached
-    object.
+    intermediate degree exceeds k(n-k) + m.  The coefficients of every
+    qb(n, j) a walk passes are kept in the row store (_RowStore, line n)
+    while its budget holds them, so a q-binomial not yet built is walked
+    on from the highest stored qb(n, j), j < m, and each step is taken
+    once in whatever order the requests come.  qb(n, k) and qb(n, n-k)
+    are the same cached object.
 
     >>> str(qbinom(4, 2))
     '1 + q + 2*q^2 + q^3 + q^4'
@@ -128,15 +128,16 @@ _QBINOMS = 1 << 10
 
 @functools.lru_cache(maxsize=_QBINOMS)
 def _qbinom_product(n: int, k: int) -> IntPoly:
-    entry = _ROWS.entries.get((n, k))  # a stored q-binomial: no lock
+    entry = _ROWS.entries.get((n, k))  # stored coefficients: no lock
     if entry is None:
-        def step(poly: IntPoly, j: int) -> tuple[IntPoly, int]:
-            poly = IntPoly(_qbinom_steps(poly.coeffs, n, j, j + 1))
-            return poly, len(poly) + 1
+        def step(coeffs: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int]:
+            coeffs = tuple(_qbinom_steps(coeffs, n, j, j + 1))
+            return coeffs, len(coeffs) + 1
 
-        entry = _ROWS.walk(n, k, (ONE, 2), step)
-    entry[2] = True
-    return entry[0]
+        entry = _ROWS.walk(n, k, ((1,), 2), step)
+    poly = IntPoly(entry[0])
+    entry[0], entry[2] = poly.coeffs, True  # one tuple for the store and the q-binomial
+    return poly
 
 
 def _qbinom_steps(coeffs: list[int], n: int, j: int, k: int) -> list[int]:
@@ -200,17 +201,17 @@ class _RowStore:
     """Walked entries by (line, i), each as [value, units, asked].
 
     A line is a sequence of values that each follow from the one before:
-    the product-formula row n, whose entry i is qb(n, i) (_qbinom_product),
-    or the q-Pascal rows modulo Phi_d^e, line (d, e), whose entry i is
-    row i (_row_mod).  Every entry built is kept while the entries hold
-    at most budget units (a coefficient or an entry each, mirrored row
-    entries counted once).  Over the budget the oldest entries go, those
-    that were only walked through before those that were asked for; the
-    entry being walked to stays.  A missing entry is walked up from the
-    highest stored entry of the same line below it (entry 0 when there is
-    none), so an entry is built once in whatever order the requests come
-    while the store holds it.  Walks run under the lock, so concurrent
-    callers never see a half-built entry.
+    the product-formula row n, whose entry i is the coefficient tuple of
+    qb(n, i) (_qbinom_product), or the q-Pascal rows modulo Phi_d^e, line
+    (d, e), whose entry i is row i (_row_mod).  Every entry built is kept
+    while the entries hold at most budget units (a coefficient or an
+    entry each, mirrored row entries counted once).  Over the budget the
+    oldest entries go, those that were only walked through before those
+    that were asked for; the entry being walked to stays.  A missing
+    entry is walked up from the highest stored entry of the same line
+    below it (entry 0 when there is none), so an entry is built once in
+    whatever order the requests come while the store holds it.  Walks run
+    under the lock, so concurrent callers never see a half-built entry.
     """
 
     def __init__(self, budget: int):

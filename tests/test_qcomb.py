@@ -322,11 +322,11 @@ class TestProductFormulaRows:
             poly = qbinom(n, k)
             assert list(poly.coeffs) == qbinom_qpascal(n, k), (n, k)
             # walked through: qb(40, j) holds j (40 - j) + 1 coefficients
-            assert store.entries[n, k] == [poly, len(poly) + 1, True]
+            assert store.entries[n, k] == [poly.coeffs, len(poly) + 1, True]
             assert store.units == sum(units for _, units, _ in store.entries.values())
             assert store.units <= store.budget + len(poly) + 1
 
-    def test_concurrent_callers_get_one_exact_object(self, store, monkeypatch):
+    def test_concurrent_callers_get_exact_q_binomials(self, store, monkeypatch):
         walk = qcomb._qbinom_steps
 
         def yielding(coeffs, n, j, k):
@@ -343,12 +343,11 @@ class TestProductFormulaRows:
                 got = list(pool.map(lambda nk: qbinom(*nk), wanted, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        # one object per value, as packed_sum relies on, and every one exact
-        objects = {}
-        for (n, k), poly in zip(wanted, got):
-            assert objects.setdefault((n, min(k, n - k)), poly) is poly, (n, k)
-        assert all(list(poly.coeffs) == qbinom_qpascal(n, k) for (n, k), poly in objects.items())
-        assert all(store.entries[key][0] is poly for key, poly in objects.items())
+        assert all(list(poly.coeffs) == qbinom_qpascal(n, k) for (n, k), poly in zip(wanted, got))
+        # every stored entry is the whole q-binomial of its key, each key once
+        assert sorted(store.entries) == [(n, k) for n in range(32) for k in range(n // 2 + 1)]
+        assert all(list(coeffs) == qbinom_qpascal(n, k)
+                   for (n, k), (coeffs, _, _) in store.entries.items())
         assert store.units == sum(units for _, units, _ in store.entries.values())
 
 
