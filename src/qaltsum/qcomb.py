@@ -207,11 +207,14 @@ class _RowStore:
     while the entries hold at most budget units (a coefficient or an
     entry each, mirrored row entries counted once).  Over the budget the
     oldest entries go, those that were only walked through before those
-    that were asked for; the entry being walked to stays.  A missing
-    entry is walked up from the highest stored entry of the same line
-    below it (entry 0 when there is none), so an entry is built once in
-    whatever order the requests come while the store holds it.  Walks run
-    under the lock, so concurrent callers never see a half-built entry.
+    that were asked for, and of the walked-through ones first those of
+    the line being walked, so that a long walk of large q-binomials does
+    not flush the rows that other walks passed; the entry being walked
+    to stays.  A missing entry is walked up from the highest stored entry
+    of the same line below it (entry 0 when there is none), so an entry
+    is built once in whatever order the requests come while the store
+    holds it.  Walks run under the lock, so concurrent callers never see
+    a half-built entry.
     """
 
     def __init__(self, budget: int):
@@ -241,13 +244,15 @@ class _RowStore:
     def _put(self, key, value, units: int, target) -> None:
         self.entries[key] = [value, units, key == target]
         self.units += units
-        for asked in (False, True):
+        if self.units <= self.budget:
+            return
+        walked = [k for k, entry in self.entries.items() if not entry[2] and k != target]
+        asked = [k for k, entry in self.entries.items() if entry[2] and k != target]
+        line = target[0]
+        for old in [k for k in walked if k[0] == line] + [k for k in walked if k[0] != line] + asked:
+            self.units -= self.entries.pop(old)[1]
             if self.units <= self.budget:
                 return
-            for old in [k for k, entry in self.entries.items() if entry[2] is asked and k != target]:
-                self.units -= self.entries.pop(old)[1]
-                if self.units <= self.budget:
-                    return
 
 
 # Every qb(n, k) with n <= 45 takes 92k units, and the rows modulo Phi_d,

@@ -326,6 +326,17 @@ class TestProductFormulaRows:
             assert store.units == sum(units for _, units, _ in store.entries.values())
             assert store.units <= store.budget + len(poly) + 1
 
+    def test_walk_makes_room_from_its_own_line_first(self, store):
+        qcomb._row_mod(30, 2, 2)
+        rows = sorted(key for key in store.entries if key[0] == (2, 2))
+        assert rows == [((2, 2), n) for n in range(1, 31)]
+        # the walk to qb(40, 20) passes 5,570 units of q-binomials: it drops
+        # its own q-binomials, not the rows walked through before it
+        store.budget = store.units + 2000
+        assert list(qbinom(40, 20).coeffs) == qbinom_qpascal(40, 20)
+        assert sorted(key for key in store.entries if key[0] == (2, 2)) == rows
+        assert store.units <= store.budget
+
     def test_concurrent_callers_get_exact_q_binomials(self, store, monkeypatch):
         walk = qcomb._qbinom_steps
 
