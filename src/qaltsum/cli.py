@@ -251,12 +251,11 @@ def emit_report(reports: list[VerificationReport], format: str = "pretty") -> st
         if not reports:
             return "[]"
         return "[\n  " + ",\n  ".join([_indented(rep.record(), "\n  ") for rep in reports]) + "\n]"
-    records = [rep.record() for rep in reports]
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_FIELDS)
-        for rec in records:
+        for rec in (rep.record() for rep in reports):
             writer.writerow(
                 [
                     rec["claim_id"],
@@ -269,31 +268,31 @@ def emit_report(reports: list[VerificationReport], format: str = "pretty") -> st
                 ]
             )
         return buf.getvalue()
-    if format == "pretty":
+    if format == "pretty":  # no modulus is printed, so no record() is built
         lines = []
         held = failed = skipped = 0
-        for rep, rec in zip(reports, records):
-            params = " ".join(f"{k}={v}" for k, v in rec["params"].items())
-            if rec["holds"] is True:
+        for rep in reports:
+            params = " ".join(f"{k}={v}" for k, v in rep.case.params.items())
+            if rep.holds is True:
                 held += 1
                 status = "HOLDS"
-            elif rec["holds"] is False:
+            elif rep.holds is False:
                 failed += 1
                 status = "FAILED"
             else:
                 skipped += 1
                 status = "N/A"
             extra = ""
-            if rec["quotient_degree"] is not None:
-                extra = f" (quotient degree {rec['quotient_degree']})"
-            if rec["holds"] is False:
+            if rep.quotient_degree is not None:
+                extra = f" (quotient degree {rep.quotient_degree})"
+            if rep.holds is False:
                 remainder = getattr(rep.witness, "remainder", None)
                 if remainder is not None:
                     extra = f" (remainder {remainder})"
-            note = f"  # {rec['branch_note']}" if rec["branch_note"] else ""
-            lines.append(f"{rec['claim_id']:12s} {params:40s} {status}{extra}{note}")
+            note = f"  # {rep.case.derivation_note}" if rep.case.derivation_note else ""
+            lines.append(f"{rep.case.claim_id:12s} {params:40s} {status}{extra}{note}")
         lines.append(
-            f"total {len(records)}: {held} hold, {failed} failed, {skipped} not applicable"
+            f"total {len(reports)}: {held} hold, {failed} failed, {skipped} not applicable"
         )
         return "\n".join(lines) + "\n"
     raise InvalidArgument(f"unknown output format {format!r}")

@@ -128,13 +128,11 @@ _QBINOMS = 1 << 10
 
 @functools.lru_cache(maxsize=_QBINOMS)
 def _qbinom_product(n: int, k: int) -> IntPoly:
-    entry = _ROWS.entries.get((n, k))  # stored coefficients: no lock
-    if entry is None:
-        def step(coeffs: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int]:
-            coeffs = tuple(_qbinom_steps(coeffs, n, j, j + 1))
-            return coeffs, len(coeffs) + 1
+    def step(coeffs: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int]:
+        coeffs = tuple(_qbinom_steps(coeffs, n, j, j + 1))
+        return coeffs, len(coeffs) + 1
 
-        entry = _ROWS.walk(n, k, ((1,), 2), step)
+    entry = _ROWS.walk(n, k, ((1,), 2), step)
     poly = IntPoly(entry[0])
     entry[0], entry[2] = poly.coeffs, True  # one tuple for the store and the q-binomial
     return poly
@@ -173,7 +171,7 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 # divisibility in polycore (divexact_steps).
 #
 #   q-Pascal rows   qb(n, k) = qb(n-1, k-1) + q^k qb(n-1, k), every entry
-#                   reduced modulo Phi_d^e (_qbinom_mod, _row_mod).  For
+#                   reduced modulo Phi_d^e (_row_mod).  For
 #                   e = 1, q^k is applied as a shift by k mod d, since
 #                   q^d == 1 modulo Phi_d; for e >= 2 the shift is by k.
 #   q-Lucas         qb(x1 d + x2, y1 d + y2) == C(x1, y1) qb(x2, y2)
@@ -193,6 +191,9 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 # qlucas_check compares the two, so they share no code path above the
 # division.  The sums' residue path (sums.triple_sum(..., modulo=F)) takes
 # q-Lucas for the simple factors of F and the rows for the repeated ones.
+# qlucas_check and the residue path both read the rows from _row_mod.
+# _qbinom_mod, a cache over the same rows, is on no path of the package:
+# only the tests call it, and the benchmark's spans read its cache_info().
 
 Row = tuple[tuple[int, ...], ...]
 
@@ -360,7 +361,8 @@ def qlucas_check(d: int, x1: int, x2: int, y1: int, y2: int) -> bool:
         raise InvalidArgument(f"digit parts must satisfy 0 <= x2, y2 < {d}")
     if x1 < 0 or y1 < 0:
         raise InvalidArgument("quotient parts must be nonnegative")
-    lhs = _qbinom_mod(x1 * d + x2, y1 * d + y2, d)
+    n, k = x1 * d + x2, y1 * d + y2
+    lhs = _row_mod(n, d, 1)[k] if k <= n else ()
     scale = binom(x1, y1)
     residue = _digit_residue(d, x2, y2) if scale else ()
     return lhs == (residue if scale == 1 else tuple(map(scale.__mul__, residue)))

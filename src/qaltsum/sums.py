@@ -68,16 +68,20 @@ same bad ones with the same message, and need m >= 1.
 The q-mode triple sum has a residue form too: triple_sum(..., "q",
 modulo=F), F a cyclotomic factorization, maps each d of F to the sum's
 residue modulo Phi_d^e, e = F's multiplicity of d, and never builds the
-sum.  It reads the same factors qb(N, N/2 + k), N = A, 4n, 2n:
+sum.  One term loop (_triple_residue) runs over k = 0..n and reads the
+same factors qb(N, N/2 + k), N = A, 4n, 2n, in that order; a term stops
+at its first zero factor, and the terms k and -k share one factor list:
 
   e = 1   q-Lucas: qb(N, K) == C(N // d, K // d) qb(N mod d, K mod d)
           modulo Phi_d, the small q-binomial's residue taken from a
-          bounded cache in qcomb.  One packed_sum multiplies the factors,
-          q^C(k,2) a shift by C(k,2) mod d; the total is folded modulo
-          q^d - 1 and reduced modulo Phi_d once.  A term with a zero
-          factor (a carry at d, or a zero scale) is skipped.
-  e >= 2  q-Pascal rows 2n, 4n and A modulo Phi_d^e from qcomb's row
-          store; one packed_sum, one reduction modulo Phi_d^e.
+          bounded cache in qcomb, the scales of a term one constant
+          factor (left out when it is 1), and q^C(k,2) a shift by
+          C(k,2) mod d.  A carry at d makes a scale zero.
+  e >= 2  the entries of the q-Pascal rows 2n, 4n and A modulo Phi_d^e
+          from qcomb's row store, and q^C(k,2) a shift by C(k,2).
+
+One packed_sum multiplies the factors, and the total is reduced modulo
+Phi_d^e once (cyclo.residue).
 
 Each residue is kept in a bounded cache keyed by the sum and (d, e), so
 claims on one sum (t2c1 and t2c2, cj2c1q and cj2c2q) compute each shared
@@ -379,50 +383,32 @@ _RESIDUES = 1 << 12
 @lru_cache(maxsize=_RESIDUES)
 def _triple_residue(family, n: int, r: int, s: int, t: int, d: int, e: int,
                     mod: tuple[int, ...]) -> tuple[int, ...]:
-    """The q-mode triple sum modulo mod = Phi_d^e (see the module docstring)."""
+    """The q-mode triple sum modulo mod = Phi_d^e, by one term loop.
+
+    The factors are read by q-Lucas for e = 1 and from the q-Pascal rows
+    modulo Phi_d^e for e >= 2 (see the module docstring), the rows asked
+    for in ascending N so that each walk goes on from the row before.
+    """
     A = _TRIPLE_WIDTH[family] * n
     rows = ((A, r), (4 * n, s), (2 * n, t))
-    if e == 1:
-        return tuple(_lucas_residue(rows, n, d, mod))
-    return tuple(_rows_residue(rows, n, d, e, mod))
-
-
-def _lucas_residue(rows, n: int, d: int, mod) -> list[int]:
-    """The q-mode triple sum modulo Phi_d, its factors reduced by q-Lucas.
-
-    rows lists (N, e) for the factors qb(N, N/2 + k)^e.  Each factor is
-    C(N // d, K // d) times the residue of qb(N mod d, K mod d); the
-    scales of a term make one constant factor.  The terms k and -k have
-    the same factors, so one list serves both and packed_sum multiplies
-    it once.  The weight q^C(k,2) is a shift by C(k,2) mod d; the packed
-    total is folded modulo q^d - 1 and reduced modulo Phi_d once.
-    """
+    if e > 1:
+        table = {N: _row_mod(N, d, e) for N in sorted({N for N, _ in rows})}
     terms = []
     for k in range(n + 1):
         scale, factors = 1, []
-        for N, e in rows:
+        for N, x in rows:
             K = N // 2 + k
-            small = _digit_residue(d, N % d, K % d)
-            scale *= comb(N // d, K // d) ** e
-            if not scale or not small:
+            if e == 1:
+                scale *= comb(N // d, K // d) ** x
+                factor = _digit_residue(d, N % d, K % d)
+            else:
+                factor = table[N][K]
+            if not scale or not factor:
                 break
-            factors.append((small, e))
+            factors.append((factor, x))
         else:
-            factors.append(((scale,), 1))
-            terms += [(_sign(j), _weight(j) % d, factors) for j in ((k, -k) if k else (0,))]
-    return residue(packed_sum(terms), d, 1, mod)
-
-
-def _rows_residue(rows, n: int, d: int, e: int, mod) -> list[int]:
-    """The q-mode triple sum modulo Phi_d^e, from q-Pascal rows modulo Phi_d^e.
-
-    rows is as for _lucas_residue; the rows 2n, 4n and A come from
-    qcomb's row store, in ascending order so that each walk goes on from
-    the row before.
-    """
-    table = {N: _row_mod(N, d, e) for N in sorted({N for N, _ in rows})}
-    terms = [
-        (_sign(k), _weight(k), [(table[N][N // 2 + k], x) for N, x in rows])
-        for k in range(-n, n + 1)
-    ]
-    return residue(packed_sum(terms), d, e, mod)
+            if scale != 1:
+                factors.append(((scale,), 1))
+            terms += [(_sign(j), _weight(j) % d if e == 1 else _weight(j), factors)
+                      for j in ((k, -k) if k else (0,))]
+    return tuple(residue(packed_sum(terms), d, e, mod))

@@ -280,6 +280,21 @@ class TestEmitReport:
         text = emit_report([self._failing()], "pretty")
         assert "FAILED" in text and "remainder 2" in text
 
+    def test_pretty_formats_no_modulus(self, monkeypatch):
+        # the pretty layout prints no modulus, so it never formats one
+        argv = ["verify", "thm2", "--n", "1..2", "--r", "1..2", "--s", "1", "--t", "1",
+                "--claim", "all"]
+        reports = run_sweep(build_cases(build_parser().parse_args(argv)), 1)
+        formatted = []
+        coeff_list_str = IntPoly.coeff_list_str
+        monkeypatch.setattr(IntPoly, "coeff_list_str",
+                            lambda poly: formatted.append(poly) or coeff_list_str(poly))
+        text = emit_report(reports, "pretty")
+        assert formatted == []
+        assert text.count("HOLDS") + text.count("N/A") == len(reports) == 12
+        emit_report(reports, "csv")
+        assert len(formatted) == sum(rep.case.expected_modulus is not None for rep in reports) > 0
+
     def test_json_round_trip(self):
         reports = verify.run_case("thm1", {"n": 2, "variant": "per_prime"})
         reports += verify.run_case("t2c3", {"n": 1, "r": 1, "s": 1, "t": 1})
