@@ -33,9 +33,10 @@ width comes from the l1 norms of the factors, since no coefficient of
 the sum exceeds sum over terms of prod l1(f)^e.  The q-mode alternating
 sums go through packed_sum.  A product of many signed factors, such as
 a cyclotomic factorization, can cancel far below that bound, so product
-multiplies it by a tree whose slots follow the size of the actual
-coefficients and never exceed 64 bits where it packs, the widest slot
-of the array codec.  The packing format is private to this module.
+packs a group of factors whole only in slots of at most 32 bits, and
+multiplies larger groups as two halves whose Kronecker slot comes from
+the Cauchy-Schwarz bound on the halves' actual coefficients.  The
+packing format is private to this module.
 
 Every divisibility decision is made by one private routine, _divide,
 which is long division (divexact_steps): it supplies the quotient of an
@@ -244,7 +245,9 @@ class IntPoly:
     # -- evaluation and content -------------------------------------------
 
     def evaluate(self, x: int) -> int:
-        """Exact value at the integer x (Horner)."""
+        """Exact value at the integer x (Horner; the coefficient sum at x = 1)."""
+        if x == 1:
+            return sum(self.coeffs)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -406,22 +409,24 @@ def _max_abs(coeffs):
 def _mul_kronecker(a, b):
     """Product via Kronecker substitution (evaluation at a power of two).
 
-    Each coefficient gets a byte-aligned slot wide enough that the
-    product's coefficients lie strictly inside a balanced slot, so the
-    single big-integer multiplication carries the whole convolution.
+    Each coefficient gets a slot wide enough that every coefficient of
+    the product, c_k = sum_i a_i b_(k-i), lies strictly inside a balanced
+    slot, so the single big-integer multiplication carries the whole
+    convolution.  The width is the smaller of two bounds on |c_k|: the
+    min(len(a), len(b)) terms of at most max|a| max|b| each, and the
+    Cauchy-Schwarz bound ||a||_2 ||b||_2, which a = b = [M] * L meets at
+    c_(L-1) = L M^2 and which stays close to the coefficients of a
+    product of signed factors that cancel (product).
     """
-    bits = _slot_bits(
-        _max_abs(a).bit_length()
-        + _max_abs(b).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
+    # max|a| max|b| min(len) < 2^(bits(max|a|) + bits(max|b|) + bits(min(len)))
+    terms = (_max_abs(a).bit_length() + _max_abs(b).bit_length()
+             + min(len(a), len(b)).bit_length())
+    # c_k^2 <= sum a_i^2 sum b_j^2 = S < 2^bits(S), so |c_k| < 2^ceil(bits(S) / 2)
+    squares = sum(map(operator.mul, a, a)) * sum(map(operator.mul, b, b))
+    bits = _slot_bits(min(terms, (squares.bit_length() + 1) >> 1) + 1)
     nbytes = bits >> 3
-    n = len(a) + len(b) - 1
-    out = _unpack(_pack(a, bits, nbytes) * _pack(b, bits, nbytes), bits, nbytes, n)
-    if out is None:
-        raise AssertionError("Kronecker decode imbalance")
-    return out
+    return _unpacked(_pack(a, bits, nbytes) * _pack(b, bits, nbytes), bits, nbytes,
+                     len(a) + len(b) - 1)
 
 
 def _pack(coeffs, bits, nbytes):
@@ -478,6 +483,14 @@ def _unpack(value, bits, nbytes, n):
     return [from_bytes(buf[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
 
 
+def _unpacked(value, bits, nbytes, n):
+    """_unpack of a value whose slot width was proven wide enough."""
+    out = _unpack(value, bits, nbytes, n)
+    if out is None:
+        raise AssertionError("Kronecker decode imbalance")
+    return out
+
+
 def packed_sum(terms) -> list[int]:
     """Coefficients of sum sign * q^shift * prod f^e over terms, evaluated packed.
 
@@ -526,9 +539,7 @@ def packed_sum(terms) -> list[int]:
             total -= value << (bits * shift)
         else:
             total += value << (bits * shift)
-    out = _unpack(total, bits, nbytes, n)
-    if out is None:
-        raise AssertionError("Kronecker decode imbalance")
+    out = _unpacked(total, bits, nbytes, n)
     while out and not out[-1]:
         out.pop()
     return out
@@ -537,23 +548,22 @@ def packed_sum(terms) -> list[int]:
 def product(factors) -> list[int]:
     """The product of a list of nonzero canonical coefficient lists.
 
-    The slots are kept narrow however much signed factors cancel: while
-    the product of the factors' l1 norms fits a 64-bit slot, the factors
-    are packed at that width, where its looseness costs little, and their
-    packed values are multiplied pairwise, as a balanced tree.  Above it
-    the list is split in halves, each multiplied out the same way, and
-    the halves are multiplied by _mul_coeffs at the width their
-    coefficients need.  64 bits is the widest slot of the array codec
-    (module docstring), so every packed product here runs on machine
-    words.  A factor given as a tuple has its l1 norm and its packed
-    value at each width taken once and kept (_factor_memo), since
-    cyclo.expand passes the same cached Phi_d on every call; a list is
-    measured and packed anew.  While every call packed its factors, 64
-    bits was the fastest of 32, 64 and 128 both on expanding every
-    qbinom(n, k), n <= 45, from its cyclotomic factors and on n = 80 and
-    100.  With the factors packed once, 32 and 64 bits time alike there,
-    within the 1.5x spread of a shared 2-vCPU host, and 128 bits is
-    about 2x slower at n = 80 and 100.  The empty product is [1].
+    The slots are kept narrow however much signed factors cancel.  While
+    the product of the factors' l1 norms, which bounds every coefficient
+    of their product, fits 31 bits, the factors are packed in slots of
+    8, 16 or 32 bits and their packed values are multiplied pairwise, as
+    a balanced tree.  Above it the list is split in halves, each
+    multiplied out the same way, and the two exact halves are multiplied
+    by _mul_kronecker, whose Cauchy-Schwarz width follows the size of
+    their actual coefficients.  For qbinom(45, 22), whose coefficients
+    have 36 bits, it is 37 bits where the l1 norms of its cyclotomic
+    factors multiply to 96.  Over the 3,248 such products in expanding
+    every qbinom(n, k), n <= 60, it exceeds the bits of the largest
+    coefficient by 0 to 11, and by at most 2 in 2,600 of them.  A factor
+    given as a tuple has its l1 norm and its packed value at each width
+    taken once and kept (_factor_memo), since cyclo.expand passes the
+    same cached Phi_d on every call; a list is measured and packed anew.
+    The empty product is [1].
 
     >>> product([[1, 1], [-1, 1]]), product([])
     ([-1, 0, 1], [1])
@@ -561,8 +571,9 @@ def product(factors) -> list[int]:
     if len(factors) <= 1:
         return list(factors[0]) if factors else [1]
     memos = [_factor_memo(f) if isinstance(f, tuple) else (sum(map(abs, f)), {}) for f in factors]
+    # every coefficient of the product is at most prod l1(f) < 2^bits(bound) in absolute value
     bound = prod(l1 for l1, _ in memos)
-    if bound.bit_length() < 64:
+    if bound.bit_length() < 32:
         bits = _slot_bits(bound.bit_length() + 1)
         nbytes = bits >> 3
         values = []
@@ -573,17 +584,17 @@ def product(factors) -> list[int]:
             values.append(value)
         while len(values) > 1:  # neighbours in pairs; an odd last one waits a round
             values = [*map(operator.mul, values[::2], values[1::2]), *values[len(values) & ~1 :]]
-        return _unpack(values[0], bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
+        return _unpacked(values[0], bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
     half = len(factors) // 2
-    return _mul_coeffs(product(factors[:half]), product(factors[half:]))
+    return _mul_kronecker(product(factors[:half]), product(factors[half:]))
 
 
 @functools.lru_cache(maxsize=1 << 8)
 def _factor_memo(f: tuple) -> tuple[int, dict[int, int]]:
     """The l1 norm of the factor f and its packed values by slot width.
 
-    product fills the dict, one entry per width it packs f at: 8, 16, 32
-    or 64 bits, so the memo stays within 4 values for each of its 256
+    product fills the dict, one entry per width it packs f at: 8, 16 or
+    32 bits, so the memo stays within 3 values for each of its 256
     factors.
     """
     return sum(map(abs, f)), {}

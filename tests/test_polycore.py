@@ -2,6 +2,7 @@
 
 import functools
 from itertools import islice
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -378,7 +379,7 @@ class TestProduct:
     @given(st.lists(signed_factors.map(lambda f: list(IntPoly(f).coeffs)).filter(bool),
                     max_size=12))
     def test_matches_chained_convolution(self, factors):
-        # past 64 bits of l1 norm the list is split, below it packed whole;
+        # from 32 bits of l1 norm the list is split, below it packed whole;
         # tuples go through the memo of packed factors, lists do not
         want = functools.reduce(conv, factors, [1])
         assert product(factors) == want
@@ -387,21 +388,58 @@ class TestProduct:
     @pytest.mark.parametrize("count", range(10))
     @given(data=st.data())
     def test_packed_tree_of_any_count(self, count, data):
-        # small factors keep the l1 bound under 64 bits, so the whole list
-        # is packed and multiplied as a pairwise tree, odd counts included
+        # small factors keep the l1 bound under 32 bits, but for the largest
+        # draws of 9 factors, so the whole list is packed and multiplied as
+        # a pairwise tree, odd counts included
         factor = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(lambda f: f[-1])
         factors = data.draw(st.lists(factor, min_size=count, max_size=count))
         assert product(factors) == functools.reduce(conv, factors, [1])
 
+    def test_signed_factors_across_the_split(self):
+        # cyclotomic factors and signed factors with large coefficients, whose
+        # l1 norms multiply past 32 and then past 64 bits: packed whole, split
+        # once, split again; as lists and as tuples
+        factors = [list(cyclotomic(d).coeffs) for d in (1, 2, 6, 10, 15, 30, 105)]
+        factors += [[-(3**15), 0, 7, -1], [5, -(2**40), 1], [1, 0, 0, -(7**9)], [-1, 2**33]]
+        crossed = set()
+        for count in range(1, len(factors) + 1):
+            fs = factors[:count]
+            want = functools.reduce(conv, fs, [1])
+            crossed.add(prod(sum(map(abs, f)) for f in fs).bit_length() // 32)
+            assert product(fs) == want, count
+            assert product([tuple(f) for f in fs]) == want, count
+        assert {0, 1, 2} <= crossed
+
+    @pytest.mark.parametrize("length,boundary,wider", [(2, 32, 64), (8, 32, 64), (2, 72, 80)])
+    def test_cauchy_schwarz_width_is_met(self, monkeypatch, length, boundary, wider):
+        # a = b = [m] * length meets |c_k| <= ||a||_2 ||b||_2 at its middle
+        # coefficient, length * m^2: just below 2^(boundary - 1) it fits the
+        # slot of boundary bits, which max|a| max|b| min(len) would not give,
+        # and at 2^(boundary - 1) it takes the next wider slot
+        widths = []
+        pack = polycore._pack
+        monkeypatch.setattr(polycore, "_pack",
+                            lambda cs, w, nbytes: widths.append(w) or pack(cs, w, nbytes))
+        top = 1 << (boundary - 1)
+        m = isqrt(top // length)
+        assert length * m * m == top
+        for m, bits in ((m - 1, boundary), (m, wider)):
+            widths.clear()
+            a = [m] * length
+            out = _mul_kronecker(a, a)
+            assert out == conv(a, a) and max(out) == length * m * m
+            assert widths == [bits, bits]
+            assert 2 * m.bit_length() + length.bit_length() + 1 > boundary
+
     def test_factor_memo_stays_bounded(self):
         memo = polycore._factor_memo
         memo.cache_clear()
-        # one factor at every machine-word width: 8, 16, 32 and 64 bits,
-        # then past 64 bits of l1 norm, where the list is split, not packed
+        # one factor at every packed width: 8, 16 and 32 bits, then from 32
+        # bits of l1 norm, where the list is split and the memo is not read
         f = (1, 1)
         for big in (1, 2**10, 2**20, 2**40, 2**70):
             assert product([f, (1, big)]) == [1, big + 1, big]
-        assert sorted(memo(f)[1]) == [8, 16, 32, 64]
+        assert sorted(memo(f)[1]) == [8, 16, 32]
         size = memo.cache_info().maxsize
         for i in range(1, 2 * size):
             product([(1, i), (i, 1)])
@@ -413,6 +451,14 @@ class TestEvalAndContent:
         assert IntPoly("1 + q + q^2").evaluate(1) == 3
         assert IntPoly("[1, 0, 1]").evaluate(1) == 2
         assert IntPoly("[1, 1, 2, 1, 1]").evaluate(1) == 6
+
+    @given(polys, st.integers(-2, 2))
+    def test_eval_matches_horner(self, a, x):
+        # x = 1 takes the coefficient sum, the other points Horner's rule
+        want = 0
+        for c in reversed(a.coeffs):
+            want = want * x + c
+        assert a.evaluate(x) == want
 
     def test_eval_negative_point(self):
         assert IntPoly("[1, 0, 1]").evaluate(-1) == 2
