@@ -423,19 +423,19 @@ class TestProduct:
         top = 1 << (boundary - 1)
         m = isqrt(top // length)
         assert length * m * m == top
+        assert 2 * (m - 1).bit_length() + length.bit_length() + 1 > boundary
         for m, bits in ((m - 1, boundary), (m, wider)):
             widths.clear()
             a = [m] * length
             out = _mul_kronecker(a, a)
             assert out == conv(a, a) and max(out) == length * m * m
             assert widths == [bits, bits]
-            assert 2 * m.bit_length() + length.bit_length() + 1 > boundary
 
     def test_factor_memo_stays_bounded(self):
         memo = polycore._factor_memo
         memo.cache_clear()
         # one factor at every packed width: 8, 16 and 32 bits, then from 32
-        # bits of l1 norm, where the list is split and the memo is not read
+        # bits of l1 norm, where the list is split and f is not packed
         f = (1, 1)
         for big in (1, 2**10, 2**20, 2**40, 2**70):
             assert product([f, (1, big)]) == [1, big + 1, big]
