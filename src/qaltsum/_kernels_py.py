@@ -1,9 +1,9 @@
 """Pure-Python arithmetic kernels: dense convolution and long division.
 
-divexact_steps is the long division behind polycore._divide: it decides
-every division and supplies the witness of a failed one.  cyclo.residue
-ends in it, and so does every remainder modulo Phi_d^e that qcomb,
-sums and verify take.  polycore multiplies without mul_schoolbook, which
+divexact_steps is the one long division: it decides every division and
+supplies the witness of a failed one, and polycore.divexact is its only
+public entry.  cyclo.residue ends in it, and so does every remainder
+modulo Phi_d^e that qcomb, sums and verify take.  polycore multiplies without mul_schoolbook, which
 stays as the benchmark harness's reference convolution in perfbench/.
 """
 

@@ -21,10 +21,10 @@ and unpacked by a few C calls per polynomial: array writes each digit
 as a two's-complement word, and flipping each word's top bit turns it
 into c + 2^(w-1), an unsigned slot read by one int.from_bytes less the
 bias sum 2^(w-1) 2^(w i); unpacking adds the bias and runs the same
-steps backwards.  Wider slots are byte-aligned and packed coefficient
-by coefficient: the nonnegative and the negative coefficients as two
-unsigned integers that are subtracted, and unpacking reads biased
-unsigned slots.
+steps backwards.  Wider slots are byte-aligned, each written by
+int.to_bytes as the same unsigned c + 2^(w-1) and read back one by one.
+Every slot width is proven wide enough, so a value with no balanced
+form is a fault, and unpacking raises AssertionError on it.
 
 A whole signed sum of products, sum sign * q^shift * prod f^e, is
 evaluated the same way by packed_sum (Harvey, J. Symbolic Comput. 44,
@@ -38,12 +38,12 @@ multiplies larger groups as two halves whose Kronecker slot comes from
 the Cauchy-Schwarz bound on the halves' actual coefficients.  The
 packing format is private to this module.
 
-Every divisibility decision is made by one private routine, _divide,
-which is long division (divexact_steps): it supplies the quotient of an
-exact division and the remainder and failing step that NotDivisible
-carries.  divexact and divides only read its answer.  Division by
-q^m - 1 has its own step (divmod_qm1), per-residue-class suffix sums,
-and cyclo reduces modulo Phi_d^e through it.
+Every divisibility decision is made by one long division,
+divexact_steps: it supplies the quotient of an exact division and the
+remainder and failing step that NotDivisible carries, and divexact is
+its only public entry.  Division by q^m - 1 has its own step
+(divmod_qm1), per-residue-class suffix sums, and cyclo reduces modulo
+Phi_d^e through it.
 
 Two text forms are supported and emitted bit-exactly:
 
@@ -61,7 +61,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import gcd, prod
 from typing import Iterable, Iterator, Union
 
@@ -79,7 +79,6 @@ __all__ = [
     "monomial",
     "divexact",
     "divexact_qm1",
-    "divides",
     "divmod_qm1",
     "mul_qm1",
     "packed_sum",
@@ -425,18 +424,18 @@ def _mul_kronecker(a, b):
     squares = sum(map(operator.mul, a, a)) * sum(map(operator.mul, b, b))
     bits = _slot_bits(min(terms, (squares.bit_length() + 1) >> 1) + 1)
     nbytes = bits >> 3
-    return _unpacked(_pack(a, bits, nbytes) * _pack(b, bits, nbytes), bits, nbytes,
-                     len(a) + len(b) - 1)
+    return _unpack(_pack(a, bits, nbytes) * _pack(b, bits, nbytes), bits, nbytes,
+                   len(a) + len(b) - 1)
 
 
 def _pack(coeffs, bits, nbytes):
     """The value of the polynomial at 2**bits, each c a balanced digit.
 
-    Slots of 1, 2, 4 or 8 bytes go through array (module docstring):
-    two's-complement words, little-endian on every host, their top bits
-    flipped, read as one unsigned integer less the bias.  Wider slots
-    pack the nonnegative and the negative parts separately, so no borrow
-    runs from one slot into the next.
+    Every slot is written as the unsigned c + 2**(bits-1) and the whole
+    is read as one unsigned integer less the bias, so no borrow runs from
+    one slot into the next.  Slots of 1, 2, 4 or 8 bytes go through array
+    (module docstring): two's-complement words, little-endian on every
+    host, their top bits flipped.  Wider slots are written by to_bytes.
     """
     code = _WORD_CODES.get(nbytes)
     if code is not None:
@@ -445,50 +444,37 @@ def _pack(coeffs, bits, nbytes):
             words.byteswap()
         buf = bytearray(words)
         buf[nbytes - 1 :: nbytes] = buf[nbytes - 1 :: nbytes].translate(_FLIP)
-        return int.from_bytes(buf, "little") - _bias(nbytes, len(coeffs))
-    if min(coeffs) >= 0:
-        return int.from_bytes(
-            b"".join(map(int.to_bytes, coeffs, repeat(nbytes), repeat("little"))), "little"
-        )
-    zero = bytes(nbytes)
-    pos = b"".join([c.to_bytes(nbytes, "little") if c > 0 else zero for c in coeffs])
-    neg = b"".join([(-c).to_bytes(nbytes, "little") if c < 0 else zero for c in coeffs])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    else:
+        half = 1 << (bits - 1)
+        buf = b"".join([(c + half).to_bytes(nbytes, "little") for c in coeffs])
+    return int.from_bytes(buf, "little") - _bias(nbytes, len(coeffs))
 
 
 def _unpack(value, bits, nbytes, n):
-    """The n balanced slot digits of value, or None if it has no such form.
+    """The n balanced slot digits of value; AssertionError if it has no such form.
 
     Adding 2**(bits-1) to every slot (the bias 0x80...80) turns the
     balanced digits in [-2**(bits-1), 2**(bits-1)) into unsigned ones; the
-    value is representable exactly when the biased value fits in n slots.
-    Slots of 1, 2, 4 or 8 bytes are then read back by array, after their
-    top bits are flipped to give two's-complement words; wider slots are
-    read one by one.
+    value is representable exactly when the biased value fits in n slots,
+    which every caller's slot width guarantees.  Slots of 1, 2, 4 or 8
+    bytes are then read back by array, after their top bits are flipped
+    to give two's-complement words; wider slots are read one by one.
     """
     biased = value + _bias(nbytes, n)
     if biased < 0 or biased >> (bits * n):
-        return None
+        raise AssertionError("Kronecker decode imbalance")
+    buf = biased.to_bytes(n * nbytes, "little")
     code = _WORD_CODES.get(nbytes)
     if code is not None:
-        buf = bytearray(biased.to_bytes(n * nbytes, "little"))
+        buf = bytearray(buf)
         buf[nbytes - 1 :: nbytes] = buf[nbytes - 1 :: nbytes].translate(_FLIP)
         words = array(code, buf)
         if sys.byteorder == "big":
             words.byteswap()
         return words.tolist()
-    buf = biased.to_bytes(n * nbytes, "little")
     half = 1 << (bits - 1)
     from_bytes = int.from_bytes
     return [from_bytes(buf[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
-
-
-def _unpacked(value, bits, nbytes, n):
-    """_unpack of a value whose slot width was proven wide enough."""
-    out = _unpack(value, bits, nbytes, n)
-    if out is None:
-        raise AssertionError("Kronecker decode imbalance")
-    return out
 
 
 def packed_sum(terms) -> list[int]:
@@ -539,7 +525,7 @@ def packed_sum(terms) -> list[int]:
             total -= value << (bits * shift)
         else:
             total += value << (bits * shift)
-    out = _unpacked(total, bits, nbytes, n)
+    out = _unpack(total, bits, nbytes, n)
     while out and not out[-1]:
         out.pop()
     return out
@@ -584,7 +570,7 @@ def product(factors) -> list[int]:
             values.append(value)
         while len(values) > 1:  # neighbours in pairs; an odd last one waits a round
             values = [*map(operator.mul, values[::2], values[1::2]), *values[len(values) & ~1 :]]
-        return _unpacked(values[0], bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
+        return _unpack(values[0], bits, nbytes, sum(len(f) - 1 for f in factors) + 1)
     half = len(factors) // 2
     return _mul_kronecker(product(factors[:half]), product(factors[half:]))
 
@@ -606,44 +592,21 @@ def _factor_memo(f: tuple) -> tuple[int, dict[int, int]]:
 def divexact(a, b) -> IntPoly:
     """Exact quotient a / b in Z[q]; raises NotDivisible otherwise.
 
-    b need not be monic, but then every leading-coefficient division has
-    to be exact on its own.
+    The one public entry to the long division, divexact_steps.  b need
+    not be monic, but then every leading-coefficient division has to be
+    exact on its own.  A zero b raises ZeroDivisionError.
 
     >>> divexact(IntPoly("[-1, 0, 0, 0, 1]"), IntPoly("[-1, 1]"))
     IntPoly('1 + q + q^2 + q^3')
     """
-    a, b = _poly(a), _poly(b)
-    quot, rem, step = _divide(a.coeffs, b.coeffs)
+    a = a if isinstance(a, IntPoly) else IntPoly(a)
+    b = b if isinstance(b, IntPoly) else IntPoly(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot, rem, step = divexact_steps(a.coeffs, b.coeffs)
     if quot is None or rem:
         raise NotDivisible(a, b, remainder=IntPoly(rem), step=step if quot is None else None)
     return IntPoly(quot)
-
-
-def divides(a, b) -> bool:
-    """Whether b divides a in Z[q]: the decision of divexact, without its witness.
-
-    >>> divides(IntPoly("[-1, 0, 0, 0, 1]"), IntPoly("[-1, 1]")), divides(Q, IntPoly(2))
-    (True, False)
-    """
-    quot, rem, _ = _divide(_poly(a).coeffs, _poly(b).coeffs)
-    return quot is not None and not rem
-
-
-def _poly(value) -> IntPoly:
-    return value if isinstance(value, IntPoly) else IntPoly(value)
-
-
-def _divide(a, b):
-    """Long division of the coefficient list a by b: every divisibility decision.
-
-    The triple (quot, rem, step) is divexact_steps': b divides a exactly
-    when quot is not None and rem is empty.  b must be canonical and
-    nonzero; a may be zero, shorter than b (then quot == [] and rem == a,
-    trimmed) or end in zeros.
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    return divexact_steps(a, b)
 
 
 # -- congruence witnesses ------------------------------------------------------

@@ -122,7 +122,8 @@ def qbinom(n: int, k: int) -> IntPoly:
     return _qbinom_product(n, min(k, n - k))
 
 
-# Enough for the factors of one sum: the triple sum at n has 3(n + 1).
+# qbinom's cache serves the printed moduli, the full q sums and the
+# witnesses they give, the inspect command, and the q-binomial oracle.
 _QBINOMS = 1 << 10
 
 
@@ -193,7 +194,7 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 # q-Lucas for the simple factors of F and the rows for the repeated ones.
 # qlucas_check and the residue path both read the rows from _row_mod.
 # _qbinom_mod, a cache over the same rows, is on no path of the package:
-# only the tests call it, and the benchmark's spans read its cache_info().
+# its only reader is perfbench/spans.py, which reads its cache_info().
 
 Row = tuple[tuple[int, ...], ...]
 

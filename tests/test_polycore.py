@@ -23,7 +23,6 @@ from qaltsum.polycore import (
     _unpack,
     divexact,
     divexact_qm1,
-    divides,
     divmod_qm1,
     monomial,
     mul_qm1,
@@ -220,27 +219,25 @@ monic_lists = st.one_of(
 
 
 class TestSharedDivision:
-    """polycore._divide and its long division, behind divexact, divides and q-Lucas."""
+    """divexact_steps, the one long division behind divexact, cyclo.residue and q-Lucas."""
 
     @given(monic_lists, st.lists(st.integers(-(10**6), 10**6), max_size=50))
     def test_remainder_modulo_monic_matches_oracle(self, b, a):
-        rem = poly_rem_brute(a, b)
-        assert polycore._divide(a, b)[1] == _kernels_py.divexact_steps(a, b)[1] == rem
+        assert _kernels_py.divexact_steps(a, b)[1] == poly_rem_brute(a, b)
 
     @given(monic_lists, quotient_lists, st.lists(st.integers(-(10**3), 10**3), max_size=11))
     def test_multiple_plus_remainder(self, b, q, r):
         r = r[: len(b) - 1]
         a = poly_add(conv(b, q), r)
-        assert polycore._divide(conv(b, q), b) == (q, [], -1)
-        assert polycore._divide(a, b)[1] == poly_rem_brute(a, b) == poly_add(r, [])
+        assert _kernels_py.divexact_steps(conv(b, q), b) == (q, [], -1)
+        assert _kernels_py.divexact_steps(a, b)[1] == poly_rem_brute(a, b) == poly_add(r, [])
 
     @given(canonical_lists.filter(bool), st.data())
     def test_shorter_and_zero_dividends(self, b, data):
-        assert polycore._divide([], b) == ([], [], -1)
+        assert _kernels_py.divexact_steps([], b) == ([], [], -1)
         a = data.draw(st.lists(st.integers(-(10**6), 10**6), max_size=len(b) - 1))
         rem = list(IntPoly(a).coeffs)
-        assert polycore._divide(a, b) == ([], rem, -1)
-        assert divides(IntPoly(a), IntPoly(b)) == (not rem)
+        assert _kernels_py.divexact_steps(a, b) == ([], rem, -1)
         if rem:
             with pytest.raises(NotDivisible) as exc:
                 divexact(IntPoly(a), IntPoly(b))
@@ -286,9 +283,9 @@ class TestPacking:
         assert _unpack(value, bits, nbytes, len(cs)) == cs
 
     def test_values_without_a_balanced_form_decode_to_none(self):
-        assert _unpack(1 << 7, 8, 1, 1) is None
-        assert _unpack(-(1 << 7) - 1, 8, 1, 1) is None
-        assert _unpack(1 << 16, 8, 1, 2) is None
+        for value, n in ((1 << 7, 1), (-(1 << 7) - 1, 1), (1 << 16, 2)):
+            with pytest.raises(AssertionError, match="Kronecker decode imbalance"):
+                _unpack(value, 8, 1, n)
         assert _unpack(-(1 << 7), 8, 1, 1) == [-(1 << 7)]
         assert _unpack((1 << 7) - 1 + (3 << 8), 8, 1, 2) == [127, 3]
 
@@ -298,9 +295,21 @@ class TestPacking:
         half = 1 << (bits - 1)
         for value, n in ((half, 1), (-half - 1, 1), (1 << (2 * bits), 2), (half << bits, 2),
                          (-(half << bits) - half - 1, 2), (-(1 << (3 * bits)), 3)):
-            assert _unpack(value, bits, nbytes, n) is None
+            with pytest.raises(AssertionError, match="Kronecker decode imbalance"):
+                _unpack(value, bits, nbytes, n)
         assert _unpack(-half, bits, nbytes, 1) == [-half]
         assert _unpack(((half - 1) << bits) - half, bits, nbytes, 2) == [-half, half - 1]
+
+    def test_every_decode_is_checked(self, monkeypatch):
+        # in slots forced to 8 bits, a product whose leading coefficient,
+        # 100^2, does not fit one has no balanced form: each caller that
+        # decodes raises on it rather than return digits
+        monkeypatch.setattr(polycore, "_slot_bits", lambda nbits: 8)
+        f = [1] * 199 + [100]
+        for decode in (lambda: _mul_kronecker(f, f), lambda: packed_sum([(1, 0, [(f, 2)])]),
+                       lambda: product([f, f])):
+            with pytest.raises(AssertionError, match="Kronecker decode imbalance"):
+                decode()
 
     def test_slot_widths(self):
         # powers of two up to a machine word, byte-aligned past it

@@ -208,11 +208,10 @@ class TestQPascalRowsModPhi:
             for n in range(41):
                 for k in range(n + 1):
                     want = tuple(poly_rem_brute(qbinom(n, k).coeffs, mod))
-                    assert qcomb._qbinom_mod(n, k, d) == want, (n, k, d)
+                    assert qcomb._row_mod(n, d, 1)[k] == want, (n, k, d)
 
     def test_concurrent_callers_get_exact_rows(self, monkeypatch):
         monkeypatch.setattr(qcomb, "_ROWS", qcomb._RowStore(qcomb._ROW_BUDGET))
-        qcomb._qbinom_mod.cache_clear()
         steps = qcomb.divexact_steps
 
         def yielding_steps(coeffs, mod):
@@ -227,11 +226,10 @@ class TestQPascalRowsModPhi:
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                calls = pool.map(lambda n: (n, qcomb._qbinom_mod(n, n // 2, d)), ns, timeout=120)
+                calls = pool.map(lambda n: (n, qcomb._row_mod(n, d, 1)[n // 2]), ns, timeout=120)
                 got = list(calls)
         finally:
             sys.setswitchinterval(interval)
-            qcomb._qbinom_mod.cache_clear()
         mod = cyclotomic(d).coeffs
         for n, residue in got:
             assert residue == tuple(steps(qbinom(n, n // 2).coeffs, mod)[1]), n
@@ -382,7 +380,7 @@ class TestReducedQBinomials:
             for n in range(25):
                 for k in range(n + 1):
                     want = tuple(poly_rem_brute(qbinom(n, k).coeffs, mod))
-                    assert qcomb._qbinom_mod(n, k, d, e) == want, (n, k, d, e)
+                    assert qcomb._row_mod(n, d, e)[k] == want, (n, k, d, e)
 
     def test_digit_residue_outside_the_range_is_zero(self):
         assert qcomb._digit_residue(5, 2, 3) == () == qcomb._digit_residue(5, 2, -1)

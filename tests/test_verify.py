@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qaltsum import verify
 from qaltsum.cyclo import cyclotomic, q_int
-from qaltsum.polycore import IntPoly, InvalidArgument, divides, monomial
+from qaltsum.polycore import ZERO, IntPoly, InvalidArgument, divexact, monomial
 from qaltsum.qcomb import binom, nu_p_int, qbinom
 from qaltsum.sums import alt_power_sum, gjz_sum, pattern_sum, triple_sum, triple_sum_degree
 from qaltsum.verify import (
@@ -75,11 +75,15 @@ def _divides_pairs():
 
 
 class TestDivides:
-    """divides answers as check_congruence does, on every division outcome."""
+    """check_congruence's witness on every division outcome."""
 
     @pytest.mark.parametrize("a,b", _divides_pairs())
     def test_agrees_with_check_congruence(self, a, b):
-        assert divides(a, b) is check_congruence(a, b).holds
+        w = check_congruence(a, b)
+        if w.holds:
+            assert w.quotient * b == a and w.remainder is None
+        else:
+            assert w.quotient is None and w.remainder
 
     def test_pairs_reach_every_path(self):
         holds = [check_congruence(a, b).holds for a, b in _divides_pairs()]
@@ -87,13 +91,14 @@ class TestDivides:
 
     def test_printed_t2c2_moduli(self):
         # for n <= 5 the printed form, [3] at q^(2^alpha), fails only at n = 3
-        assert [divides(*_printed_t2c2(n, 1, 1, 1)) for n in range(1, 6)] == [
+        assert [check_congruence(*_printed_t2c2(n, 1, 1, 1)).holds for n in range(1, 6)] == [
             True, True, False, True, True]
 
     def test_zero_cases(self):
-        assert divides(IntPoly(), IntPoly("1 + q"))
+        assert divexact(IntPoly(), IntPoly("1 + q")) == ZERO
+        assert check_congruence(IntPoly(), IntPoly("1 + q")).holds
         with pytest.raises(ZeroDivisionError):
-            divides(IntPoly("q"), IntPoly())
+            divexact(IntPoly("q"), IntPoly())
 
 
 class TestIdentities:
@@ -394,7 +399,7 @@ class TestQResiduePath:
                 holds, degree, dividend = _full_q_report(claim, params)
                 assert (rep.holds, rep.quotient_degree) == (holds, degree), params
                 if claim == "t2c2":
-                    printed = divides(dividend, _printed_t2c2(n, *rst)[1])
+                    printed = check_congruence(dividend, _printed_t2c2(n, *rst)[1]).holds
                     assert rep.case.derivation_note.endswith(
                         " also divides" if printed else " does NOT divide"), params
 
@@ -424,7 +429,8 @@ class TestQResiduePath:
         # 3 * 2^j for j <= alpha: at n = 8 the printed modulus has four more factors
         rep = run_case("t2c2", {"n": 8, "r": 1, "s": 1, "t": 1})[0]
         dividend, printed = _printed_t2c2(8, 1, 1, 1)
-        want = "also divides" if divides(dividend, printed) else "does NOT divide"
+        holds = check_congruence(dividend, printed).holds  # this module's binding, not verify's
+        want = "also divides" if holds else "does NOT divide"
         assert rep.holds and rep.case.derivation_note.endswith(want)
 
     def test_nonzero_residue_reruns_the_full_path(self, monkeypatch):
