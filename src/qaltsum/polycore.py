@@ -357,12 +357,6 @@ def divexact_qm1(coeffs, m: int) -> list[int]:
 def _mul_coeffs(a, b):
     if not a or not b:
         return []
-    if len(b) == 1:
-        s = b[0]
-        return [c * s for c in a]
-    if len(a) == 1:
-        s = a[0]
-        return [c * s for c in b]
     annz = len(a) - a.count(0)
     bnnz = len(b) - b.count(0)
     if annz > bnnz:  # sparser operand first: it drives the outer loops

@@ -187,7 +187,8 @@ def qbinom_factored(n: int, k: int) -> CycloFactorization:
 # rows of qbinom, under one budget: line (d, e) holds the rows modulo
 # Phi_d^e, line n the q-binomials qb(n, k).  The q-Lucas digits keep
 # their own per-x cursors, which hold one q-binomial each and go through
-# neither the store nor qbinom's cache.
+# neither the store nor qbinom's cache.  A cursor steps forward to the y
+# asked for, or starts again from qb(x, 0) when y is behind it.
 #
 # qlucas_check compares the two, so they share no code path above the
 # division.  The sums' residue path (sums.triple_sum(..., modulo=F)) takes
@@ -306,45 +307,34 @@ def _qbinom_mod(n: int, k: int, d: int, e: int = 1) -> tuple[int, ...]:
 
 # x -> (y, coefficients of qb(x, y)): the product formula walked along
 # y, at most _MAX_CURSORS of them, the least recently used dropped first.
-# Only the reduced residues are cached (_folded_residue); the cursors
+# Only the reduced residues are cached (_digit_residue); the cursors
 # hold the one q-binomial each that the next step starts from.
 _CURSORS: dict[int, tuple[int, list[int]]] = {}
 _CURSORS_LOCK = threading.Lock()
 _MAX_CURSORS = 4
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _digit_residue(d: int, x: int, y: int) -> tuple[int, ...]:
     """Residue of the q-binomial (x, y) modulo Phi_d, from the product formula.
 
     The q-binomial is reduced by cyclo.residue: folded modulo q^d - 1,
     which Phi_d divides, and the fold divided by Phi_d.  The residues are
-    cached (bounded), qb(x, y) and qb(x, x - y) as one entry, so that
-    equal residues are one tuple object.  Empty (zero) outside 0 <= y <= x.
+    cached (bounded) by the y asked for.  Empty (zero) outside 0 <= y <= x.
     """
     if y < 0 or y > x:
         return ()
-    return _folded_residue(d, x, min(y, x - y))
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _folded_residue(d: int, x: int, y: int) -> tuple[int, ...]:
     return tuple(cyclo.residue(_cursor_qbinom(x, y), d))
 
 
 def _cursor_qbinom(x: int, y: int) -> list[int]:
-    """qb(x, y) = qb(x, x - y), y <= x/2, walked on from the cursor of x.
-
-    The cursor steps on to whichever of y and x - y is ahead of it, unless
-    starting again from qb(x, 0) takes fewer steps; a request behind it
-    on both counts starts again.
-    """
+    """qb(x, y), walked on from the cursor of x, or from qb(x, 0) if y is behind it."""
     with _CURSORS_LOCK:
         at, coeffs = _CURSORS.pop(x, (0, [1]))
-        target = y if y >= at else x - y
-        if target < at or target - at > y:
-            at, coeffs, target = 0, [1], y
-        coeffs = _qbinom_steps(coeffs, x, at, target)
-        _CURSORS[x] = (target, coeffs)  # most recently used last
+        if y < at:
+            at, coeffs = 0, [1]
+        coeffs = _qbinom_steps(coeffs, x, at, y)
+        _CURSORS[x] = (y, coeffs)  # most recently used last
         while len(_CURSORS) > _MAX_CURSORS:
             del _CURSORS[next(iter(_CURSORS))]
     return coeffs

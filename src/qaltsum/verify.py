@@ -5,7 +5,8 @@ quotient degree): it materializes claim instances -- identities,
 congruences in Z or Z[q] (_congruence), valuation equalities and bounds
 (_valuation) -- as TheoremCases and performs the exact checks.  One table, _CLAIMS, maps
 every claim id to its generator, called as build(claim_id, **params),
-and run_case is the only dispatcher.  One runner, _timed, turns outcomes
+and run_case is the only dispatcher but one: verify_thm1 calls _timed
+itself, so that it raises InfeasibleScale.  One runner, _timed, turns outcomes
 into VerificationReports and times them: a report's elapsed covers
 everything computed for it, from the dividend and the modulus to the
 check.  A report with holds=False means the implementation is broken
@@ -548,7 +549,7 @@ def verify_lemmas(n: int, p: int, r: int) -> list[VerificationReport]:
     lemma24: each pattern-restricted q sum is divisible by the matching
              product of prime-power cyclotomics.
     """
-    return _timed(_lemmas("lemmas", n, p, r))
+    return run_case("lemmas", {"n": n, "p": p, "r": r})
 
 
 def _lemmas(claim_id: str, n: int, p: int, r: int) -> Iterator[Outcome]:
@@ -648,7 +649,7 @@ _CLAIMS: dict[str, Callable[..., Iterator[Outcome]]] = {
 def run_case(claim_id: str, params: dict) -> list[VerificationReport]:
     """Run one claim instance by id; always returns a list of reports.
 
-    The only dispatcher.  A case whose exponent exceeds its budget is
+    The only dispatcher but verify_thm1's.  A case whose exponent exceeds its budget is
     reported as not evaluated (holds None) instead of raising
     InfeasibleScale, so that it does not sink the rest of a sweep.
     """
