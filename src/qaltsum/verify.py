@@ -6,8 +6,8 @@ congruences in Z or Z[q] (_congruence), valuation equalities and bounds
 (_valuation) -- as TheoremCases and performs the exact checks.  One table, _CLAIMS, maps
 every claim id to its generator, called as build(claim_id, **params),
 and run_case is the only dispatcher but one: verify_thm1 calls _timed
-itself, so that it raises InfeasibleScale.  One runner, _timed, turns outcomes
-into VerificationReports and times them: a report's elapsed covers
+itself, so that it raises InfeasibleScale.  One runner, _timed, turns
+outcomes into VerificationReports and times them: a report's elapsed covers
 everything computed for it, from the dividend and the modulus to the
 check.  A report with holds=False means the implementation is broken
 (every asserted claim is a proven statement), so batch runners must
@@ -649,9 +649,9 @@ _CLAIMS: dict[str, Callable[..., Iterator[Outcome]]] = {
 def run_case(claim_id: str, params: dict) -> list[VerificationReport]:
     """Run one claim instance by id; always returns a list of reports.
 
-    The only dispatcher but verify_thm1's.  A case whose exponent exceeds its budget is
-    reported as not evaluated (holds None) instead of raising
-    InfeasibleScale, so that it does not sink the rest of a sweep.
+    The only dispatcher but verify_thm1's.  A case whose exponent exceeds
+    its budget is reported as not evaluated (holds None) instead of
+    raising InfeasibleScale, so that it does not sink the rest of a sweep.
     """
     return _timed(_case(claim_id, params))
 
