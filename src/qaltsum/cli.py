@@ -3,19 +3,19 @@
 Verification sweeps expand the given parameter ranges in lexicographic
 order (at most MAX_CASES cases, each exponent of a calkin sweep counted
 as one), run every case (optionally across worker processes) until the
-first failed check, and emit the reports as pretty text, JSON or CSV on
-stdout.  Report content for a fixed configuration is deterministic
-regardless of parallelism; only the elapsed_ms fields (the wall time of
-each report) vary.  Exit codes: 0 all checks hold (or are not
-applicable), 1 at least one check failed (counterexample on stderr), 2
-usage or configuration error, 3 internal error (one line on stderr).
+first failed check, and write the reports as pretty text, JSON or CSV to
+stdout, each one as soon as it is encoded.  Report content for a fixed
+configuration is deterministic regardless of parallelism; only the
+elapsed_ms fields (the wall time of each report) vary.  Exit codes: 0
+all checks hold (or are not applicable), 1 at least one check failed
+(counterexample on stderr), 2 usage or configuration error, 3 internal
+error (one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from itertools import product
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from . import cyclo, qcomb, sums, verify
 from .polycore import IntPoly, InvalidArgument
@@ -211,11 +212,13 @@ def _indented(value, pad: str = "\n") -> str:
 
     json.dumps uses its C encoder only without indent; here the layout
     is written in Python and every string goes through the C
-    encode_basestring_ascii.  Whatever is not a plain str, int, bool,
-    None, finite float, str-keyed dict, list or tuple (a non-finite
-    float, an int subclass, a non-str key, a type json rejects) goes to
-    json.dumps itself, for its exact output or its exact TypeError; the
-    replace is safe because ensure_ascii output holds no raw newline.
+    encode_basestring_ascii.  emit_report passes each value of a record
+    through here, at the record's depth.  Whatever is not a plain str,
+    int, bool, None, finite float, str-keyed dict, list or tuple (a
+    non-finite float, an int subclass, a non-str key, a type json
+    rejects) goes to json.dumps itself, for its exact output or its
+    exact TypeError; the replace is safe because ensure_ascii output
+    holds no raw newline.
     """
     kind = type(value)
     if kind is str:
@@ -227,7 +230,7 @@ def _indented(value, pad: str = "\n") -> str:
     if kind is float and math.isfinite(value):
         return float.__repr__(value)
     inner = pad + "  "
-    if kind is dict and all(type(key) is str for key in value):
+    if kind is dict and {*map(type, value)} <= {str}:
         if not value:
             return "{}"
         items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in value.items()]
@@ -240,36 +243,58 @@ def _indented(value, pad: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", pad)
 
 
-def emit_report(reports: list[VerificationReport], format: str = "pretty") -> str:
-    """Serialize reports with a stable field order.
+class _Echo:
+    """A stream whose write returns the text, so that csv.writer.writerow returns its line."""
 
-    Timings (elapsed_ms) are included but excluded from any determinism
-    guarantee.  The JSON form is exactly json.dumps(records, indent=2),
-    each record encoded as soon as it is built.
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def _encoded(reports: list[VerificationReport], format: str) -> Iterator[str]:
+    """The text of emit_report(reports, format), a record or a line at a time.
+
+    JSON fills one fixed layout per record: the REPORT_FIELDS keys at
+    depth 1, each value through _indented.  JSON and CSV build each
+    record with one moduli dict, so a call formats every distinct
+    modulus value once, however many reports share it.
     """
+    moduli: dict = {}
     if format == "json":
         if not reports:
-            return "[]"
-        return "[\n  " + ",\n  ".join([_indented(rep.record(), "\n  ") for rep in reports]) + "\n]"
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_FIELDS)
-        for rec in (rep.record() for rep in reports):
-            writer.writerow(
+            yield "[]"
+            return
+        pad, sep = "\n    ", "[\n  "
+        for rep in reports:
+            claim_id, params, modulus, holds, degree, note, ms = rep.record(moduli).values()
+            # an f-string, which builds the exact-size text; % and str.format
+            # over-allocate and raise the peak memory
+            yield (f'{sep}{{\n    "claim_id": {_indented(claim_id, pad)},'
+                   f'\n    "params": {_indented(params, pad)},'
+                   f'\n    "modulus": {_indented(modulus, pad)},'
+                   f'\n    "holds": {_indented(holds, pad)},'
+                   f'\n    "quotient_degree": {_indented(degree, pad)},'
+                   f'\n    "branch_note": {_indented(note, pad)},'
+                   f'\n    "elapsed_ms": {_indented(ms, pad)}\n  }}')
+            sep = ",\n  "
+        yield "\n]"
+    elif format == "csv":
+        rows = csv.writer(_Echo, lineterminator="\n")
+        yield rows.writerow(REPORT_FIELDS)
+        for rep in reports:
+            claim_id, params, modulus, holds, degree, note, ms = rep.record(moduli).values()
+            yield rows.writerow(
                 [
-                    rec["claim_id"],
-                    json.dumps(rec["params"]),
-                    rec["modulus"] if rec["modulus"] is not None else "",
-                    "na" if rec["holds"] is None else str(rec["holds"]).lower(),
-                    "" if rec["quotient_degree"] is None else rec["quotient_degree"],
-                    rec["branch_note"],
-                    rec["elapsed_ms"],
+                    claim_id,
+                    json.dumps(params),
+                    "" if modulus is None else modulus,
+                    "na" if holds is None else str(holds).lower(),
+                    "" if degree is None else degree,
+                    note,
+                    ms,
                 ]
             )
-        return buf.getvalue()
-    if format == "pretty":  # no modulus is printed, so no record() is built
-        lines = []
+    elif format == "pretty":  # no modulus is printed, so no record() is built
         held = failed = skipped = 0
         for rep in reports:
             params = " ".join(f"{k}={v}" for k, v in rep.case.params.items())
@@ -290,12 +315,23 @@ def emit_report(reports: list[VerificationReport], format: str = "pretty") -> st
                 if remainder is not None:
                     extra = f" (remainder {remainder})"
             note = f"  # {rep.case.derivation_note}" if rep.case.derivation_note else ""
-            lines.append(f"{rep.case.claim_id:12s} {params:40s} {status}{extra}{note}")
-        lines.append(
-            f"total {len(reports)}: {held} hold, {failed} failed, {skipped} not applicable"
-        )
-        return "\n".join(lines) + "\n"
-    raise InvalidArgument(f"unknown output format {format!r}")
+            yield f"{rep.case.claim_id:12s} {params:40s} {status}{extra}{note}\n"
+        yield f"total {len(reports)}: {held} hold, {failed} failed, {skipped} not applicable\n"
+    else:
+        raise InvalidArgument(f"unknown output format {format!r}")
+
+
+def emit_report(reports: list[VerificationReport], format: str = "pretty") -> str:
+    """Serialize reports with a stable field order.
+
+    Timings (elapsed_ms) are included but excluded from any determinism
+    guarantee.  The JSON form is exactly json.dumps(records, indent=2),
+    records being [rep.record() for rep in reports], written one record
+    at a time in a fixed layout (see _encoded); the CSV rows are
+    csv.writer's rows of the same records.  run writes these pieces to
+    stdout as they are encoded, where this joins them.
+    """
+    return "".join(_encoded(reports, format))
 
 
 def parse_report_json(text: str) -> list[dict]:
@@ -460,7 +496,7 @@ def run(argv=None) -> int:
             if not cases:
                 raise InvalidArgument("the requested sweep is empty")
             reports = run_sweep(cases, args.jobs)
-            sys.stdout.write(emit_report(reports, args.output))
+            sys.stdout.writelines(_encoded(reports, args.output))
             failures = [rep for rep in reports if rep.holds is False]
             if failures:
                 dump_counterexample(failures[0], sys.stderr)

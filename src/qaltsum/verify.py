@@ -144,16 +144,26 @@ class VerificationReport:
     elapsed: float = 0.0
     quotient_degree: Optional[int] = None
 
-    def record(self) -> dict:
-        """Serializable record with a stable field order."""
+    def record(self, moduli: Optional[dict] = None) -> dict:
+        """Serializable record with a stable field order.
+
+        moduli, if given, maps modulus values to their text and is filled
+        in as it is read, so that records built with one dict format each
+        distinct modulus value once.
+        """
+        modulus = self.case.expected_modulus
+        if modulus is None:
+            text = None
+        elif moduli is None:
+            text = modulus.coeff_list_str()
+        else:
+            text = moduli.get(modulus)
+            if text is None:
+                text = moduli[modulus] = modulus.coeff_list_str()
         return {
             "claim_id": self.case.claim_id,
             "params": self.case.params,
-            "modulus": (
-                self.case.expected_modulus.coeff_list_str()
-                if self.case.expected_modulus is not None
-                else None
-            ),
+            "modulus": text,
             "holds": self.holds,
             "quotient_degree": self.quotient_degree,
             "branch_note": self.case.derivation_note,

@@ -2,12 +2,15 @@
 
 import argparse
 import copy
+import csv
 import importlib
+import io
 import inspect
 import json
 import multiprocessing
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from qaltsum import cli, qcomb, sums, verify
 from qaltsum.cli import (
+    REPORT_FIELDS,
     build_cases,
     build_parser,
     emit_report,
@@ -293,7 +297,8 @@ class TestEmitReport:
         assert formatted == []
         assert text.count("HOLDS") + text.count("N/A") == len(reports) == 12
         emit_report(reports, "csv")
-        assert len(formatted) == sum(rep.case.expected_modulus is not None for rep in reports) > 0
+        # once per distinct modulus value: 6 values among the 10 moduli
+        assert len(formatted) == len({rep.case.expected_modulus for rep in reports} - {None}) > 0
 
     def test_json_round_trip(self):
         reports = verify.run_case("thm1", {"n": 2, "variant": "per_prime"})
@@ -376,6 +381,111 @@ class TestIndented:
             with pytest.raises(TypeError) as theirs:
                 json.dumps(value, indent=2)
             assert str(ours.value) == str(theirs.value)
+
+
+
+def _parent_csv(reports):
+    """The CSV text as csv.writer writes the rows of record(), one by one."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REPORT_FIELDS)
+    for rec in (rep.record() for rep in reports):
+        writer.writerow(
+            [
+                rec["claim_id"],
+                json.dumps(rec["params"]),
+                rec["modulus"] if rec["modulus"] is not None else "",
+                "na" if rec["holds"] is None else str(rec["holds"]).lower(),
+                "" if rec["quotient_degree"] is None else rec["quotient_degree"],
+                rec["branch_note"],
+                rec["elapsed_ms"],
+            ]
+        )
+    return buf.getvalue()
+
+
+_TEXTS = st.text() | st.sampled_from(["", "\n\t\x00\x1f\x7f", "\ud800", "\udfff x", '"\\,'])
+_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.sampled_from([2.5, "\ud800"])
+# coefficient lists drawn from a few, so that equal moduli recur as distinct objects
+_COEFFS = st.lists(st.integers() | st.integers(max_value=-(10**40)), max_size=6)
+_MODULI = (
+    st.none()
+    | st.builds(IntPoly, st.sampled_from([[], [0], [6], [-(10**50), 0, 3], [1, -1]]))
+    | st.builds(IntPoly, _COEFFS)
+)
+_REPORTS = st.builds(
+    lambda claim_id, params, modulus, note, holds, elapsed, degree: VerificationReport(
+        TheoremCase(claim_id, params, modulus, note), holds, None, elapsed, degree),
+    _TEXTS,
+    st.dictionaries(st.text(), _JSON_VALUES, max_size=4)
+    | st.dictionaries(_KEYS, _JSON_VALUES | st.just(_Colour.RED), max_size=4)
+    | st.sampled_from([{}, {"n": 3, "r": range(1, 4).stop}, {"ns": [[2, [1]], []]}]),
+    _MODULI,
+    _TEXTS,
+    st.sampled_from([True, False, None]),
+    st.floats(min_value=0.0, max_value=1e9) | st.sampled_from([0.0, 1.2345e-4, 2.5e-7]),
+    st.none() | st.integers() | st.integers(min_value=10**30) | st.integers(max_value=-1),
+)
+
+
+def _untimed(text):
+    """text with every elapsed_ms value, the last field of a JSON record or CSV row, as 0."""
+    return re.sub(r'("elapsed_ms": |,)[-+.e0-9]+$', r"\g<1>0", text, flags=re.M)
+
+
+class TestRecordLayout:
+    """JSON and CSV from the fixed record layout, with one modulus text per value."""
+
+    @given(st.lists(_REPORTS, max_size=6))
+    def test_hand_built_reports_match_json_and_csv_writer(self, reports):
+        assert emit_report(reports, "json") == json.dumps(
+            [rep.record() for rep in reports], indent=2)
+        assert emit_report(reports, "csv") == _parent_csv(reports)
+
+    def test_record_keys_are_the_report_fields(self):
+        case = TheoremCase("c", {}, IntPoly(2))
+        assert tuple(VerificationReport(case, True).record()) == REPORT_FIELDS
+
+    @pytest.mark.parametrize("argv", [
+        # 3 values of n, each modulus object shared by its 5 exponents
+        ["calkin", "--n", "2..4", "--r", "1..5"],
+        # equal moduli built as distinct objects by different cases
+        ["thm2", "--n", "1..2", "--r", "1..2", "--s", "1", "--t", "1", "--claim", "all"],
+    ], ids=["calkin", "thm2"])
+    def test_each_modulus_value_is_formatted_once_per_call(self, monkeypatch, argv):
+        reports = run_sweep(build_cases(build_parser().parse_args(["verify", *argv])), 1)
+        moduli = [rep.case.expected_modulus for rep in reports]
+        distinct = set(moduli) - {None}
+        objects = {id(m) for m in moduli if m is not None}
+        if argv[0] == "calkin":
+            assert len(objects) == len(distinct) == 3 < len(moduli)
+        else:
+            assert len(objects) > len(distinct) > 0
+        records = [rep.record() for rep in reports]
+        formatted = []
+        coeff_list_str = IntPoly.coeff_list_str
+        monkeypatch.setattr(IntPoly, "coeff_list_str",
+                            lambda poly: formatted.append(poly) or coeff_list_str(poly))
+        for output, expected in (("json", json.dumps(records, indent=2)),
+                                 ("csv", _parent_csv(reports))):
+            formatted.clear()
+            text = emit_report(reports, output)
+            assert len(formatted) == len(distinct) and set(formatted) == distinct
+            assert _untimed(text) == _untimed(expected)
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["calkin", "--n", "1..6", "--r", "1..30"],
+        ["thm2", "--n", "1..2", "--r", "1..2", "--s", "1", "--t", "1", "--claim", "all"],
+    ], ids=["calkin", "thm2"])
+    def test_run_writes_what_emit_report_joins(self, capsys, argv, output):
+        argv = ["verify", *argv, "--output", output, "--jobs", "1"]
+        assert run(argv) == 0
+        streamed = capsys.readouterr().out
+        reports = run_sweep(build_cases(build_parser().parse_args(argv)), 1)
+        joined = emit_report(reports, output)
+        assert _untimed(streamed) == _untimed(joined) != joined.replace("\n", "")
+        assert streamed.count("\n") == joined.count("\n") > len(reports)
 
 
 def _normalize(records):
