@@ -34,7 +34,6 @@ from .qcomb import (
 )
 from .sums import alt_power_sum, alt_power_sum_filtered, gjz_sum, pattern_sum, triple_sum
 from .verify import (
-    InfeasibleScale,
     TheoremCase,
     VerificationReport,
     check_congruence,
@@ -53,7 +52,6 @@ __all__ = [
     "CongruenceWitness",
     "CycloFactorization",
     "DSet",
-    "InfeasibleScale",
     "IntPoly",
     "InvalidArgument",
     "NotDivisible",

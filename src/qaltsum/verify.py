@@ -3,16 +3,20 @@
 Each claim family is one generator of Outcomes (case, holds, witness,
 quotient degree): it materializes claim instances -- identities,
 congruences in Z or Z[q] (_congruence), valuation equalities and bounds
-(_valuation) -- as TheoremCases and performs the exact checks.  One table, _CLAIMS, maps
-every claim id to its generator, called as build(claim_id, **params),
-and run_case is the only dispatcher but one: verify_thm1 calls _timed
-itself, so that it raises InfeasibleScale.  One runner, _timed, turns
-outcomes into VerificationReports and times them: a report's elapsed covers
-everything computed for it, from the dividend and the modulus to the
-check.  A report with holds=False means the implementation is broken
-(every asserted claim is a proven statement), so batch runners must
-surface it as a counterexample and stop; holds=None marks a case whose
-side condition is not met (not applicable), which is a normal outcome.
+(_valuation) -- as TheoremCases and performs the exact checks.  One
+table, _CLAIMS, maps every claim id to its generator, called as
+build(claim_id, **params), and run_case is the one dispatcher: every
+verify_* function returns its reports or the first of them.  One runner,
+_timed, called only by run_case, turns outcomes into VerificationReports
+and times them: a report's elapsed covers everything computed for it,
+from the dividend and the modulus to the check.  A report with
+holds=False means the implementation is broken (every asserted claim is
+a proven statement), so batch runners must surface it as a
+counterexample and stop; holds=None marks a case whose side condition
+is not met (not applicable), which is a normal outcome.  A case that is
+not run is an outcome as well, never an exception: thm1's full_modulus
+case whose exponent exceeds its budget yields one not-evaluated report
+(holds=None, no modulus).
 
 Two integer claims are decided from residues of the power sum
 S = sum_k (-1)^k C(2n, k)^r (sums.alt_power_sums_mod), so their cost
@@ -93,7 +97,6 @@ from .qcomb import (
 )
 
 __all__ = [
-    "InfeasibleScale",
     "TheoremCase",
     "VerificationReport",
     "check_congruence",
@@ -108,10 +111,6 @@ __all__ = [
 ]
 
 DEFAULT_EXPONENT_BUDGET = 100_000
-
-
-class InfeasibleScale(RuntimeError):
-    """A requested exponent exceeds the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -430,10 +429,11 @@ def verify_thm1(
     assert nu_p(sum) == gamma exactly.
 
     full_modulus: one exponent for all primes at once, the smallest
-    r > 2 with r == 2 (mod phi(C(2n, n)) * C(2n, n)); raises
-    InfeasibleScale when that exponent exceeds the budget.
+    r > 2 with r == 2 (mod phi(C(2n, n)) * C(2n, n)); when that exponent
+    exceeds the budget the case is one not-evaluated report (holds None,
+    no modulus), as run_case and the CLI report it.
     """
-    return _timed(_thm1("thm1", n, variant, exponent_budget))
+    return run_case("thm1", {"n": n, "variant": variant, "exponent_budget": exponent_budget})
 
 
 def _thm1(
@@ -454,9 +454,11 @@ def _thm1(
     else:
         r = 2 + euler_phi(central) * central
         if r > exponent_budget:
-            raise InfeasibleScale(
-                f"full_modulus exponent {r} exceeds the budget {exponent_budget} (n={n})"
-            )
+            params = {"n": n, "variant": variant, "exponent_budget": exponent_budget}
+            note = (f"not evaluated: full_modulus exponent {r} exceeds the budget "
+                    f"{exponent_budget} (n={n})")
+            yield Outcome(TheoremCase(claim_id, params, None, note), None)
+            return
         checks = [(p, gamma, r) for p, gamma in primes]
     # nu_p(S) == gamma is decided by S mod p^(gamma+1): a nonzero residue
     # has the valuation of S, so the note prints the exact nu_p(S); a zero
@@ -659,17 +661,11 @@ _CLAIMS: dict[str, Callable[..., Iterator[Outcome]]] = {
 def run_case(claim_id: str, params: dict) -> list[VerificationReport]:
     """Run one claim instance by id; always returns a list of reports.
 
-    The only dispatcher but verify_thm1's.  A case whose exponent exceeds
-    its budget is reported as not evaluated (holds None) instead of
-    raising InfeasibleScale, so that it does not sink the rest of a sweep.
+    The one dispatcher: every verify_* function goes through it.  A case
+    that is not run -- a thm1 exponent over its budget -- is an outcome
+    reported as not evaluated (holds None), so that it does not sink
+    the rest of a sweep.
     """
-    return _timed(_case(claim_id, params))
-
-
-def _case(claim_id: str, params: dict) -> Iterator[Outcome]:
     if claim_id not in _CLAIMS:
         raise InvalidArgument(f"unknown claim id {claim_id!r}")
-    try:
-        yield from _CLAIMS[claim_id](claim_id, **params)
-    except InfeasibleScale as exc:
-        yield Outcome(TheoremCase(claim_id, params, None, f"not evaluated: {exc}"), None)
+    return _timed(_CLAIMS[claim_id](claim_id, **params))

@@ -260,6 +260,33 @@ class TestExitCodes:
         assert run(["verify", "calkin", "--n", "1", "--r", "1", "--jobs", jobs]) == 2
         assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "gjz"], "gjz needs either --ns or both --h and --ni"),
+        (["verify", "lemmas", "--n", "1", "--p", "2,x", "--r", "1"],
+         "malformed integer list '2,x'"),
+        (["verify", "lemmas", "--n", "1", "--p", ",", "--r", "1"],
+         "the requested sweep is empty"),
+        (["verify", "lemmas", "--n", "0", "--r", "1"], "requires n, r >= 1, got n=0, r=1"),
+        (["verify", "gcd-window", "--n", "0"], "requires n, m >= 1, got n=0, m=2"),
+        (["verify", "gcd-window", "--n", "1", "--m", "0"], "requires n, m >= 1, got n=1, m=0"),
+        (["inspect", "qbinom", "-1", "0"], "qbinom requires n >= 0, got -1"),
+    ], ids=["gjz-no-composition", "lemmas-bad-p", "lemmas-empty-p", "lemmas-n0",
+            "gcd-window-n0", "gcd-window-m0", "inspect-qbinom-negative"])
+    def test_rejected_arguments_exit_two(self, capsys, argv, message):
+        jobs = ["--jobs", "1"] if argv[0] == "verify" else []
+        assert run([*argv, *jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_failed_valuation_dumps_computed_and_expected(self, capsys, monkeypatch):
+        # lemma21 at n = 2, p = 2 expects nu_2 = nu_2(C(4, 2)) = 1; the sum 1 has 0
+        monkeypatch.setattr(sums, "alt_power_sum_filtered", lambda n, r, p, which: 1)
+        assert run(["verify", "lemmas", "--n", "2", "--p", "2", "--r", "1", "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert 'COUNTEREXAMPLE claim=lemma21 params={"n": 2, "p": 2}' in err
+        assert "  valuation = computed nu_2 = 0, expected 1\n" in err
+
 
 class TestEmitReport:
     def _passing(self):
@@ -587,7 +614,7 @@ class _SerialPool:
 class TestWorkerBound:
     @pytest.fixture
     def pools(self, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "created", [])
         monkeypatch.setattr(_SerialPool, "shutdowns", [])
         return _SerialPool.created
@@ -621,6 +648,20 @@ class TestWorkerBound:
         cases = [("calkin", {"n": 1, "r": 1}), ("calkin", {"n": 2, "r": 1})]
         assert len(run_sweep(cases, jobs=1)) == 2
         assert pools == []
+
+    def test_serial_sweep_loads_no_process_pool(self):
+        # a fresh process, since this one has imported multiprocessing
+        code = (
+            "import sys\n"
+            "from qaltsum import cli\n"
+            "argv = ['verify', 'calkin', '--n', '1..40', '--r', '1..200']\n"  # intsum-j1
+            "cases = cli.build_cases(cli.build_parser().parse_args(argv))\n"
+            "assert len(cli.run_sweep(cases[:2], jobs=1)) == 400\n"
+            "print(*sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=_module_env(),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == []
 
 
 def _verify_verbs():

@@ -14,7 +14,6 @@ from qaltsum.polycore import IntPoly, InvalidArgument, divexact, monomial
 from qaltsum.qcomb import binom, nu_p_int, qbinom
 from qaltsum.sums import alt_power_sum, gjz_sum, pattern_sum, triple_sum, triple_sum_degree
 from qaltsum.verify import (
-    InfeasibleScale,
     check_congruence,
     gcd_window,
     run_case,
@@ -180,8 +179,22 @@ class TestThm1:
             assert all(r.holds for r in verify_thm1(n, "per_prime"))
 
     def test_budget(self):
-        with pytest.raises(InfeasibleScale):
-            verify_thm1(4, "full_modulus", exponent_budget=100)
+        # an over-budget exponent is one not-evaluated report, not an exception
+        [rep] = verify_thm1(4, "full_modulus", exponent_budget=100)
+        assert rep.holds is None and rep.case.expected_modulus is None
+        assert rep.case.params == {"n": 4, "variant": "full_modulus", "exponent_budget": 100}
+        assert list(rep.case.params) == ["n", "variant", "exponent_budget"]
+        assert rep.case.derivation_note == (
+            "not evaluated: full_modulus exponent 1682 exceeds the budget 100 (n=4)"
+        )
+
+    @pytest.mark.parametrize("variant, budget", [
+        ("per_prime", 100), ("full_modulus", 100), ("full_modulus", 10**6),
+    ])
+    def test_same_records_as_run_case(self, variant, budget):
+        params = {"n": 4, "variant": variant, "exponent_budget": budget}
+        assert _without_elapsed(verify_thm1(4, variant, budget)) == _without_elapsed(
+            run_case("thm1", params))
 
     def test_rejects(self):
         with pytest.raises(InvalidArgument):
