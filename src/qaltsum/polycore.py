@@ -412,11 +412,16 @@ def _mul_kronecker(a, b):
     product of signed factors that cancel (product).
     """
     # max|a| max|b| min(len) < 2^(bits(max|a|) + bits(max|b|) + bits(min(len)))
-    terms = (_max_abs(a).bit_length() + _max_abs(b).bit_length()
-             + min(len(a), len(b)).bit_length())
-    # c_k^2 <= sum a_i^2 sum b_j^2 = S < 2^bits(S), so |c_k| < 2^ceil(bits(S) / 2)
-    squares = sum(map(operator.mul, a, a)) * sum(map(operator.mul, b, b))
-    bits = _slot_bits(min(terms, (squares.bit_length() + 1) >> 1) + 1)
+    abits, bbits = _max_abs(a).bit_length(), _max_abs(b).bit_length()
+    terms = abits + bbits + min(len(a), len(b)).bit_length()
+    bits = _slot_bits(terms + 1)
+    # S >= max|a|^2 max|b|^2 (a and b are nonzero), so the Cauchy-Schwarz slot is at
+    # least _slot_bits(bits(max|a|) + bits(max|b|)); the squares are summed only
+    # when that floor is narrower than the slot of the max bound
+    if _slot_bits(abits + bbits) < bits:
+        # c_k^2 <= sum a_i^2 sum b_j^2 = S < 2^bits(S), so |c_k| < 2^ceil(bits(S) / 2)
+        squares = sum(map(operator.mul, a, a)) * sum(map(operator.mul, b, b))
+        bits = _slot_bits(min(terms, (squares.bit_length() + 1) >> 1) + 1)
     nbytes = bits >> 3
     return _unpack(_pack(a, bits, nbytes) * _pack(b, bits, nbytes), bits, nbytes,
                    len(a) + len(b) - 1)

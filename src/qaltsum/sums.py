@@ -59,10 +59,16 @@ yields alt_power_sum(n, r) mod m for each r of an ascending range rs,
 the same half-range sum with C(2n, k)^r mod m in place of C(2n, k)^r.
 Its cost grows with the bits of r and of m, not with r times the bits
 of C(2n, n), so it reaches exponents whose full sum would have millions
-of digits.  The first exponent takes pow(C(2n, k), r, m) term by term;
-each later one multiplies every term by C(2n, k)^step mod m, one
-product modulo m per term.  alt_power_sum_mod(n, r, m) is the case of
-one exponent.  Both take the same n and r as alt_power_sum, reject the
+of digits.  Each term carries its weight in the half-range sum,
+S(r) = (-1)^n (T(0) + 2 sum_{j>=1} (-1)^j T(j)), T(j) = C(2n, n + j)^r:
+t_j = w_j T(j) mod m, first taken by pow term by term, and S(r) =
+sum_j t_j mod m.  One pass over the terms then gives two exponents:
+S(r) as that sum, and S(r + step) = sum_j t_j C(2n, n + j)^step mod m,
+the products summed unreduced and reduced once; after it every t_j is
+multiplied by C(2n, n + j)^(2 step) mod m.  That is one product modulo
+m per term for every two exponents.  An odd-length range ends on a pass
+with one value.  alt_power_sum_mod(n, r, m) is the case of one
+exponent.  Both take the same n and r as alt_power_sum, reject the
 same bad ones with the same message, and need m >= 1.
 
 The q-mode triple sum has a residue form too: triple_sum(..., "q",
@@ -96,7 +102,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from math import comb, prod
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .cyclo import CycloFactorization, cyclotomic_power, is_prime, residue
@@ -195,8 +201,8 @@ def alt_power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
     """alt_power_sum(n, r) % m for each r of the ascending range rs, in order.
 
     The arguments are checked at the call; the values are computed as
-    they are taken, each later exponent from the one before it by one
-    product modulo m per term (see the module docstring).
+    they are taken, two exponents per pass over the terms with one
+    product modulo m per term for the pair (see the module docstring).
 
     >>> list(alt_power_sums_mod(2, range(2, 5), 7)), [alt_power_sum(2, r) % 7 for r in (2, 3, 4)]
     ([6, 6, 2], [6, 6, 2])
@@ -211,12 +217,20 @@ def alt_power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
 
 def _power_sums_mod(n: int, rs: range, m: int) -> Iterator[int]:
     row = [b % m for b in _row(2 * n, n, n)]  # C(2n, n + j) mod m
-    terms, step = [pow(b, rs[0], m) for b in row], None
-    for _ in rs:
-        yield _sign(n) * _even_sum(terms) % m
-        if step is None:  # built only when a second exponent is asked for
-            step = [pow(b, rs.step, m) for b in row]
-        terms = [x * y % m for x, y in zip(terms, step)]
+    # t_j = w_j C(2n, n + j)^r mod m, w_j = (-1)^n (1 at j = 0, else 2 (-1)^j): S(r) = sum t_j
+    terms = [_sign(n) * (2 * _sign(j) if j else 1) * pow(b, rs[0], m) % m
+             for j, b in enumerate(row)]
+    yield sum(terms) % m
+    if len(rs) == 1:
+        return
+    step = [pow(b, rs.step, m) for b in row]  # built only when a second exponent is asked for
+    twice = [x * x % m for x in step]
+    for i in range(1, len(rs)):
+        if i % 2:  # S(r + step) = sum t_j C(2n, n + j)^step, the products summed unreduced
+            yield sum(map(mul, terms, step)) % m
+        else:
+            terms = [x * y % m for x, y in zip(terms, twice)]
+            yield sum(terms) % m
 
 
 def _check_power(n: int, r: int) -> None:

@@ -440,6 +440,29 @@ class TestProduct:
             assert out == conv(a, a) and max(out) == length * m * m
             assert widths == [bits, bits]
 
+    # nonzero operands, the coefficients of each at most 2^bits in size, bits in 0..100
+    sized = st.integers(0, 100).flatmap(
+        lambda bits: st.lists(st.integers(-(1 << bits), 1 << bits), min_size=1, max_size=40)
+    ).filter(any)
+
+    @given(sized, sized)
+    def test_slot_width_is_the_two_bound_rule(self, a, b):
+        # the sum of squares is skipped where it cannot narrow the slot, and
+        # the width is still the smaller of the two bounds' slots
+        terms = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                 + min(len(a), len(b)).bit_length())
+        squares = sum(x * x for x in a) * sum(y * y for y in b)
+        want = _slot_bits(min(terms, (squares.bit_length() + 1) >> 1) + 1)
+        widths = []
+        pack = polycore._pack
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polycore, "_pack",
+                          lambda cs, w, nbytes: widths.append(w) or pack(cs, w, nbytes))
+            out = _mul_kronecker(a, b)
+        assert widths == [want, want]
+        want = conv(a, b)
+        assert out == want + [0] * (len(a) + len(b) - 1 - len(want))
+
     def test_factor_memo_stays_bounded(self):
         memo = polycore._factor_memo
         memo.cache_clear()

@@ -207,6 +207,13 @@ class TestAltPowerSumsMod:
         rs = range(start, start + length * step, step)
         assert list(alt_power_sums_mod(n, rs, m)) == [_reference(n, r, m) for r in rs]
 
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_large_modulus(self, step):
+        # the calkin modulus at n = 300: products of two residues of about 1,250 bits
+        n, m = 300, binom(600, 300) * CALKIN_PRIME
+        rs = range(1, 10, step)
+        assert list(alt_power_sums_mod(n, rs, m)) == [_reference(n, r, m) for r in rs]
+
     @pytest.mark.parametrize("rs", [range(3, 3), range(5, 1), range(5, 1, -1)])
     def test_rejects_an_empty_or_descending_range(self, rs):
         with pytest.raises(InvalidArgument, match="nonempty ascending range"):

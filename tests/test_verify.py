@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qaltsum import verify
+from qaltsum.cli import build_cases, build_parser, run_sweep
 from qaltsum.cyclo import cyclotomic, q_int
 from qaltsum.polycore import IntPoly, InvalidArgument, divexact, monomial
 from qaltsum.qcomb import binom, nu_p_int, qbinom
@@ -306,6 +307,17 @@ class TestResiduePaths:
         rep = run_case("calkin", {"n": 1, "r": 62})[0]
         assert rep.holds and rep.quotient_degree == 0
         assert full == [(1, 62)]
+
+    def test_intsum_sweep_takes_the_full_path_only_where_the_residue_vanishes(self, monkeypatch):
+        # the reports are the same whichever path decides them, so a wrong walk
+        # that sends its cases to the full sum would pass every output check:
+        # the full path runs at r = 1 (S = 0) for each n, and at n = 1 where
+        # 2^(r-1) = 1 mod 2^61 - 1, r = 62, 123, 184
+        full = _count_calls(monkeypatch, "alt_power_sum")
+        args = build_parser().parse_args(["verify", "calkin", "--n", "1..40", "--r", "1..200"])
+        reports = run_sweep(build_cases(args), 1)
+        assert len(reports) == 8000 and all(rep.holds for rep in reports)
+        assert sorted(full) == sorted([(n, 1) for n in range(1, 41)] + [(1, 62), (1, 123), (1, 184)])
 
     def test_failed_residue_check_reruns_the_full_path(self, monkeypatch):
         # C(4, 2) = 6 does not divide the stubbed residue; the true sum,
