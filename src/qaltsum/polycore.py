@@ -402,21 +402,22 @@ def _max_abs(coeffs):
 def _mul_kronecker(a, b):
     """Product via Kronecker substitution (evaluation at a power of two).
 
-    Each coefficient gets a slot wide enough that every coefficient of
-    the product, c_k = sum_i a_i b_(k-i), lies strictly inside a balanced
-    slot, so the single big-integer multiplication carries the whole
-    convolution.  The width is the smaller of two bounds on |c_k|: the
-    min(len(a), len(b)) terms of at most max|a| max|b| each, and the
-    Cauchy-Schwarz bound ||a||_2 ||b||_2, which a = b = [M] * L meets at
-    c_(L-1) = L M^2 and which stays close to the coefficients of a
-    product of signed factors that cancel (product).
+    Both operands are nonzero.  Each coefficient gets a slot wide enough
+    that every coefficient of the product, c_k = sum_i a_i b_(k-i), lies
+    strictly inside a balanced slot, so the single big-integer
+    multiplication carries the whole convolution.  The width is the
+    smaller of two bounds on |c_k|: the min(len(a), len(b)) terms of at
+    most max|a| max|b| each, and the Cauchy-Schwarz bound
+    ||a||_2 ||b||_2, which a = b = [M] * L meets at c_(L-1) = L M^2 and
+    which stays close to the coefficients of a product of signed factors
+    that cancel (product).
     """
     # max|a| max|b| min(len) < 2^(bits(max|a|) + bits(max|b|) + bits(min(len)))
     abits, bbits = _max_abs(a).bit_length(), _max_abs(b).bit_length()
     terms = abits + bbits + min(len(a), len(b)).bit_length()
     bits = _slot_bits(terms + 1)
-    # S >= max|a|^2 max|b|^2 (a and b are nonzero), so the Cauchy-Schwarz slot is at
-    # least _slot_bits(bits(max|a|) + bits(max|b|)); the squares are summed only
+    # S >= max|a|^2 max|b|^2, so the Cauchy-Schwarz slot is at least
+    # _slot_bits(bits(max|a|) + bits(max|b|)); the squares are summed only
     # when that floor is narrower than the slot of the max bound
     if _slot_bits(abits + bbits) < bits:
         # c_k^2 <= sum a_i^2 sum b_j^2 = S < 2^bits(S), so |c_k| < 2^ceil(bits(S) / 2)
